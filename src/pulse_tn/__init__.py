@@ -22,7 +22,6 @@ from .tn import (
     DEFAULT_BACKEND,
     TnConfig,
     TrendFit,
-    available_backends,
     detrend,
     fit_trend,
     rms_normalize,

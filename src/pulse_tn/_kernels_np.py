@@ -1,7 +1,8 @@
-"""Pure-numpy fallback for the fused detrend + RMS-normalization kernel.
+"""Fused detrend + RMS-normalization kernel on time-major data.
 
-Same contract as the compiled pulse_tn._kernels module: traces are (n, T)
-float64 rows, output is a new (n, T) array.
+Traces are the columns of a (T, n) float64 array, which is the layout a
+clip already has once its pixel/channel axes are flattened, so no transpose
+or contiguous copy is needed. The output is a new (T, n) array.
 """
 
 from __future__ import annotations
@@ -9,16 +10,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def tn_traces(traces: np.ndarray, eps: float) -> np.ndarray:
-    """Detrend each row against its index, then divide by sqrt(mean square + eps)."""
-    n, t_len = traces.shape
+def tn_traces(data: np.ndarray, eps: float) -> np.ndarray:
+    """Detrend each column against its index, then divide by sqrt(mean square + eps)."""
+    t_len = data.shape[0]
     if t_len < 3:
         raise ValueError("traces must have at least 3 samples")
     tc = np.arange(t_len, dtype=np.float64) - (t_len - 1) / 2.0
     denom = t_len * (float(t_len) * t_len - 1.0) / 12.0
-    ybar = traces.mean(axis=1, keepdims=True)
-    centered = traces - ybar
-    slope = centered @ tc / denom
-    resid = centered - slope[:, None] * tc
-    ms = np.mean(resid * resid, axis=1)
-    return resid / np.sqrt(ms + eps)[:, None]
+    # The axis-0 mean accumulates row by row; shifting each column by its
+    # frame-0 value first keeps that sum small on large DC offsets, and makes
+    # exactly representable offsets cancel exactly.
+    resid = data - data[0]
+    resid -= resid.mean(axis=0)
+    slope = tc @ resid / denom
+    resid -= np.outer(tc, slope)
+    ms = np.einsum("tj,tj->j", resid, resid) / t_len
+    resid /= np.sqrt(ms + eps)
+    return resid

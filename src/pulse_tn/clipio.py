@@ -114,6 +114,8 @@ def read_labels(path) -> dict[str, object]:
                 hr = float(row["hr_bpm"])
                 if not 30.0 <= hr <= 180.0:
                     raise ValueError(f"{path}: hr_bpm {hr} outside [30, 180] for {row['video_id']}")
+                if row["video_id"] in labels:
+                    raise ValueError(f"{path}: duplicate video_id {row['video_id']}")
                 labels[row["video_id"]] = hr
             return labels
         if "t_s" in fields and "bvp" in fields:

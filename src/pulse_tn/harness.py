@@ -133,7 +133,9 @@ def _pipeline_config(
 def _label_hr(label, segment_s, band, window_len, overlap, nfft) -> float:
     """Direct HR labels pass through; reference pulse series get the same pipeline."""
     if isinstance(label, Waveform):
-        rates, _ = segment_heart_rates(label, segment_s, band, window_len, overlap, nfft)
+        rates, dropped = segment_heart_rates(label, segment_s, band, window_len, overlap, nfft)
+        if not rates:
+            raise DegenerateSignalError(f"time-series label: all {dropped} segments degenerate")
         return float(np.mean(rates))
     return float(label)
 
@@ -171,7 +173,8 @@ def evaluate_manifest(
 ) -> dict:
     """Estimate HR for every clip in a manifest and aggregate metrics.
 
-    Videos without a label are kept as flagged rows and excluded from the
+    Videos without a label, or whose time-series label yields no heart rate
+    (`label_error`), are kept as flagged rows and excluded from the
     aggregates. Unreadable clips raise unless skip_bad is set, in which case
     they become rows with an `error` field. Results are merged by sorted
     video id, so reports are deterministic regardless of scheduling.
@@ -206,16 +209,24 @@ def evaluate_manifest(
     for vid in sorted(rows):
         row = rows[vid]
         label = labels.get(vid)
-        if label is not None and "error" not in row:
-            row["hr_label"] = _label_hr(label, segment_s, band, window_len, overlap, nfft)
-            row["abs_err"] = abs(row["hr_pred"] - row["hr_label"])
-            preds.append(row["hr_pred"])
-            labs.append(row["hr_label"])
-            ids.append(vid)
-        elif label is None and "error" not in row:
+        per_video.append(row)
+        if "error" in row:
+            continue
+        if label is None:
             row["hr_label"] = None
             row["label_missing"] = True
-        per_video.append(row)
+            continue
+        try:
+            hr_label = _label_hr(label, segment_s, band, window_len, overlap, nfft)
+        except ValueError as exc:
+            # a short or degenerate reference series flags its own row only
+            row["label_error"] = str(exc)
+            continue
+        row["hr_label"] = hr_label
+        row["abs_err"] = abs(row["hr_pred"] - hr_label)
+        preds.append(row["hr_pred"])
+        labs.append(hr_label)
+        ids.append(vid)
 
     doc: dict = {
         "config": _pipeline_config([kind.value], segment_s, band, window_len, overlap, nfft, epsilon),
@@ -306,5 +317,5 @@ def compare_manifest(
 
 
 def write_report(doc: dict, path) -> None:
-    """Serialize a report deterministically (sorted keys, stable float repr)."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Serialize a report deterministically (sorted keys, stable float repr, strict JSON)."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -8,14 +8,13 @@ which is what makes the features insensitive to illumination level and to
 slow lighting or motion trends, while a shared divisor couples every output
 sample to the whole trace.
 
-The clip-level transform runs on a compiled kernel when available and on a
-numpy implementation otherwise; set PULSE_TN_BACKEND=cython|numpy|auto to
-force a choice at import time.
+The clip-level transform hands the time-major clip, flattened to
+(T, H*W*C), straight to one numpy kernel (pulse_tn._kernels_np), so no
+trace-major copy is made.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,32 +22,13 @@ import numpy as np
 from .core import FrameClip
 from . import _kernels_np
 
-try:
-    from . import _kernels as _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-_BACKENDS = {"numpy": _kernels_np}
-if _kernels_cy is not None:
-    _BACKENDS["cython"] = _kernels_cy
+# Kept as a constant: perfbench/run.py reports it in every run's environment block.
+DEFAULT_BACKEND = "numpy"
 
 
-def _default_backend() -> str:
-    choice = os.environ.get("PULSE_TN_BACKEND", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "cython" if _kernels_cy is not None else "numpy"
-    if choice not in ("cython", "numpy"):
-        raise ValueError(f"PULSE_TN_BACKEND must be auto, cython or numpy, got {choice!r}")
-    if choice not in _BACKENDS:
-        raise ImportError("PULSE_TN_BACKEND=cython but the compiled kernel is not installed")
-    return choice
-
-
-DEFAULT_BACKEND = _default_backend()
-
-
+# Kept for the same reason as DEFAULT_BACKEND; there is one kernel.
 def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+    return (DEFAULT_BACKEND,)
 
 
 @dataclass(frozen=True)
@@ -126,18 +106,13 @@ def tn_trace(values, cfg: TnConfig = TnConfig()) -> np.ndarray:
     return rms_normalize(detrend(y), cfg)
 
 
-def tn_traces(traces: np.ndarray, eps: float, backend: str | None = None) -> np.ndarray:
-    """Apply the fused kernel to an (n, T) stack of traces."""
-    name = DEFAULT_BACKEND if backend is None else backend
-    try:
-        impl = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}") from None
-    traces = np.ascontiguousarray(traces, dtype=np.float64)
-    return impl.tn_traces(traces, float(eps))
+# Trace-major (n, T) entry point of the public API; perfbench/spans.py also wraps it by name.
+def tn_traces(traces: np.ndarray, eps: float) -> np.ndarray:
+    """Apply the kernel to an (n, T) stack of traces, one trace per row."""
+    return _kernels_np.tn_traces(np.asarray(traces, dtype=np.float64).T, float(eps)).T
 
 
-def tn(clip: FrameClip, cfg: TnConfig = TnConfig(), backend: str | None = None) -> FrameClip:
+def tn(clip: FrameClip, cfg: TnConfig = TnConfig()) -> FrameClip:
     """Temporally normalize every pixel/channel trace of a clip.
 
     A 2-frame trace is fitted exactly by its own trend line, which would make
@@ -147,6 +122,6 @@ def tn(clip: FrameClip, cfg: TnConfig = TnConfig(), backend: str | None = None) 
     t_len = clip.frames
     if t_len < 3:
         raise ValueError(f"temporal normalization needs at least 3 frames, got {t_len}")
-    flat = clip.data.reshape(t_len, -1).T  # (traces, T)
-    out = tn_traces(flat, cfg.epsilon, backend=backend)
-    return FrameClip(out.T.reshape(clip.data.shape), clip.fps)
+    # Called in its own module so that perfbench/spans.py times it as the tn.kernel span.
+    out = _kernels_np.tn_traces(clip.data.reshape(t_len, -1), cfg.epsilon)
+    return FrameClip(out.reshape(clip.data.shape), clip.fps)

@@ -153,6 +153,12 @@ class TestLabels:
         with pytest.raises(ValueError):
             read_labels(path)
 
+    def test_duplicate_video_id_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("video_id,hr_bpm\nv001,72.0\nv001,150.0\n")
+        with pytest.raises(ValueError, match=r"labels\.csv.*duplicate video_id v001"):
+            read_labels(path)
+
     def test_time_series_form(self, tmp_path):
         path = tmp_path / "labels.csv"
         rows = ["video_id,t_s,bvp"]

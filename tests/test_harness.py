@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pulse_tn import ExtractorKind, PulseSpec, SceneSpec, render_ideal, synth_pulse, write_clip
-from pulse_tn.harness import evaluate_manifest, noise_feature_ratios, worker_count
+from pulse_tn.harness import evaluate_manifest, noise_feature_ratios, worker_count, write_report
 from pulse_tn.simulate import LinearNoise, NoiseSpec
 
 
@@ -10,6 +10,13 @@ def write_manifest_clip(path, hr, frames=600, seed=0):
     scene = SceneSpec(jitter_seed=seed)
     pulse = synth_pulse(PulseSpec(hr_bpm=hr), 30.0, frames)
     write_clip(render_ideal(scene, pulse, 8, 8), path)
+
+
+def write_series_labels(path, series):
+    rows = ["video_id,t_s,bvp"]
+    for vid, bvp in series.items():
+        rows += [f"{vid},{i / 30.0},{v}" for i, v in enumerate(bvp)]
+    path.write_text("\n".join(rows) + "\n")
 
 
 class TestWorkerCount:
@@ -43,6 +50,32 @@ class TestEvaluateManifest:
         doc = evaluate_manifest(tmp_path, ExtractorKind.TN_POOLED)
         by_id = {row["video_id"]: row for row in doc["per_video"]}
         assert "error" in by_id["short"]
+        assert doc["n_evaluated"] == 1
+
+    def test_constant_series_label_flags_its_row_only(self, tmp_path):
+        write_manifest_clip(tmp_path / "good.rpgc", hr=72.0)
+        write_manifest_clip(tmp_path / "flat.rpgc", hr=72.0)
+        pulse = np.sin(2 * np.pi * 1.2 * np.arange(600) / 30.0)
+        write_series_labels(tmp_path / "labels.csv", {"good": pulse, "flat": np.full(600, 0.5)})
+        doc = evaluate_manifest(tmp_path, ExtractorKind.TN_POOLED)
+        by_id = {row["video_id"]: row for row in doc["per_video"]}
+        assert "degenerate" in by_id["flat"]["label_error"]
+        assert "hr_label" not in by_id["flat"]
+        assert by_id["good"]["abs_err"] <= 1.0
+        assert doc["n_evaluated"] == 1
+        assert doc["mae"] == by_id["good"]["abs_err"]
+        write_report(doc, tmp_path / "report.json")  # strict JSON: raises on NaN
+
+    def test_short_series_label_flags_its_row_only(self, tmp_path):
+        write_manifest_clip(tmp_path / "good.rpgc", hr=72.0)
+        write_manifest_clip(tmp_path / "brief.rpgc", hr=72.0)
+        pulse = np.sin(2 * np.pi * 1.2 * np.arange(600) / 30.0)
+        write_series_labels(tmp_path / "labels.csv", {"good": pulse, "brief": pulse[:150]})
+        doc = evaluate_manifest(tmp_path, ExtractorKind.TN_POOLED)
+        by_id = {row["video_id"]: row for row in doc["per_video"]}
+        assert "label_error" in by_id["brief"]
+        assert "hr_label" not in by_id["brief"]
+        assert by_id["good"]["abs_err"] <= 1.0
         assert doc["n_evaluated"] == 1
 
     def test_no_labels_file_yields_flagged_rows(self, tmp_path):
