@@ -2,17 +2,22 @@
 
 Traces are the columns of a (T, n) float64 array, which is the layout a
 clip already has once its pixel/channel axes are flattened, so no transpose
-or contiguous copy is needed. The output is a new (T, n) array.
+or contiguous copy is needed. The output is a new (T, n) array and the only
+full-size allocation: the slope removal and the sum of squares run together
+over blocks of rows small enough to stay in cache.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# Bytes of output rows handled per block by the slope-removal/sum-of-squares pass.
+_BLOCK_BYTES = 256 * 1024
+
 
 def tn_traces(data: np.ndarray, eps: float) -> np.ndarray:
     """Detrend each column against its index, then divide by sqrt(mean square + eps)."""
-    t_len = data.shape[0]
+    t_len, n = data.shape
     if t_len < 3:
         raise ValueError("traces must have at least 3 samples")
     tc = np.arange(t_len, dtype=np.float64) - (t_len - 1) / 2.0
@@ -23,7 +28,11 @@ def tn_traces(data: np.ndarray, eps: float) -> np.ndarray:
     resid = data - data[0]
     resid -= resid.mean(axis=0)
     slope = tc @ resid / denom
-    resid -= np.outer(tc, slope)
-    ms = np.einsum("tj,tj->j", resid, resid) / t_len
-    resid /= np.sqrt(ms + eps)
+    sumsq = np.zeros(n)
+    rows = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    for start in range(0, t_len, rows):
+        block = resid[start : start + rows]
+        block -= tc[start : start + rows, None] * slope
+        sumsq += np.einsum("tj,tj->j", block, block)
+    resid /= np.sqrt(sumsq / t_len + eps)
     return resid

@@ -17,6 +17,7 @@ on read (value / 255).
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -30,6 +31,8 @@ DTYPE_F32 = 0
 DTYPE_U8 = 1
 _HEADER = struct.Struct("<4sIIIIIIf")
 _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype("u1")}
+# Payload bytes read per chunk by read_clip.
+_CHUNK_BYTES = 4 * 1024 * 1024
 
 
 class ClipFormatError(ValueError):
@@ -68,33 +71,55 @@ def write_clip(clip: FrameClip, path, dtype: str = "f32") -> None:
 
 
 def read_clip(path) -> FrameClip:
-    """Parse a clip file, rejecting malformed headers with structured errors."""
-    buf = Path(path).read_bytes()
-    if len(buf) < _HEADER.size:
-        raise TruncatedClipError(f"{path}: file shorter than the {_HEADER.size}-byte header")
-    magic, version, t, h, w, c, code, fps = _HEADER.unpack_from(buf)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise BadVersionError(f"{path}: unsupported version {version}, expected {VERSION}")
-    if code not in _DTYPES:
-        raise UnsupportedDtypeError(f"{path}: unknown dtype code {code}")
-    dtype = _DTYPES[code]
-    expected = t * h * w * c * dtype.itemsize
-    actual = len(buf) - _HEADER.size
-    if expected != actual:
-        raise TruncatedClipError(
-            f"{path}: payload of {actual} bytes does not match dims "
-            f"{t}x{h}x{w}x{c} ({expected} bytes expected)"
-        )
-    raw = np.frombuffer(buf, dtype=dtype, offset=_HEADER.size).reshape(t, h, w, c)
-    data = raw.astype(np.float64)
-    if code == DTYPE_U8:
-        data /= 255.0
+    """Parse a clip file, rejecting malformed headers with structured errors.
+
+    The payload size is checked against the header dims before anything is
+    allocated; the payload is then streamed in chunks through one reused
+    buffer into the float64 clip, so the file bytes are never held whole.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise TruncatedClipError(f"{path}: file shorter than the {_HEADER.size}-byte header")
+        magic, version, t, h, w, c, code, fps = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise BadVersionError(f"{path}: unsupported version {version}, expected {VERSION}")
+        if code not in _DTYPES:
+            raise UnsupportedDtypeError(f"{path}: unknown dtype code {code}")
+        dtype = _DTYPES[code]
+        expected = t * h * w * c * dtype.itemsize
+        actual = size - _HEADER.size
+        if expected != actual:
+            raise TruncatedClipError(
+                f"{path}: payload of {actual} bytes does not match dims "
+                f"{t}x{h}x{w}x{c} ({expected} bytes expected)"
+            )
+        data = _read_payload(fh, dtype, t * h * w * c, path).reshape(t, h, w, c)
     try:
         return FrameClip(data, fps)
     except ValueError as exc:
         raise ClipFormatError(f"{path}: {exc}") from exc
+
+
+def _read_payload(fh, dtype: np.dtype, count: int, path) -> np.ndarray:
+    """Read `count` samples of `dtype` from `fh` into a new float64 array
+    (u8 samples divided by 255), one chunk at a time."""
+    data = np.empty(count, dtype=np.float64)
+    u8 = dtype == _DTYPES[DTYPE_U8]
+    step = max(1, _CHUNK_BYTES // dtype.itemsize)
+    buf = np.empty(min(step, count), dtype=dtype)
+    for start in range(0, count, step):
+        chunk = buf[: min(step, count - start)]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise TruncatedClipError(f"{path}: file ended inside the payload")
+        out = data[start : start + chunk.size]
+        if u8:
+            np.divide(chunk, 255.0, out=out)
+        else:
+            out[...] = chunk
+    return data
 
 
 def read_labels(path) -> dict[str, object]:

@@ -16,9 +16,11 @@ class ExtractorKind(Enum):
 
 
 def _green_channel(clip_channels: int, channel: int | None) -> int:
-    if channel is not None:
-        return channel
-    return 1 if clip_channels >= 2 else 0
+    if channel is None:
+        return 1 if clip_channels >= 2 else 0
+    if not 0 <= channel < clip_channels:
+        raise ValueError(f"channel {channel} out of range for {clip_channels} channels")
+    return channel
 
 
 def extract_green(clip: FrameClip, channel: int | None = None) -> Waveform:
@@ -29,13 +31,15 @@ def extract_green(clip: FrameClip, channel: int | None = None) -> Waveform:
 def extract_tn_pooled(
     clip: FrameClip, cfg: TnConfig = TnConfig(), channel: int | None = None
 ) -> Waveform:
-    """Temporally normalize the clip, then pool the green channel.
+    """Temporally normalize the green channel, then pool it.
 
     Pooling happens after normalization so every pixel contributes at equal
     amplitude instead of bright static pixels swamping strong-pulse ones.
-    The output is zero-mean.
+    TN treats each trace on its own, so only the pooled channel is
+    normalized, as a one-channel view of the clip. The output is zero-mean.
     """
-    return pool_spatial(tn(clip, cfg), _green_channel(clip.channels, channel))
+    g = _green_channel(clip.channels, channel)
+    return pool_spatial(tn(FrameClip(clip.data[..., g : g + 1], clip.fps), cfg), 0)
 
 
 def extract_diff_pooled(clip: FrameClip, channel: int | None = None) -> Waveform:

@@ -31,6 +31,12 @@ def available_backends() -> tuple[str, ...]:
     return (DEFAULT_BACKEND,)
 
 
+def _check_epsilon(eps: float) -> float:
+    if not (eps > 0 and np.isfinite(eps)):
+        raise ValueError(f"epsilon must be finite and > 0, got {eps}")
+    return float(eps)
+
+
 @dataclass(frozen=True)
 class TnConfig:
     """Normalization guard: output = x / sqrt(mean(x^2) + epsilon).
@@ -43,8 +49,7 @@ class TnConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,7 @@ def tn_trace(values, cfg: TnConfig = TnConfig()) -> np.ndarray:
 # Trace-major (n, T) entry point of the public API; perfbench/spans.py also wraps it by name.
 def tn_traces(traces: np.ndarray, eps: float) -> np.ndarray:
     """Apply the kernel to an (n, T) stack of traces, one trace per row."""
-    return _kernels_np.tn_traces(np.asarray(traces, dtype=np.float64).T, float(eps)).T
+    return _kernels_np.tn_traces(np.asarray(traces, dtype=np.float64).T, _check_epsilon(eps)).T
 
 
 def tn(clip: FrameClip, cfg: TnConfig = TnConfig()) -> FrameClip:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pulse_tn import (
     upsert_label,
     write_clip,
 )
+from pulse_tn import clipio, extract_tn_pooled
 
 
 def random_clip(seed=0, t=12, h=3, w=4, c=3):
@@ -125,6 +127,64 @@ class TestClipParsing:
             except ValueError:
                 rejected += 1  # ClipFormatError or an invariant violation
         assert rejected == 50
+
+
+class TestStreamingRead:
+    """read_clip with the chunk size shrunk so a small clip takes several chunks."""
+
+    SHAPE = (7, 3, 4, 3)  # 252 samples
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # 100 samples per chunk: two full chunks and a ragged last one of 52
+        monkeypatch.setattr(clipio, "_CHUNK_BYTES", 100 * 4)
+
+    def write(self, tmp_path, dtype):
+        rng = np.random.default_rng(21)
+        path = tmp_path / "clip.rpgc"
+        write_clip(FrameClip(rng.random(self.SHAPE), 30.0), path, dtype=dtype)
+        return path, path.read_bytes()
+
+    def test_f32_decodes_like_frombuffer(self, tmp_path):
+        path, buf = self.write(tmp_path, "f32")
+        expected = np.frombuffer(buf, "<f4", offset=32).astype(np.float64).reshape(self.SHAPE)
+        assert np.array_equal(read_clip(path).data, expected)
+
+    def test_u8_decodes_like_frombuffer(self, tmp_path, monkeypatch):
+        # u8 samples are one byte each: 400 per chunk would read the clip in one go
+        monkeypatch.setattr(clipio, "_CHUNK_BYTES", 100)
+        path, buf = self.write(tmp_path, "u8")
+        expected = np.frombuffer(buf, "u1", offset=32).astype(np.float64).reshape(self.SHAPE)
+        expected /= 255.0
+        assert np.array_equal(read_clip(path).data, expected)
+
+    @pytest.mark.parametrize("payload", ["short", "long"])
+    def test_payload_off_by_one_byte(self, tmp_path, payload):
+        path, buf = self.write(tmp_path, "f32")
+        path.write_bytes(buf[:-1] if payload == "short" else buf + b"\0")
+        with pytest.raises(TruncatedClipError):
+            read_clip(path)
+
+    def test_header_only(self, tmp_path):
+        path, buf = self.write(tmp_path, "f32")
+        path.write_bytes(buf[:32])
+        with pytest.raises(TruncatedClipError):
+            read_clip(path)
+
+
+def test_read_and_extract_peak_memory(tmp_path):
+    # the decoded float64 clip itself is the floor; the file bytes and the
+    # two channels tn_pooled does not pool must not add to it
+    path = tmp_path / "clip.rpgc"
+    write_clip(FrameClip(np.random.default_rng(22).random((300, 32, 32, 3)), 30.0), path)
+    clip_bytes = 300 * 32 * 32 * 3 * 8
+    tracemalloc.start()
+    try:
+        extract_tn_pooled(read_clip(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * clip_bytes
 
 
 class TestLabels:

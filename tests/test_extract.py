@@ -14,10 +14,12 @@ from pulse_tn import (
     extract_diff_pooled,
     extract_green,
     extract_tn_pooled,
+    pool_spatial,
     render_ideal,
     render_noisy,
     run_extractor,
     synth_pulse,
+    tn,
     video_hr,
     welch_psd,
 )
@@ -95,6 +97,31 @@ class TestExtractTnPooled:
         clip, _, _ = ideal_clip(frames=150)
         w = extract_tn_pooled(clip)
         assert abs(w.samples.mean()) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["random", "u8", "dead", "min_t", "one_channel"])
+    def test_matches_pooled_full_tn(self, kind):
+        rng = np.random.default_rng(15)
+        if kind == "random":
+            data = rng.random((40, 5, 4, 3))
+        elif kind == "u8":
+            data = rng.integers(0, 256, (60, 4, 4, 3)) / 255.0
+        elif kind == "dead":
+            data = rng.random((45, 3, 3, 3))
+            data[:, :2] = rng.random((1, 2, 3, 3))
+        elif kind == "min_t":
+            data = rng.random((3, 4, 4, 3))
+        else:
+            data = rng.random((30, 4, 4, 1))
+        clip = FrameClip(data, 30.0)
+        green = 1 if clip.channels == 3 else 0
+        expected = pool_spatial(tn(clip), green).samples
+        assert np.max(np.abs(extract_tn_pooled(clip).samples - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("channel", [3, -1])
+    def test_channel_out_of_range(self, channel):
+        clip = FrameClip(np.random.default_rng(16).random((10, 2, 2, 3)), 30.0)
+        with pytest.raises(ValueError, match=f"channel {channel} out of range for 3 channels"):
+            extract_tn_pooled(clip, channel=channel)
 
 
 class TestExtractDiffPooled:

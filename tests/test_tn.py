@@ -13,6 +13,7 @@ from pulse_tn import (
     tn_trace,
     tn_traces,
 )
+from pulse_tn import _kernels_np
 
 # frozen oracle: detrend([0,1,0,1]) has mean square 0.2, so dividing by
 # sqrt(0.2) gives +-0.4472135955 and +-1.3416407865
@@ -237,3 +238,33 @@ class TestTnClip:
         with pytest.raises(ValueError):
             tn(FrameClip(np.zeros((2, 2, 2, 1)), 30.0))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_trace_stack_rejects_bad_epsilon(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            tn_traces(np.ones((2, 10)), eps)
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            TnConfig(epsilon=eps)
+
+
+class TestBlockwiseKernel:
+    """The kernel's row blocks, shrunk so that T spans many blocks and a ragged last one."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # 48 traces of 8 bytes: 7 rows per block, and 100 = 14 * 7 + 2
+        monkeypatch.setattr(_kernels_np, "_BLOCK_BYTES", 7 * 48 * 8)
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(13)
+        data = rng.random((100, 4, 4, 3))
+        data[:, 0, 0] = data[:1, 0, 0]  # dead traces
+        out = tn(FrameClip(data, 30.0)).data
+        assert np.all(out[:, 0, 0] == 0.0)
+        live = [(i, j, k) for i in range(4) for j in range(4) for k in range(3) if (i, j) != (0, 0)]
+        err = max(np.max(np.abs(out[:, i, j, k] - tn_trace(data[:, i, j, k]))) for i, j, k in live)
+        assert err <= 1e-12
+
+    def test_exact_offset_invariance(self):
+        rng = np.random.default_rng(14)
+        y = (rng.integers(0, 2**20, (1, 4, 4, 3)) + rng.integers(-(2**12), 2**12, (100, 4, 4, 3))) * 2.0**-20
+        assert np.array_equal(tn(FrameClip(y + 1024.0, 30.0)).data, tn(FrameClip(y, 30.0)).data)
