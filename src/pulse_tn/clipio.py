@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import csv
 import os
+import stat
 import struct
+from array import array
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,8 @@ _HEADER = struct.Struct("<4sIIIIIIf")
 _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype("u1")}
 # Payload bytes read per chunk by read_clip.
 _CHUNK_BYTES = 4 * 1024 * 1024
+# Largest allowed |step - mean step| of a time-series label, relative to the mean step.
+_SPACING_TOLERANCE = 0.01
 
 
 class ClipFormatError(ValueError):
@@ -73,12 +78,17 @@ def write_clip(clip: FrameClip, path, dtype: str = "f32") -> None:
 def read_clip(path) -> FrameClip:
     """Parse a clip file, rejecting malformed headers with structured errors.
 
-    The payload size is checked against the header dims before anything is
-    allocated; the payload is then streamed in chunks through one reused
-    buffer into the float64 clip, so the file bytes are never held whole.
+    The path must be a regular file. The payload size is checked against
+    the header dims before anything is allocated; the payload is then
+    streamed in chunks through one reused buffer into the float64 clip, so
+    the file bytes are never held whole.
     """
+    info = os.stat(path)
+    # checked before open: opening a FIFO would block until a writer appears
+    if not stat.S_ISREG(info.st_mode):
+        raise ClipFormatError(f"{path}: not a regular file")
+    size = info.st_size
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
             raise TruncatedClipError(f"{path}: file shorter than the {_HEADER.size}-byte header")
         magic, version, t, h, w, c, code, fps = _HEADER.unpack(fh.read(_HEADER.size))
@@ -128,36 +138,78 @@ def read_labels(path) -> dict[str, object]:
     Two schemas are accepted, selected by header:
       - video_id,hr_bpm          one heart rate per video
       - video_id,t_s,bvp         a reference pulse time series per video
+
+    Blank lines are skipped. A time-series label must be finite and evenly
+    spaced in time: every step may differ from the mean step by at most
+    1% of it.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if "hr_bpm" in fields:
+        reader = csv.reader(fh)
+        col = {name: i for i, name in enumerate(next(reader, []))}
+        if "video_id" in col and "hr_bpm" in col:
             labels: dict[str, object] = {}
-            for row in reader:
-                hr = float(row["hr_bpm"])
+            for vid, text in _label_rows(path, reader, col["video_id"], col["hr_bpm"]):
+                hr = _parse_float(path, reader, text)
                 if not 30.0 <= hr <= 180.0:
-                    raise ValueError(f"{path}: hr_bpm {hr} outside [30, 180] for {row['video_id']}")
-                if row["video_id"] in labels:
-                    raise ValueError(f"{path}: duplicate video_id {row['video_id']}")
-                labels[row["video_id"]] = hr
+                    raise ValueError(f"{path}: hr_bpm {hr} outside [30, 180] for {vid}")
+                if vid in labels:
+                    raise ValueError(f"{path}: duplicate video_id {vid}")
+                labels[vid] = hr
             return labels
-        if "t_s" in fields and "bvp" in fields:
-            series: dict[str, list[tuple[float, float]]] = {}
-            for row in reader:
-                series.setdefault(row["video_id"], []).append((float(row["t_s"]), float(row["bvp"])))
-            labels = {}
-            for vid, points in series.items():
-                points.sort()
-                t_s = np.array([p[0] for p in points])
-                bvp = np.array([p[1] for p in points])
-                dt = np.diff(t_s)
-                if len(dt) < 1 or np.any(dt <= 0):
-                    raise ValueError(f"{path}: non-increasing t_s for {vid}")
-                labels[vid] = Waveform(bvp, 1.0 / float(np.mean(dt)))
-            return labels
+        if "video_id" in col and "t_s" in col and "bvp" in col:
+            # one pair of growing float arrays per video, in first-appearance order
+            series: dict[str, tuple[array, array]] = {}
+            rows = _label_rows(path, reader, col["video_id"], col["t_s"], col["bvp"])
+            for vid, t_s, bvp in rows:
+                columns = series.get(vid)
+                if columns is None:
+                    columns = series[vid] = (array("d"), array("d"))
+                columns[0].append(_parse_float(path, reader, t_s))
+                columns[1].append(_parse_float(path, reader, bvp))
+            return {vid: _series_waveform(path, vid, *columns) for vid, columns in series.items()}
         raise ValueError(f"{path}: expected columns video_id,hr_bpm or video_id,t_s,bvp")
+
+
+def _label_rows(path, reader, *columns: int):
+    """The given columns of each non-blank row; a row too short for them is a ValueError."""
+    width = max(columns) + 1
+    pick = itemgetter(*columns)
+    for row in reader:
+        if len(row) >= width:
+            yield pick(row)
+        elif row:
+            raise ValueError(
+                f"{path}: line {reader.line_num}: {len(row)} fields, expected at least {width}"
+            )
+
+
+def _parse_float(path, reader, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _series_waveform(path, vid: str, t_s: array, bvp: array) -> Waveform:
+    """The time-ordered samples of one video's t_s,bvp rows as a Waveform."""
+    t_s = np.frombuffer(t_s, dtype=np.float64)
+    bvp = np.frombuffer(bvp, dtype=np.float64)
+    if not (np.all(np.isfinite(t_s)) and np.all(np.isfinite(bvp))):
+        raise ValueError(f"{path}: non-finite t_s or bvp for {vid}")
+    order = np.lexsort((bvp, t_s))
+    t_s, bvp = t_s[order], bvp[order]
+    dt = np.diff(t_s)
+    if len(dt) < 1 or np.any(dt <= 0):
+        raise ValueError(f"{path}: non-increasing t_s for {vid}")
+    step = float(np.mean(dt))
+    jitter = float(np.max(np.abs(dt - step)))
+    if jitter > _SPACING_TOLERANCE * step:
+        raise ValueError(
+            f"{path}: irregular t_s spacing for {vid}: a step differs from the mean "
+            f"step {step} by {jitter} (tolerance {_SPACING_TOLERANCE:.0%})"
+        )
+    return Waveform(bvp, 1.0 / step)
 
 
 def upsert_label(path, video_id: str, hr_bpm: float) -> None:

@@ -98,13 +98,19 @@ def segment_waveform(w: Waveform, seconds: float) -> list[Waveform]:
     shorter than one segment is discarded. A waveform shorter than one
     segment yields an empty list.
     """
+    return [Waveform(row, w.fps) for row in _segment_rows(w, seconds)]
+
+
+def _segment_rows(w: Waveform, seconds: float) -> np.ndarray:
+    """The full segments of `segment_waveform` as the rows of one
+    (n_segments, segment_length) view of the samples, with no copy."""
     if seconds <= 0:
         raise ValueError(f"segment duration must be > 0 s, got {seconds}")
     seg_len = int(np.floor(seconds * w.fps + 1e-9))
     if seg_len < 2:
         raise ValueError(f"segment of {seconds} s at {w.fps} fps is shorter than 2 samples")
     n = w.samples.size // seg_len
-    return [Waveform(w.samples[i * seg_len : (i + 1) * seg_len], w.fps) for i in range(n)]
+    return w.samples[: n * seg_len].reshape(n, seg_len)
 
 
 def _pool_channel(data: np.ndarray, channel: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .core import Waveform, segment_waveform
+from .core import Waveform, _require_finite, _segment_rows
 
 HR_LOW_HZ = 0.5
 HR_HIGH_HZ = 3.0
@@ -81,20 +81,24 @@ class MetricsReport:
 
 def bandpass(w: Waveform, spec: BandpassSpec = BandpassSpec()) -> Waveform:
     """Apply the Butterworth bandpass to a waveform, preserving its length."""
-    if w.fps <= 2.0 * spec.high_hz:
+    return Waveform(_bandpass_rows(w.samples, w.fps, spec), w.fps)
+
+
+def _bandpass_rows(x: np.ndarray, fps: float, spec: BandpassSpec) -> np.ndarray:
+    """`bandpass` along the last axis of `x`, each row filtered on its own."""
+    n = x.shape[-1]
+    if fps <= 2.0 * spec.high_hz:
         raise ValueError(
-            f"sampling rate {w.fps} Hz too low for a {spec.high_hz} Hz passband edge"
+            f"sampling rate {fps} Hz too low for a {spec.high_hz} Hz passband edge"
         )
-    if len(w) < 3 * spec.order:
-        raise ValueError(f"waveform too short to filter: {len(w)} < {3 * spec.order}")
+    if n < 3 * spec.order:
+        raise ValueError(f"waveform too short to filter: {n} < {3 * spec.order}")
     sos = sps.butter(
-        spec.order // 2, [spec.low_hz, spec.high_hz], btype="bandpass", fs=w.fps, output="sos"
+        spec.order // 2, [spec.low_hz, spec.high_hz], btype="bandpass", fs=fps, output="sos"
     )
     if spec.zero_phase:
-        y = sps.sosfiltfilt(sos, w.samples, padlen=min(3 * spec.order, len(w) - 1))
-    else:
-        y = sps.sosfilt(sos, w.samples)
-    return Waveform(y, w.fps)
+        return sps.sosfiltfilt(sos, x, axis=-1, padlen=min(3 * spec.order, n - 1))
+    return sps.sosfilt(sos, x, axis=-1)
 
 
 def welch_psd(
@@ -109,25 +113,34 @@ def welch_psd(
     per-segment window-power compensation, so summing power times the bin
     width approximates the time-domain mean square.
     """
+    return PowerSpectrum(*_welch_rows(w.samples, w.fps, window_len, overlap, nfft))
+
+
+def _welch_rows(
+    x: np.ndarray, fps: float, window_len: int, overlap: float, nfft: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`welch_psd` along the last axis of `x`: the frequencies and one power row per row."""
     if window_len < 2:
         raise ValueError(f"window_len must be >= 2, got {window_len}")
-    if len(w) < window_len:
-        raise ValueError(f"waveform length {len(w)} < window_len {window_len}; segment accordingly")
+    if x.shape[-1] < window_len:
+        raise ValueError(
+            f"waveform length {x.shape[-1]} < window_len {window_len}; segment accordingly"
+        )
     if nfft < window_len:
         raise ValueError(f"nfft {nfft} must be >= window_len {window_len}")
     if not 0 <= overlap < 1:
         raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
-    freqs, power = sps.welch(
-        w.samples,
-        fs=w.fps,
+    return sps.welch(
+        x,
+        fs=fps,
         window="hann",
         nperseg=window_len,
         noverlap=int(window_len * overlap),
         nfft=nfft,
         detrend=False,
         scaling="density",
+        axis=-1,
     )
-    return PowerSpectrum(freqs, power)
 
 
 def hr_from_psd(
@@ -155,28 +168,28 @@ def segment_heart_rates(
 ) -> tuple[list[float], int]:
     """Per-segment heart rates plus the count of degenerate segments dropped.
 
-    Each full segment is bandpassed and run through the Welch estimator;
-    segments shorter than the Welch window use the whole segment as a single
-    Welch segment. Segments whose in-band peak power falls below
+    The full segments are bandpassed and run through the Welch estimator
+    as one batch, each segment on its own; segments shorter than the Welch
+    window use the whole segment as a single Welch segment. Segments whose in-band peak power falls below
     DEGENERATE_POWER carry no usable pulse and are dropped.
     """
-    segments = segment_waveform(w, segment_s)
-    if not segments:
+    segments = _segment_rows(w, segment_s)
+    if not len(segments):
         raise ValueError(
             f"waveform of {w.duration_s:.2f} s has no full {segment_s} s segment"
         )
-    rates: list[float] = []
-    dropped = 0
-    for seg in segments:
-        filtered = bandpass(seg, band)
-        win = min(window_len, len(seg))
-        spectrum = welch_psd(filtered, window_len=win, overlap=overlap, nfft=max(nfft, win))
-        mask = (spectrum.freqs >= band.low_hz) & (spectrum.freqs <= band.high_hz)
-        if float(spectrum.power[mask].max(initial=0.0)) < DEGENERATE_POWER:
-            dropped += 1
-            continue
-        rates.append(hr_from_psd(spectrum, band.low_hz, band.high_hz))
-    return rates, dropped
+    filtered = _bandpass_rows(segments, w.fps, band)
+    # samples near the float64 limit overflow in the filter; reject them as bandpass() does
+    _require_finite(filtered, "waveform samples")
+    win = min(window_len, segments.shape[1])
+    freqs, power = _welch_rows(filtered, w.fps, win, overlap, max(nfft, win))
+    in_band = (freqs >= band.low_hz) & (freqs <= band.high_hz)
+    freqs, power = freqs[in_band], power[:, in_band]
+    dead = power.max(axis=1, initial=0.0) < DEGENERATE_POWER
+    live = power[~dead]
+    # ties break toward the lower frequency, as in hr_from_psd
+    rates = 60.0 * freqs[live.argmax(axis=1)] if live.size else np.empty(0)
+    return rates.tolist(), int(np.count_nonzero(dead))
 
 
 def video_hr(

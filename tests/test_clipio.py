@@ -1,3 +1,5 @@
+import csv
+import os
 import struct
 import tracemalloc
 
@@ -235,3 +237,114 @@ class TestLabels:
         path.write_text("id,rate\nv0,72\n")
         with pytest.raises(ValueError):
             read_labels(path)
+
+
+def write_series(path, rows):
+    path.write_text("video_id,t_s,bvp\n" + "".join(f"{v},{t!r},{b!r}\n" for v, t, b in rows))
+
+
+class TestLabelRows:
+    def test_short_series_row(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("video_id,t_s,bvp\nv0,0.0,1.0\nv0,0.1\nv0,0.2,1.0\n")
+        with pytest.raises(ValueError, match=r"labels\.csv: line 3: 2 fields, expected at least 3"):
+            read_labels(path)
+
+    def test_short_hr_row(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("video_id,hr_bpm\nv0\n")
+        with pytest.raises(ValueError, match=r"labels\.csv: line 2: 1 fields, expected at least 2"):
+            read_labels(path)
+
+    def test_unparsable_value_names_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("video_id,hr_bpm\nv0,72\n\nv1,fast\n")
+        with pytest.raises(ValueError, match=r"labels\.csv: line 4: could not convert"):
+            read_labels(path)
+
+    def test_irregular_spacing_rejected(self, tmp_path):
+        # alternating steps of 0.0566 and 0.01 s average to ~30 fps
+        t = np.cumsum(np.tile([0.0566, 0.01], 300))
+        path = tmp_path / "labels.csv"
+        write_series(path, [("v7", float(ts), 0.0) for ts in t])
+        with pytest.raises(ValueError, match=r"labels\.csv: irregular t_s spacing for v7"):
+            read_labels(path)
+
+    @pytest.mark.parametrize("fps", [12.0, 25.0, 30.0, 29.97])
+    def test_regular_spacing_accepted(self, tmp_path, fps):
+        path = tmp_path / "labels.csv"
+        write_series(path, [("v0", k / fps, float(np.sin(k))) for k in range(3600)])
+        assert read_labels(path)["v0"].fps == pytest.approx(fps, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", ["nan_bvp", "inf_t_s"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        rows = [("v3", k / 30.0, 0.5) for k in range(60)]
+        rows[20] = ("v3", rows[20][1], float("nan")) if bad == "nan_bvp" else ("v3", float("inf"), 0.5)
+        path = tmp_path / "labels.csv"
+        write_series(path, rows)
+        with pytest.raises(ValueError, match=r"labels\.csv: non-finite t_s or bvp for v3"):
+            read_labels(path)
+
+
+def dict_reader_series(path):
+    """The csv.DictReader time-series parser that read_labels replaced."""
+    with open(path, newline="") as fh:
+        series = {}
+        for row in csv.DictReader(fh):
+            series.setdefault(row["video_id"], []).append((float(row["t_s"]), float(row["bvp"])))
+    labels = {}
+    for vid, points in series.items():
+        points.sort()
+        t_s = np.array([p[0] for p in points])
+        labels[vid] = Waveform(np.array([p[1] for p in points]), 1.0 / float(np.mean(np.diff(t_s))))
+    return labels
+
+
+def test_series_parse_matches_dict_reader(tmp_path):
+    rng = np.random.default_rng(23)
+    rows = [
+        (vid, k / fps, float(rng.normal()))
+        for vid, fps in (("v2", 30.0), ("a,b", 25.0), ("v0", 29.97), ("v1", 12.0))
+        for k in range(200)
+    ]
+    order = rng.permutation(len(rows))
+    lines = ["video_id,t_s,bvp"]
+    for i, j in enumerate(order):
+        vid, t, b = rows[j]
+        line = f'"{vid}",{t!r},{b!r}' if "," in vid or i % 7 == 0 else f"{vid},{t!r},{b!r}"
+        lines.append(line + ("\n" if i % 11 == 0 else ""))  # blank lines between some rows
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = dict_reader_series(path)
+    got = read_labels(path)
+    assert list(got) == list(expected)
+    for vid, w in expected.items():
+        assert got[vid].samples.tobytes() == w.samples.tobytes()
+        assert got[vid].fps == w.fps
+
+
+def test_series_parse_peak_memory(tmp_path):
+    path = tmp_path / "labels.csv"
+    rng = np.random.default_rng(24)
+    write_series(path, [(f"v{i:03d}", k / 30.0, float(rng.normal())) for i in range(16) for k in range(3600)])
+    tracemalloc.start()
+    try:
+        read_labels(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 1024 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_fifo_rejected_without_opening(tmp_path):
+    path = tmp_path / "clip.rpgc"
+    os.mkfifo(path)
+    # a read-write descriptor counts as a writer, so a read_clip that opened
+    # the FIFO would fail on its contents rather than block forever
+    guard = os.open(path, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        with pytest.raises(ClipFormatError, match=r"clip\.rpgc: not a regular file"):
+            read_clip(path)
+    finally:
+        os.close(guard)

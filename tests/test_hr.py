@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,11 @@ from pulse_tn import (
     compute_metrics,
     hr_from_psd,
     segment_heart_rates,
+    segment_waveform,
     video_hr,
     welch_psd,
 )
+from pulse_tn import hr
 
 
 def sinusoid(freq_hz, seconds, fps=30.0, amp=1.0):
@@ -168,6 +172,91 @@ class TestVideoHr:
         # 15 s at 12 fps is 180 samples, below the 256 default window
         w = sinusoid(1.2, 15.0, fps=12.0)
         assert video_hr(w) == pytest.approx(72.0, abs=1.0)
+
+
+def per_segment_oracle(w, segment_s=15.0, band=BandpassSpec(), window_len=256, overlap=0.5, nfft=3300):
+    """segment_heart_rates one segment at a time through the public 1-D calls."""
+    rates, dropped = [], 0
+    for seg in segment_waveform(w, segment_s):
+        win = min(window_len, len(seg))
+        spectrum = welch_psd(bandpass(seg, band), window_len=win, overlap=overlap, nfft=max(nfft, win))
+        in_band = (spectrum.freqs >= band.low_hz) & (spectrum.freqs <= band.high_hz)
+        if spectrum.power[in_band].max(initial=0.0) < hr.DEGENERATE_POWER:
+            dropped += 1
+        else:
+            rates.append(hr_from_psd(spectrum, band.low_hz, band.high_hz))
+    return rates, dropped
+
+
+def noisy_pulse(seconds, fps=30.0, seed=0):
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(seconds * fps)) / fps
+    return np.sin(2 * np.pi * rng.uniform(0.8, 2.0) * t) + rng.normal(scale=0.5, size=t.size)
+
+
+class TestBatchedSegments:
+    """segment_heart_rates filters and Welch-averages all segments in one batch;
+    it must give exactly the per-segment result."""
+
+    def check(self, w, **kwargs):
+        rates, dropped = segment_heart_rates(w, **kwargs)
+        assert (rates, dropped) == per_segment_oracle(w, **kwargs)
+        assert all(type(r) is float for r in rates)
+        return rates, dropped
+
+    def test_segments_with_ragged_remainder(self):
+        w = Waveform(noisy_pulse(4 * 15.0 + 3.3, seed=1), 30.0)
+        rates, dropped = self.check(w)
+        assert (len(rates), dropped) == (4, 0)
+
+    def test_constant_segment_among_live_ones(self):
+        samples = noisy_pulse(45.0, seed=2)
+        samples[450:900] = 0.25
+        rates, dropped = self.check(Waveform(samples, 30.0))
+        assert (len(rates), dropped) == (2, 1)
+
+    def test_all_segments_degenerate(self):
+        assert self.check(Waveform(np.full(1400, 0.5), 30.0)) == ([], 3)
+
+    def test_window_longer_than_segment(self):
+        # 15 s at 12 fps is 180 samples, below the 256-sample Welch window
+        rates, dropped = self.check(Waveform(noisy_pulse(50.0, fps=12.0, seed=3), 12.0))
+        assert (len(rates), dropped) == (3, 0)
+
+    def test_causal_filter(self):
+        w = Waveform(noisy_pulse(40.0, seed=4), 30.0)
+        self.check(w, band=BandpassSpec(zero_phase=False))
+
+    def test_other_pipeline_settings(self):
+        w = Waveform(noisy_pulse(40.0, fps=25.0, seed=5), 25.0)
+        self.check(w, segment_s=8.0, band=BandpassSpec(0.7, 2.5, order=6), window_len=128, overlap=0.25, nfft=512)
+
+    def test_rows_equal_one_dimensional_calls(self):
+        w = Waveform(noisy_pulse(60.0, seed=6), 30.0)
+        rows = w.samples.reshape(4, 450)
+        filtered = hr._bandpass_rows(rows, 30.0, BandpassSpec())
+        freqs, power = hr._welch_rows(filtered, 30.0, 256, 0.5, 3300)
+        for row, f_row, p_row in zip(rows, filtered, power):
+            one = bandpass(Waveform(row, 30.0))
+            assert np.array_equal(f_row, one.samples)
+            spectrum = welch_psd(one)
+            assert np.array_equal(freqs, spectrum.freqs)
+            assert np.array_equal(p_row, spectrum.power)
+
+    @pytest.mark.parametrize(
+        "samples, fps, segment_s, message",
+        [
+            (np.zeros(100), 5.0, 15.0, "sampling rate 5.0 Hz too low for a 3.0 Hz passband edge"),
+            (np.zeros(100), 30.0, 0.3, "waveform too short to filter: 9 < 12"),
+            (np.zeros(300), 30.0, 15.0, "waveform of 10.00 s has no full 15.0 s segment"),
+            (np.tile([1e308, -1e308], 225), 30.0, 15.0, "waveform samples must not contain NaN or Inf"),
+        ],
+        ids=["fps_too_low", "too_short_to_filter", "no_full_segment", "filter_overflow"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_error_messages(self, samples, fps, segment_s, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            segment_heart_rates(Waveform(samples, fps), segment_s)
 
 
 class TestComputeMetrics:
