@@ -34,6 +34,7 @@ from .hr import (
     BandpassSpec,
     DegenerateSignalError,
     MetricsReport,
+    PipelineConfig,
     PowerSpectrum,
     bandpass,
     compute_metrics,

@@ -14,15 +14,7 @@ from .core import FrameClip
 from .diff import diff_normalized, frame_diff
 from .extract import ExtractorKind, run_extractor
 from .harness import compare_manifest, evaluate_manifest, write_report
-from .hr import (
-    SEGMENT_SECONDS,
-    WELCH_NFFT,
-    WELCH_OVERLAP,
-    WELCH_WINDOW_LEN,
-    BandpassSpec,
-    bandpass,
-    welch_psd,
-)
+from .hr import BandpassSpec, PipelineConfig, bandpass, video_hr, welch_psd
 from .simulate import PulseSpec, SceneSpec, parse_noise_string, render_noisy, synth_pulse
 from .tn import TnConfig, tn
 
@@ -38,28 +30,26 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--segment-s", type=float, default=SEGMENT_SECONDS, help="segment length in seconds")
-    p.add_argument("--band-low", type=float, default=0.5, help="bandpass low edge in Hz")
-    p.add_argument("--band-high", type=float, default=3.0, help="bandpass high edge in Hz")
-    p.add_argument("--order", type=int, default=4, help="Butterworth filter order (even)")
-    p.add_argument("--window-len", type=int, default=WELCH_WINDOW_LEN, help="Welch window length")
-    p.add_argument("--overlap", type=float, default=WELCH_OVERLAP, help="Welch window overlap fraction")
-    p.add_argument("--nfft", type=int, default=WELCH_NFFT, help="zero-padded FFT length")
-    p.add_argument("--epsilon", type=float, default=1e-8, help="normalization guard epsilon")
+    d = PipelineConfig()
+    p.add_argument("--segment-s", type=float, default=d.segment_s, help="segment length in seconds")
+    p.add_argument("--band-low", type=float, default=d.band.low_hz, help="bandpass low edge in Hz")
+    p.add_argument("--band-high", type=float, default=d.band.high_hz, help="bandpass high edge in Hz")
+    p.add_argument("--order", type=int, default=d.band.order, help="Butterworth filter order (even)")
+    p.add_argument("--window-len", type=int, default=d.window_len, help="Welch window length")
+    p.add_argument("--overlap", type=float, default=d.overlap, help="Welch window overlap fraction")
+    p.add_argument("--nfft", type=int, default=d.nfft, help="zero-padded FFT length")
+    p.add_argument("--epsilon", type=float, default=d.tn.epsilon, help="normalization guard epsilon")
 
 
-def _band(args) -> BandpassSpec:
-    return BandpassSpec(low_hz=args.band_low, high_hz=args.band_high, order=args.order)
-
-
-def _pipeline_kwargs(args) -> dict:
-    return dict(
+def _pipeline(args) -> PipelineConfig:
+    """The pipeline settings of the flags; a bad value raises ValueError, which exits 2."""
+    return PipelineConfig(
         segment_s=args.segment_s,
-        band=_band(args),
+        band=BandpassSpec(low_hz=args.band_low, high_hz=args.band_high, order=args.order),
         window_len=args.window_len,
         overlap=args.overlap,
         nfft=args.nfft,
-        epsilon=args.epsilon,
+        tn=TnConfig(epsilon=args.epsilon),
     )
 
 
@@ -129,12 +119,10 @@ def cmd_transform(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    cfg = _pipeline(args)
     clip = clipio.read_clip(args.infile)
-    kind = ExtractorKind(args.extractor)
-    waveform = run_extractor(kind, clip, TnConfig(epsilon=args.epsilon))
-    from .hr import video_hr
-
-    hr = video_hr(waveform, **{k: v for k, v in _pipeline_kwargs(args).items() if k != "epsilon"})
+    waveform = run_extractor(ExtractorKind(args.extractor), clip, cfg.tn)
+    hr = video_hr(waveform, cfg)
     if args.dump_waveform:
         t_s = np.arange(len(waveform)) / waveform.fps
         lines = ["t_s,value"] + [
@@ -142,13 +130,9 @@ def cmd_estimate(args) -> int:
         ]
         Path(args.dump_waveform).write_text("\n".join(lines) + "\n")
     if args.dump_psd:
-        filtered = bandpass(waveform, _band(args))
-        spectrum = welch_psd(
-            filtered,
-            window_len=min(args.window_len, len(filtered)),
-            overlap=args.overlap,
-            nfft=max(args.nfft, min(args.window_len, len(filtered))),
-        )
+        filtered = bandpass(waveform, cfg.band)
+        window_len, nfft = cfg.welch_lengths(len(filtered))
+        spectrum = welch_psd(filtered, window_len, cfg.overlap, nfft)
         lines = ["freq_hz,power"] + [
             f"{float(f)!r},{float(p)!r}" for f, p in zip(spectrum.freqs, spectrum.power)
         ]
@@ -160,9 +144,7 @@ def cmd_estimate(args) -> int:
 def cmd_evaluate(args) -> int:
     kind = ExtractorKind(args.extractor)
     try:
-        doc = evaluate_manifest(
-            args.manifest, kind, skip_bad=args.skip_bad, **_pipeline_kwargs(args)
-        )
+        doc = evaluate_manifest(args.manifest, kind, _pipeline(args), skip_bad=args.skip_bad)
     except clipio.ClipFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -180,9 +162,7 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     kinds = [ExtractorKind(name) for name in args.extractors]
     try:
-        doc = compare_manifest(
-            args.manifest, kinds, skip_bad=args.skip_bad, **_pipeline_kwargs(args)
-        )
+        doc = compare_manifest(args.manifest, kinds, _pipeline(args), skip_bad=args.skip_bad)
     except clipio.ClipFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -223,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=["tn", "diff", "diffnorm"], required=True)
-    p.add_argument("--epsilon", type=float, default=1e-8)
+    p.add_argument("--epsilon", type=float, default=TnConfig().epsilon)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("estimate", help="estimate the heart rate of one clip")

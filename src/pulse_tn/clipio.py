@@ -139,9 +139,12 @@ def read_labels(path) -> dict[str, object]:
       - video_id,hr_bpm          one heart rate per video
       - video_id,t_s,bvp         a reference pulse time series per video
 
-    Blank lines are skipped. A time-series label must be finite and evenly
-    spaced in time: every step may differ from the mean step by at most
-    1% of it.
+    Blank lines are skipped. A heart rate must lie in [30, 180] BPM and a
+    video_id may have only one. A time-series label must be finite and
+    evenly spaced in time: every step may differ from the mean step by at
+    most 1% of it. A video whose label breaks one of these rules maps to the
+    ValueError that says why, so that it flags only its own video. A
+    malformed file (unknown header, short row, unparsable number) raises.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -151,11 +154,12 @@ def read_labels(path) -> dict[str, object]:
             labels: dict[str, object] = {}
             for vid, text in _label_rows(path, reader, col["video_id"], col["hr_bpm"]):
                 hr = _parse_float(path, reader, text)
-                if not 30.0 <= hr <= 180.0:
-                    raise ValueError(f"{path}: hr_bpm {hr} outside [30, 180] for {vid}")
                 if vid in labels:
-                    raise ValueError(f"{path}: duplicate video_id {vid}")
-                labels[vid] = hr
+                    labels[vid] = ValueError(f"{path}: duplicate video_id {vid}")
+                elif not 30.0 <= hr <= 180.0:
+                    labels[vid] = ValueError(f"{path}: hr_bpm {hr} outside [30, 180] for {vid}")
+                else:
+                    labels[vid] = hr
             return labels
         if "video_id" in col and "t_s" in col and "bvp" in col:
             # one pair of growing float arrays per video, in first-appearance order
@@ -167,7 +171,7 @@ def read_labels(path) -> dict[str, object]:
                     columns = series[vid] = (array("d"), array("d"))
                 columns[0].append(_parse_float(path, reader, t_s))
                 columns[1].append(_parse_float(path, reader, bvp))
-            return {vid: _series_waveform(path, vid, *columns) for vid, columns in series.items()}
+            return {vid: _series_label(path, vid, *columns) for vid, columns in series.items()}
         raise ValueError(f"{path}: expected columns video_id,hr_bpm or video_id,t_s,bvp")
 
 
@@ -191,8 +195,16 @@ def _parse_float(path, reader, text: str) -> float:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
+def _series_label(path, vid: str, t_s: array, bvp: array) -> Waveform | ValueError:
+    """The time-ordered samples of one video's t_s,bvp rows as a Waveform, or
+    the ValueError that rejects them."""
+    try:
+        return _series_waveform(path, vid, t_s, bvp)
+    except ValueError as exc:
+        return exc
+
+
 def _series_waveform(path, vid: str, t_s: array, bvp: array) -> Waveform:
-    """The time-ordered samples of one video's t_s,bvp rows as a Waveform."""
     t_s = np.frombuffer(t_s, dtype=np.float64)
     bvp = np.frombuffer(bvp, dtype=np.float64)
     if not (np.all(np.isfinite(t_s)) and np.all(np.isfinite(bvp))):
@@ -223,6 +235,8 @@ def upsert_label(path, video_id: str, hr_bpm: float) -> None:
     if path.exists():
         existing = read_labels(path)
         for vid, value in existing.items():
+            if isinstance(value, ValueError):
+                raise value
             if not isinstance(value, float):
                 raise ValueError(f"{path}: cannot append a plain label to a time-series file")
             rows[vid] = value

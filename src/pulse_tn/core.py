@@ -101,11 +101,15 @@ def segment_waveform(w: Waveform, seconds: float) -> list[Waveform]:
     return [Waveform(row, w.fps) for row in _segment_rows(w, seconds)]
 
 
+def _check_segment_s(seconds: float) -> None:
+    if not (np.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"segment duration must be finite and > 0 s, got {seconds}")
+
+
 def _segment_rows(w: Waveform, seconds: float) -> np.ndarray:
     """The full segments of `segment_waveform` as the rows of one
     (n_segments, segment_length) view of the samples, with no copy."""
-    if seconds <= 0:
-        raise ValueError(f"segment duration must be > 0 s, got {seconds}")
+    _check_segment_s(seconds)
     seg_len = int(np.floor(seconds * w.fps + 1e-9))
     if seg_len < 2:
         raise ValueError(f"segment of {seconds} s at {w.fps} fps is shorter than 2 samples")

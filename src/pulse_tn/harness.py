@@ -19,16 +19,7 @@ from . import clipio
 from .core import Waveform
 from .diff import frame_diff
 from .extract import ExtractorKind, run_extractor
-from .hr import (
-    SEGMENT_SECONDS,
-    WELCH_NFFT,
-    WELCH_OVERLAP,
-    WELCH_WINDOW_LEN,
-    BandpassSpec,
-    DegenerateSignalError,
-    compute_metrics,
-    segment_heart_rates,
-)
+from .hr import DegenerateSignalError, PipelineConfig, compute_metrics, segment_heart_rates
 from .simulate import (
     NoiseSpec,
     PulseSpec,
@@ -62,7 +53,7 @@ def noise_feature_ratios(
     noise: NoiseSpec,
     height: int,
     width: int,
-    epsilon: float = 1e-8,
+    cfg: TnConfig = TnConfig(),
 ) -> tuple[float, float]:
     """Noise-residual RMS over pulse-signal RMS, in each feature space.
 
@@ -80,7 +71,6 @@ def noise_feature_ratios(
     """
     ideal = render_ideal(scene, pulse, height, width)
     noisy = render_noisy(scene, pulse, noise, height, width)
-    cfg = TnConfig(epsilon=epsilon)
     tn_ideal = tn(ideal, cfg).data
     tn_noisy = tn(noisy, cfg).data
     ratio_tn = _rms(tn_noisy - tn_ideal) / _rms(tn_ideal)
@@ -107,52 +97,25 @@ def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, PulseSpec, NoiseSpec]:
     return scene, pulse, parse_noise_string(meta["noise"])
 
 
-def _pipeline_config(
-    extractors: list[str],
-    segment_s: float,
-    band: BandpassSpec,
-    window_len: int,
-    overlap: float,
-    nfft: int,
-    epsilon: float,
-) -> dict:
-    return {
-        "extractors": extractors,
-        "segment_s": segment_s,
-        "band_low_hz": band.low_hz,
-        "band_high_hz": band.high_hz,
-        "band_order": band.order,
-        "zero_phase": band.zero_phase,
-        "window_len": window_len,
-        "overlap": overlap,
-        "nfft": nfft,
-        "epsilon": epsilon,
-    }
+def _label_hr(label, cfg: PipelineConfig) -> float:
+    """Direct HR labels pass through; reference pulse series get the same pipeline.
 
-
-def _label_hr(label, segment_s, band, window_len, overlap, nfft) -> float:
-    """Direct HR labels pass through; reference pulse series get the same pipeline."""
+    A label that read_labels rejected is the ValueError it carries, raised here.
+    """
+    if isinstance(label, ValueError):
+        raise label
     if isinstance(label, Waveform):
-        rates, dropped = segment_heart_rates(label, segment_s, band, window_len, overlap, nfft)
+        rates, dropped = segment_heart_rates(label, cfg)
         if not rates:
             raise DegenerateSignalError(f"time-series label: all {dropped} segments degenerate")
         return float(np.mean(rates))
     return float(label)
 
 
-def _estimate_one(
-    path: Path,
-    kind: ExtractorKind,
-    segment_s: float,
-    band: BandpassSpec,
-    window_len: int,
-    overlap: float,
-    nfft: int,
-    epsilon: float,
-) -> dict:
+def _estimate_one(path: Path, kind: ExtractorKind, cfg: PipelineConfig) -> dict:
     clip = clipio.read_clip(path)
-    waveform = run_extractor(kind, clip, TnConfig(epsilon=epsilon))
-    rates, dropped = segment_heart_rates(waveform, segment_s, band, window_len, overlap, nfft)
+    waveform = run_extractor(kind, clip, cfg.tn)
+    rates, dropped = segment_heart_rates(waveform, cfg)
     if not rates:
         raise DegenerateSignalError(f"{path.stem}: all {dropped} segments degenerate")
     return {"hr_pred": float(np.mean(rates)), "segments_dropped": dropped}
@@ -161,20 +124,15 @@ def _estimate_one(
 def evaluate_manifest(
     manifest_dir,
     kind: ExtractorKind,
+    cfg: PipelineConfig = PipelineConfig(),
     *,
-    segment_s: float = SEGMENT_SECONDS,
-    band: BandpassSpec = BandpassSpec(),
-    window_len: int = WELCH_WINDOW_LEN,
-    overlap: float = WELCH_OVERLAP,
-    nfft: int = WELCH_NFFT,
-    epsilon: float = 1e-8,
     skip_bad: bool = False,
     max_workers: int | None = None,
 ) -> dict:
     """Estimate HR for every clip in a manifest and aggregate metrics.
 
-    Videos without a label, or whose time-series label yields no heart rate
-    (`label_error`), are kept as flagged rows and excluded from the
+    Videos without a label, or whose label is rejected or yields no heart
+    rate (`label_error`), are kept as flagged rows and excluded from the
     aggregates. Unreadable clips raise unless skip_bad is set, in which case
     they become rows with an `error` field. Results are merged by sorted
     video id, so reports are deterministic regardless of scheduling.
@@ -189,7 +147,7 @@ def evaluate_manifest(
     def work(path: Path) -> tuple[str, dict]:
         row: dict = {"video_id": path.stem}
         try:
-            row.update(_estimate_one(path, kind, segment_s, band, window_len, overlap, nfft, epsilon))
+            row.update(_estimate_one(path, kind, cfg))
         except clipio.ClipFormatError as exc:
             if not skip_bad:
                 raise
@@ -217,9 +175,9 @@ def evaluate_manifest(
             row["label_missing"] = True
             continue
         try:
-            hr_label = _label_hr(label, segment_s, band, window_len, overlap, nfft)
+            hr_label = _label_hr(label, cfg)
         except ValueError as exc:
-            # a short or degenerate reference series flags its own row only
+            # a rejected, short or degenerate label flags its own row only
             row["label_error"] = str(exc)
             continue
         row["hr_label"] = hr_label
@@ -229,7 +187,7 @@ def evaluate_manifest(
         ids.append(vid)
 
     doc: dict = {
-        "config": _pipeline_config([kind.value], segment_s, band, window_len, overlap, nfft, epsilon),
+        "config": cfg.to_json([kind.value]),
         "per_video": per_video,
         "n_videos": len(per_video),
         "n_evaluated": len(preds),
@@ -250,13 +208,8 @@ def evaluate_manifest(
 def compare_manifest(
     manifest_dir,
     kinds: list[ExtractorKind],
+    cfg: PipelineConfig = PipelineConfig(),
     *,
-    segment_s: float = SEGMENT_SECONDS,
-    band: BandpassSpec = BandpassSpec(),
-    window_len: int = WELCH_WINDOW_LEN,
-    overlap: float = WELCH_OVERLAP,
-    nfft: int = WELCH_NFFT,
-    epsilon: float = 1e-8,
     skip_bad: bool = False,
     max_workers: int | None = None,
 ) -> dict:
@@ -264,18 +217,7 @@ def compare_manifest(
     manifest_dir = Path(manifest_dir)
     extractors = {}
     for kind in kinds:
-        sub = evaluate_manifest(
-            manifest_dir,
-            kind,
-            segment_s=segment_s,
-            band=band,
-            window_len=window_len,
-            overlap=overlap,
-            nfft=nfft,
-            epsilon=epsilon,
-            skip_bad=skip_bad,
-            max_workers=max_workers,
-        )
+        sub = evaluate_manifest(manifest_dir, kind, cfg, skip_bad=skip_bad, max_workers=max_workers)
         extractors[kind.value] = {
             "mae": sub["mae"],
             "rmse": sub["rmse"],
@@ -293,16 +235,14 @@ def compare_manifest(
         scene, pulse_spec, noise = scene_from_sidecar(meta)
         pulse = synth_pulse(pulse_spec, meta["fps"], meta["frames"])
         ratio_tn, ratio_diff = noise_feature_ratios(
-            scene, pulse, noise, meta["height"], meta["width"], epsilon
+            scene, pulse, noise, meta["height"], meta["width"], cfg.tn
         )
         ratio_rows.append(
             {"video_id": path.stem, "tn_residual_ratio": ratio_tn, "diff_residual_ratio": ratio_diff}
         )
 
     doc: dict = {
-        "config": _pipeline_config(
-            [k.value for k in kinds], segment_s, band, window_len, overlap, nfft, epsilon
-        ),
+        "config": cfg.to_json([k.value for k in kinds]),
         "extractors": extractors,
         "noise_ratios": {"per_video": ratio_rows},
     }

@@ -7,14 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .core import Waveform, _require_finite, _segment_rows
+from .core import Waveform, _check_segment_s, _require_finite, _segment_rows
+from .tn import TnConfig
 
 HR_LOW_HZ = 0.5
 HR_HIGH_HZ = 3.0
 WELCH_WINDOW_LEN = 256
 WELCH_OVERLAP = 0.5
 WELCH_NFFT = 3300
-SEGMENT_SECONDS = 15.0
 DEGENERATE_POWER = 1e-12
 
 
@@ -41,6 +41,51 @@ class BandpassSpec:
             raise ValueError(f"need 0 < low_hz < high_hz, got {self.low_hz}, {self.high_hz}")
         if self.order < 2 or self.order % 2:
             raise ValueError(f"order must be even and >= 2, got {self.order}")
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Every setting of the heart-rate back end, validated once when built.
+
+    A waveform is cut into `segment_s`-second segments. Each segment is
+    filtered by `band`, and its Welch spectrum (Hann windows of `window_len`
+    samples overlapping by the fraction `overlap`, zero-padded to `nfft`)
+    gives one rate. `tn` is the guard of the temporal-normalization
+    extractor. `band` and `tn` validate themselves when they are built.
+    """
+
+    segment_s: float = 15.0
+    band: BandpassSpec = BandpassSpec()
+    window_len: int = WELCH_WINDOW_LEN
+    overlap: float = WELCH_OVERLAP
+    nfft: int = WELCH_NFFT
+    tn: TnConfig = TnConfig()
+
+    def __post_init__(self):
+        _check_segment_s(self.segment_s)
+        window_len, nfft = self.welch_lengths(self.window_len)
+        _check_welch(window_len, self.overlap, nfft)
+
+    def welch_lengths(self, n: int) -> tuple[int, int]:
+        """Welch (window_len, nfft) for an n-sample input: a window longer than
+        the input shrinks to it, and nfft grows to at least the window."""
+        window_len = min(self.window_len, n)
+        return window_len, max(self.nfft, window_len)
+
+    def to_json(self, extractors: list[str]) -> dict:
+        """The `config` block of a report made with these settings."""
+        return {
+            "extractors": extractors,
+            "segment_s": self.segment_s,
+            "band_low_hz": self.band.low_hz,
+            "band_high_hz": self.band.high_hz,
+            "band_order": self.band.order,
+            "zero_phase": self.band.zero_phase,
+            "window_len": self.window_len,
+            "overlap": self.overlap,
+            "nfft": self.nfft,
+            "epsilon": self.tn.epsilon,
+        }
 
 
 @dataclass(frozen=True)
@@ -120,16 +165,11 @@ def _welch_rows(
     x: np.ndarray, fps: float, window_len: int, overlap: float, nfft: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """`welch_psd` along the last axis of `x`: the frequencies and one power row per row."""
-    if window_len < 2:
-        raise ValueError(f"window_len must be >= 2, got {window_len}")
+    _check_welch(window_len, overlap, nfft)
     if x.shape[-1] < window_len:
         raise ValueError(
             f"waveform length {x.shape[-1]} < window_len {window_len}; segment accordingly"
         )
-    if nfft < window_len:
-        raise ValueError(f"nfft {nfft} must be >= window_len {window_len}")
-    if not 0 <= overlap < 1:
-        raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
     return sps.welch(
         x,
         fs=fps,
@@ -141,6 +181,15 @@ def _welch_rows(
         scaling="density",
         axis=-1,
     )
+
+
+def _check_welch(window_len: int, overlap: float, nfft: int) -> None:
+    if window_len < 2:
+        raise ValueError(f"window_len must be >= 2, got {window_len}")
+    if nfft < window_len:
+        raise ValueError(f"nfft {nfft} must be >= window_len {window_len}")
+    if not 0 <= overlap < 1:
+        raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
 
 
 def hr_from_psd(
@@ -159,12 +208,7 @@ def hr_from_psd(
 
 
 def segment_heart_rates(
-    w: Waveform,
-    segment_s: float = SEGMENT_SECONDS,
-    band: BandpassSpec = BandpassSpec(),
-    window_len: int = WELCH_WINDOW_LEN,
-    overlap: float = WELCH_OVERLAP,
-    nfft: int = WELCH_NFFT,
+    w: Waveform, cfg: PipelineConfig = PipelineConfig()
 ) -> tuple[list[float], int]:
     """Per-segment heart rates plus the count of degenerate segments dropped.
 
@@ -173,17 +217,17 @@ def segment_heart_rates(
     window use the whole segment as a single Welch segment. Segments whose in-band peak power falls below
     DEGENERATE_POWER carry no usable pulse and are dropped.
     """
-    segments = _segment_rows(w, segment_s)
+    segments = _segment_rows(w, cfg.segment_s)
     if not len(segments):
         raise ValueError(
-            f"waveform of {w.duration_s:.2f} s has no full {segment_s} s segment"
+            f"waveform of {w.duration_s:.2f} s has no full {cfg.segment_s} s segment"
         )
-    filtered = _bandpass_rows(segments, w.fps, band)
+    filtered = _bandpass_rows(segments, w.fps, cfg.band)
     # samples near the float64 limit overflow in the filter; reject them as bandpass() does
     _require_finite(filtered, "waveform samples")
-    win = min(window_len, segments.shape[1])
-    freqs, power = _welch_rows(filtered, w.fps, win, overlap, max(nfft, win))
-    in_band = (freqs >= band.low_hz) & (freqs <= band.high_hz)
+    window_len, nfft = cfg.welch_lengths(segments.shape[1])
+    freqs, power = _welch_rows(filtered, w.fps, window_len, cfg.overlap, nfft)
+    in_band = (freqs >= cfg.band.low_hz) & (freqs <= cfg.band.high_hz)
     freqs, power = freqs[in_band], power[:, in_band]
     dead = power.max(axis=1, initial=0.0) < DEGENERATE_POWER
     live = power[~dead]
@@ -192,16 +236,9 @@ def segment_heart_rates(
     return rates.tolist(), int(np.count_nonzero(dead))
 
 
-def video_hr(
-    w: Waveform,
-    segment_s: float = SEGMENT_SECONDS,
-    band: BandpassSpec = BandpassSpec(),
-    window_len: int = WELCH_WINDOW_LEN,
-    overlap: float = WELCH_OVERLAP,
-    nfft: int = WELCH_NFFT,
-) -> float:
+def video_hr(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> float:
     """Mean of the per-segment heart rates of a waveform, in BPM."""
-    rates, dropped = segment_heart_rates(w, segment_s, band, window_len, overlap, nfft)
+    rates, dropped = segment_heart_rates(w, cfg)
     if not rates:
         raise DegenerateSignalError(
             f"all {dropped} segments are spectrally degenerate (in-band power < {DEGENERATE_POWER})"

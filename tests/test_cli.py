@@ -3,8 +3,32 @@ import json
 import numpy as np
 import pytest
 
-from pulse_tn import read_clip
+from pulse_tn import (
+    BandpassSpec,
+    ExtractorKind,
+    PipelineConfig,
+    TnConfig,
+    bandpass,
+    read_clip,
+    run_extractor,
+    video_hr,
+    welch_psd,
+)
 from pulse_tn.cli import main
+
+# Every pipeline flag at a non-default value, and the config it stands for.
+OTHER_SETTINGS = [
+    "--segment-s", "10", "--band-low", "0.7", "--band-high", "2.5", "--order", "6",
+    "--window-len", "128", "--overlap", "0.25", "--nfft", "512", "--epsilon", "1e-10",
+]
+OTHER_CONFIG = PipelineConfig(
+    segment_s=10.0,
+    band=BandpassSpec(0.7, 2.5, order=6),
+    window_len=128,
+    overlap=0.25,
+    nfft=512,
+    tn=TnConfig(epsilon=1e-10),
+)
 
 
 def simulate(out, hr=72.0, frames=600, extra=()):
@@ -129,6 +153,27 @@ class TestEstimate:
         power = np.array([float(line.split(",")[1]) for line in psd_lines[1:]])
         assert freqs[np.argmax(power)] == pytest.approx(1.2, abs=30.0 / 3300.0)
 
+    def test_dump_psd_clamps_window_to_waveform(self, tmp_path, capsys):
+        # 600 samples: the 1000-sample window shrinks to 600, and nfft 512 grows to it
+        src = tmp_path / "src.rpgc"
+        simulate(src)
+        pcsv = tmp_path / "psd.csv"
+        argv = ["estimate", "--in", str(src), "--window-len", "1000", "--nfft", "512"]
+        assert main(argv + ["--dump-psd", str(pcsv)]) == 0
+        rows = np.array([[float(v) for v in line.split(",")] for line in pcsv.read_text().splitlines()[1:]])
+        waveform = run_extractor(ExtractorKind.TN_POOLED, read_clip(src))
+        expected = welch_psd(bandpass(waveform), window_len=600, overlap=0.5, nfft=600)
+        assert np.array_equal(rows[:, 0], expected.freqs)
+        assert np.array_equal(rows[:, 1], expected.power)
+
+    def test_other_pipeline_settings(self, tmp_path, capsys):
+        src = tmp_path / "src.rpgc"
+        simulate(src)
+        capsys.readouterr()
+        assert main(["estimate", "--in", str(src), *OTHER_SETTINGS]) == 0
+        waveform = run_extractor(ExtractorKind.TN_POOLED, read_clip(src), OTHER_CONFIG.tn)
+        assert capsys.readouterr().out == f"{video_hr(waveform, OTHER_CONFIG):.3f}\n"
+
 
 class TestEvaluate:
     def test_five_video_manifest(self, tmp_path, capsys):
@@ -192,6 +237,88 @@ class TestEvaluate:
         monkeypatch.setenv("PULSE_TN_THREADS", "1")
         main(["evaluate", "--manifest", str(manifest), "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+    def test_other_pipeline_settings(self, tmp_path):
+        manifest = build_manifest(tmp_path / "m", [60.0, 84.0])
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--manifest", str(manifest), "--out", str(report_path), *OTHER_SETTINGS]) == 0
+        doc = json.loads(report_path.read_text())
+        assert doc["config"] == {
+            "extractors": ["tn_pooled"],
+            "segment_s": 10.0,
+            "band_low_hz": 0.7,
+            "band_high_hz": 2.5,
+            "band_order": 6,
+            "zero_phase": True,
+            "window_len": 128,
+            "overlap": 0.25,
+            "nfft": 512,
+            "epsilon": 1e-10,
+        }
+        for row in doc["per_video"]:
+            clip = read_clip(manifest / f"{row['video_id']}.rpgc")
+            waveform = run_extractor(ExtractorKind.TN_POOLED, clip, OTHER_CONFIG.tn)
+            assert row["hr_pred"] == video_hr(waveform, OTHER_CONFIG)
+
+    def test_bad_series_label_flags_its_row_only(self, tmp_path):
+        manifest = build_manifest(tmp_path / "m", [60.0, 72.0])
+        # v001's steps alternate 0.0566 s and 0.01 s, averaging to ~30 fps
+        good = np.arange(600) / 30.0
+        bad = np.cumsum(np.tile([0.0566, 0.01], 300))
+        rows = ["video_id,t_s,bvp"]
+        rows += [f"v000,{t},{np.sin(2 * np.pi * 1.0 * t)}" for t in good.tolist()]
+        rows += [f"v001,{t},{np.sin(2 * np.pi * 1.2 * t)}" for t in bad.tolist()]
+        (manifest / "labels.csv").write_text("\n".join(rows) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--manifest", str(manifest), "--out", str(report_path)]) == 0
+        doc = json.loads(report_path.read_text())
+        by_id = {row["video_id"]: row for row in doc["per_video"]}
+        assert "irregular t_s spacing for v001" in by_id["v001"]["label_error"]
+        assert "hr_label" not in by_id["v001"]
+        assert by_id["v000"]["abs_err"] <= 1.0
+        assert doc["n_evaluated"] == 1
+
+    def test_malformed_labels_line_fails_the_command(self, tmp_path, capsys):
+        manifest = build_manifest(tmp_path / "m", [60.0])
+        (manifest / "labels.csv").write_text("video_id,hr_bpm\nv000,fast\n")
+        report_path = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--manifest", str(manifest), "--out", str(report_path)])
+        assert exc.value.code == 2
+        assert "labels.csv: line 2: could not convert" in capsys.readouterr().err
+        assert not report_path.exists()
+
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    return build_manifest(tmp_path_factory.mktemp("bad_settings") / "m", [60.0, 72.0])
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--epsilon", "0", "epsilon must be finite and > 0, got 0.0"),
+        ("--overlap", "1.5", "overlap must lie in [0, 1), got 1.5"),
+        ("--window-len", "1", "window_len must be >= 2, got 1"),
+        ("--segment-s", "0", "segment duration must be finite and > 0 s, got 0.0"),
+        ("--segment-s", "inf", "segment duration must be finite and > 0 s, got inf"),
+    ],
+)
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_bad_pipeline_setting_fails_the_command(small_manifest, tmp_path, capsys, command, flag, value, message):
+    report_path = tmp_path / "report.json"
+    argv = [command, "--manifest", str(small_manifest), "--out", str(report_path), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"pulse-tn: error: {message}\n"
+    assert not report_path.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--in", str(small_manifest / "v000.rpgc"), flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == err
 
 
 class TestCompare:

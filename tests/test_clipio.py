@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import struct
 import tracemalloc
 
@@ -211,15 +212,15 @@ class TestLabels:
 
     def test_out_of_range_hr_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_text("video_id,hr_bpm\nv0,250.0\n")
-        with pytest.raises(ValueError):
-            read_labels(path)
+        path.write_text("video_id,hr_bpm\nv0,250.0\nv1,72.0\n")
+        labels = read_labels(path)
+        assert_rejected(labels["v0"], r"labels\.csv: hr_bpm 250\.0 outside \[30, 180\] for v0")
+        assert labels["v1"] == 72.0
 
     def test_duplicate_video_id_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("video_id,hr_bpm\nv001,72.0\nv001,150.0\n")
-        with pytest.raises(ValueError, match=r"labels\.csv.*duplicate video_id v001"):
-            read_labels(path)
+        assert_rejected(read_labels(path)["v001"], r"labels\.csv.*duplicate video_id v001")
 
     def test_time_series_form(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -237,6 +238,12 @@ class TestLabels:
         path.write_text("id,rate\nv0,72\n")
         with pytest.raises(ValueError):
             read_labels(path)
+
+
+def assert_rejected(label, pattern):
+    """A label that read_labels rejected maps to the ValueError naming why."""
+    assert isinstance(label, ValueError)
+    assert re.search(pattern, str(label))
 
 
 def write_series(path, rows):
@@ -267,8 +274,14 @@ class TestLabelRows:
         t = np.cumsum(np.tile([0.0566, 0.01], 300))
         path = tmp_path / "labels.csv"
         write_series(path, [("v7", float(ts), 0.0) for ts in t])
-        with pytest.raises(ValueError, match=r"labels\.csv: irregular t_s spacing for v7"):
-            read_labels(path)
+        assert_rejected(read_labels(path)["v7"], r"labels\.csv: irregular t_s spacing for v7")
+
+    def test_repeated_t_s_rejected(self, tmp_path):
+        rows = [("v4", k / 30.0, 0.5) for k in range(60)]
+        rows[9] = ("v4", rows[8][1], 0.5)
+        path = tmp_path / "labels.csv"
+        write_series(path, rows)
+        assert_rejected(read_labels(path)["v4"], r"labels\.csv: non-increasing t_s for v4")
 
     @pytest.mark.parametrize("fps", [12.0, 25.0, 30.0, 29.97])
     def test_regular_spacing_accepted(self, tmp_path, fps):
@@ -282,8 +295,7 @@ class TestLabelRows:
         rows[20] = ("v3", rows[20][1], float("nan")) if bad == "nan_bvp" else ("v3", float("inf"), 0.5)
         path = tmp_path / "labels.csv"
         write_series(path, rows)
-        with pytest.raises(ValueError, match=r"labels\.csv: non-finite t_s or bvp for v3"):
-            read_labels(path)
+        assert_rejected(read_labels(path)["v3"], r"labels\.csv: non-finite t_s or bvp for v3")
 
 
 def dict_reader_series(path):

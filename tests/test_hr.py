@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import signal as sps
 from pulse_tn import (
     BandpassSpec,
     DegenerateSignalError,
+    PipelineConfig,
     PowerSpectrum,
     Waveform,
     bandpass,
@@ -174,12 +176,13 @@ class TestVideoHr:
         assert video_hr(w) == pytest.approx(72.0, abs=1.0)
 
 
-def per_segment_oracle(w, segment_s=15.0, band=BandpassSpec(), window_len=256, overlap=0.5, nfft=3300):
+def per_segment_oracle(w, cfg=PipelineConfig()):
     """segment_heart_rates one segment at a time through the public 1-D calls."""
+    band = cfg.band
     rates, dropped = [], 0
-    for seg in segment_waveform(w, segment_s):
-        win = min(window_len, len(seg))
-        spectrum = welch_psd(bandpass(seg, band), window_len=win, overlap=overlap, nfft=max(nfft, win))
+    for seg in segment_waveform(w, cfg.segment_s):
+        win = min(cfg.window_len, len(seg))
+        spectrum = welch_psd(bandpass(seg, band), window_len=win, overlap=cfg.overlap, nfft=max(cfg.nfft, win))
         in_band = (spectrum.freqs >= band.low_hz) & (spectrum.freqs <= band.high_hz)
         if spectrum.power[in_band].max(initial=0.0) < hr.DEGENERATE_POWER:
             dropped += 1
@@ -198,9 +201,9 @@ class TestBatchedSegments:
     """segment_heart_rates filters and Welch-averages all segments in one batch;
     it must give exactly the per-segment result."""
 
-    def check(self, w, **kwargs):
-        rates, dropped = segment_heart_rates(w, **kwargs)
-        assert (rates, dropped) == per_segment_oracle(w, **kwargs)
+    def check(self, w, cfg=PipelineConfig()):
+        rates, dropped = segment_heart_rates(w, cfg)
+        assert (rates, dropped) == per_segment_oracle(w, cfg)
         assert all(type(r) is float for r in rates)
         return rates, dropped
 
@@ -225,11 +228,14 @@ class TestBatchedSegments:
 
     def test_causal_filter(self):
         w = Waveform(noisy_pulse(40.0, seed=4), 30.0)
-        self.check(w, band=BandpassSpec(zero_phase=False))
+        self.check(w, PipelineConfig(band=BandpassSpec(zero_phase=False)))
 
     def test_other_pipeline_settings(self):
         w = Waveform(noisy_pulse(40.0, fps=25.0, seed=5), 25.0)
-        self.check(w, segment_s=8.0, band=BandpassSpec(0.7, 2.5, order=6), window_len=128, overlap=0.25, nfft=512)
+        cfg = PipelineConfig(
+            segment_s=8.0, band=BandpassSpec(0.7, 2.5, order=6), window_len=128, overlap=0.25, nfft=512
+        )
+        self.check(w, cfg)
 
     def test_rows_equal_one_dimensional_calls(self):
         w = Waveform(noisy_pulse(60.0, seed=6), 30.0)
@@ -256,7 +262,33 @@ class TestBatchedSegments:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_error_messages(self, samples, fps, segment_s, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            segment_heart_rates(Waveform(samples, fps), segment_s)
+            segment_heart_rates(Waveform(samples, fps), PipelineConfig(segment_s=segment_s))
+
+
+class TestPipelineConfig:
+    def test_default_report_config(self):
+        # the report config block of the default settings, as written before PipelineConfig
+        doc = PipelineConfig().to_json(["tn_pooled", "green_raw"])
+        expected = {
+            "extractors": ["tn_pooled", "green_raw"],
+            "segment_s": 15.0,
+            "band_low_hz": 0.5,
+            "band_high_hz": 3.0,
+            "band_order": 4,
+            "zero_phase": True,
+            "window_len": 256,
+            "overlap": 0.5,
+            "nfft": 3300,
+            "epsilon": 1e-8,
+        }
+        assert json.dumps(doc, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_welch_lengths_clamp(self):
+        assert PipelineConfig().welch_lengths(1000) == (256, 3300)
+        assert PipelineConfig().welch_lengths(180) == (180, 3300)
+        # an nfft below the window is raised to it, not rejected
+        assert PipelineConfig(nfft=100).welch_lengths(1000) == (256, 256)
+        assert PipelineConfig(nfft=100).welch_lengths(180) == (180, 180)
 
 
 class TestComputeMetrics:
