@@ -38,9 +38,9 @@ def worker_count(n_tasks: int) -> int:
     """Bounded pool size; the PULSE_TN_THREADS env var caps it."""
     workers = min(os.cpu_count() or 1, max(n_tasks, 1))
     cap = os.environ.get(THREADS_ENV, "").strip()
-    if cap:
-        workers = min(workers, max(int(cap), 1))
-    return workers
+    if cap and not (cap.isdecimal() and int(cap) >= 1):
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {cap!r}")
+    return min(workers, int(cap)) if cap else workers
 
 
 def _rms(a: np.ndarray) -> float:
@@ -81,19 +81,10 @@ def noise_feature_ratios(
 
 
 def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, PulseSpec, NoiseSpec]:
-    scene = SceneSpec(
-        illumination=meta["illumination"],
-        specular=meta["specular"],
-        diffuse=meta["diffuse"],
-        pixel_jitter=meta["pixel_jitter"],
-        jitter_seed=meta["seed"],
-    )
-    pulse = PulseSpec(
-        hr_bpm=meta["hr_bpm"],
-        amplitude=meta["amplitude"],
-        shape=meta["shape"],
-        harmonic_ratio=meta["harmonic_ratio"],
-    )
+    """The specs a simulator sidecar records; its keys are the spec field names, but `seed`."""
+    scene_keys = ("illumination", "specular", "diffuse", "pixel_jitter")
+    scene = SceneSpec(jitter_seed=meta["seed"], **{key: meta[key] for key in scene_keys})
+    pulse = PulseSpec(**{key: meta[key] for key in ("hr_bpm", "amplitude", "shape", "harmonic_ratio")})
     return scene, pulse, parse_noise_string(meta["noise"])
 
 
@@ -112,13 +103,98 @@ def _label_hr(label, cfg: PipelineConfig) -> float:
     return float(label)
 
 
-def _estimate_one(path: Path, kind: ExtractorKind, cfg: PipelineConfig) -> dict:
-    clip = clipio.read_clip(path)
-    waveform = run_extractor(kind, clip, cfg.tn)
-    rates, dropped = segment_heart_rates(waveform, cfg)
-    if not rates:
-        raise DegenerateSignalError(f"{path.stem}: all {dropped} segments degenerate")
-    return {"hr_pred": float(np.mean(rates)), "segments_dropped": dropped}
+def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfig, skip_bad: bool) -> list:
+    """One row per extractor from one read of the clip, each scored against
+    the label HR, which is computed once. The clip is freed on return."""
+    try:
+        clip = clipio.read_clip(path)
+    except ValueError as exc:
+        if isinstance(exc, clipio.ClipFormatError) and not skip_bad:
+            raise
+        return [{"video_id": path.stem, "error": str(exc)} for _ in kinds]
+    rows, fields = [], None
+    for kind in kinds:
+        row: dict = {"video_id": path.stem}
+        rows.append(row)
+        try:
+            rates, dropped = segment_heart_rates(run_extractor(kind, clip, cfg.tn), cfg)
+            if not rates:
+                raise DegenerateSignalError(f"{path.stem}: all {dropped} segments degenerate")
+        except ValueError as exc:
+            # degenerate spectra, clips shorter than one segment, etc.: flag the row
+            row["error"] = str(exc)
+            continue
+        row.update(hr_pred=float(np.mean(rates)), segments_dropped=dropped)
+        if fields is None:
+            fields = {"hr_label": None, "label_missing": True}
+            if label is not None:
+                try:
+                    fields = {"hr_label": _label_hr(label, cfg)}
+                except ValueError as exc:
+                    # a rejected, short or degenerate label flags its own rows only
+                    fields = {"label_error": str(exc)}
+        row.update(fields)
+        if row.get("hr_label") is not None:
+            row["abs_err"] = abs(row["hr_pred"] - row["hr_label"])
+    return rows
+
+
+def _noise_ratio_row(path: Path, cfg: TnConfig) -> dict | None:
+    """Noise ratios of a clip with a simulator sidecar; a sidecar that is not
+    JSON, lacks a field or holds a bad value gives the row an `error` instead."""
+    sidecar = path.with_suffix(path.suffix + ".sim.json")
+    if not sidecar.exists():
+        return None
+    row: dict = {"video_id": path.stem}
+    try:
+        meta = json.loads(sidecar.read_text())
+        scene, pulse_spec, noise = scene_from_sidecar(meta)
+        pulse = synth_pulse(pulse_spec, meta["fps"], meta["frames"])
+        ratio_tn, ratio_diff = noise_feature_ratios(scene, pulse, noise, meta["height"], meta["width"], cfg)
+    except KeyError as exc:
+        row["error"] = f"{sidecar}: missing field {exc}"
+    except (TypeError, ValueError) as exc:
+        row["error"] = f"{sidecar}: {exc}"
+    else:
+        row.update(tn_residual_ratio=ratio_tn, diff_residual_ratio=ratio_diff)
+    return row
+
+
+def _walk(manifest_dir, kinds, cfg, skip_bad, max_workers, noise_ratios) -> tuple[list, list]:
+    """One pool task per clip. Returns each extractor's rows by video id and
+    the noise-ratio rows, if asked for, in file-name order."""
+    manifest_dir = Path(manifest_dir)
+    clip_paths = sorted(manifest_dir.glob("*.rpgc"))
+    if not clip_paths:
+        raise ValueError(f"manifest {manifest_dir} contains no .rpgc clips")
+    labels_path = manifest_dir / "labels.csv"
+    labels = clipio.read_labels(labels_path) if labels_path.exists() else {}
+
+    def task(path: Path) -> tuple[list[dict], dict | None]:
+        rows = _clip_rows(path, kinds, labels.get(path.stem), cfg, skip_bad)
+        return rows, _noise_ratio_row(path, cfg.tn) if noise_ratios else None
+
+    workers = max_workers or worker_count(len(clip_paths))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(task, clip_paths))
+    # ids sort apart from file names when an id holds a character below "."
+    by_id = sorted(range(len(clip_paths)), key=lambda i: clip_paths[i].stem)
+    per_kind = [[results[i][0][k] for i in by_id] for k in range(len(kinds))]
+    return per_kind, [ratios for _, ratios in results if ratios is not None]
+
+
+def _metrics(rows: list[dict]) -> dict:
+    """The mae/rmse/pearson block over the rows scored against a label."""
+    scored = [row for row in rows if "abs_err" in row]
+    if not scored:
+        return {"mae": None, "rmse": None, "pearson": None, "pearson_defined": False}
+    report = compute_metrics([row["hr_pred"] for row in scored], [row["hr_label"] for row in scored])
+    return {
+        "mae": report.mae,
+        "rmse": report.rmse,
+        "pearson": report.pearson if report.pearson_defined else None,
+        "pearson_defined": report.pearson_defined,
+    }
 
 
 def evaluate_manifest(
@@ -137,72 +213,10 @@ def evaluate_manifest(
     they become rows with an `error` field. Results are merged by sorted
     video id, so reports are deterministic regardless of scheduling.
     """
-    manifest_dir = Path(manifest_dir)
-    clip_paths = sorted(manifest_dir.glob("*.rpgc"))
-    if not clip_paths:
-        raise ValueError(f"manifest {manifest_dir} contains no .rpgc clips")
-    labels_path = manifest_dir / "labels.csv"
-    labels = clipio.read_labels(labels_path) if labels_path.exists() else {}
-
-    def work(path: Path) -> tuple[str, dict]:
-        row: dict = {"video_id": path.stem}
-        try:
-            row.update(_estimate_one(path, kind, cfg))
-        except clipio.ClipFormatError as exc:
-            if not skip_bad:
-                raise
-            row["error"] = str(exc)
-        except ValueError as exc:
-            # degenerate spectra, clips shorter than one segment, etc.:
-            # flag the row, keep the batch going
-            row["error"] = str(exc)
-        return path.stem, row
-
-    workers = max_workers or worker_count(len(clip_paths))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = dict(pool.map(work, clip_paths))
-
-    per_video = []
-    preds, labs, ids = [], [], []
-    for vid in sorted(rows):
-        row = rows[vid]
-        label = labels.get(vid)
-        per_video.append(row)
-        if "error" in row:
-            continue
-        if label is None:
-            row["hr_label"] = None
-            row["label_missing"] = True
-            continue
-        try:
-            hr_label = _label_hr(label, cfg)
-        except ValueError as exc:
-            # a rejected, short or degenerate label flags its own row only
-            row["label_error"] = str(exc)
-            continue
-        row["hr_label"] = hr_label
-        row["abs_err"] = abs(row["hr_pred"] - hr_label)
-        preds.append(row["hr_pred"])
-        labs.append(hr_label)
-        ids.append(vid)
-
-    doc: dict = {
-        "config": cfg.to_json([kind.value]),
-        "per_video": per_video,
-        "n_videos": len(per_video),
-        "n_evaluated": len(preds),
-    }
-    if preds:
-        report = compute_metrics(preds, labs, ids)
-        doc.update(
-            mae=report.mae,
-            rmse=report.rmse,
-            pearson=report.pearson if report.pearson_defined else None,
-            pearson_defined=report.pearson_defined,
-        )
-    else:
-        doc.update(mae=None, rmse=None, pearson=None, pearson_defined=False)
-    return doc
+    (rows,), _ = _walk(manifest_dir, [kind], cfg, skip_bad, max_workers, noise_ratios=False)
+    n_evaluated = sum("abs_err" in row for row in rows)
+    doc = {"config": cfg.to_json([kind.value]), "per_video": rows, "n_videos": len(rows), "n_evaluated": n_evaluated}
+    return doc | _metrics(rows)
 
 
 def compare_manifest(
@@ -213,47 +227,24 @@ def compare_manifest(
     skip_bad: bool = False,
     max_workers: int | None = None,
 ) -> dict:
-    """Side-by-side metrics per extractor, plus noise ratios where sidecars exist."""
-    manifest_dir = Path(manifest_dir)
-    extractors = {}
-    for kind in kinds:
-        sub = evaluate_manifest(manifest_dir, kind, cfg, skip_bad=skip_bad, max_workers=max_workers)
-        extractors[kind.value] = {
-            "mae": sub["mae"],
-            "rmse": sub["rmse"],
-            "pearson": sub["pearson"],
-            "pearson_defined": sub["pearson_defined"],
-            "per_video": sub["per_video"],
-        }
+    """Side-by-side metrics per extractor, plus noise ratios where sidecars exist.
 
-    ratio_rows = []
-    for path in sorted(manifest_dir.glob("*.rpgc")):
-        sidecar = path.with_suffix(path.suffix + ".sim.json")
-        if not sidecar.exists():
-            continue
-        meta = json.loads(sidecar.read_text())
-        scene, pulse_spec, noise = scene_from_sidecar(meta)
-        pulse = synth_pulse(pulse_spec, meta["fps"], meta["frames"])
-        ratio_tn, ratio_diff = noise_feature_ratios(
-            scene, pulse, noise, meta["height"], meta["width"], cfg.tn
-        )
-        ratio_rows.append(
-            {"video_id": path.stem, "tn_residual_ratio": ratio_tn, "diff_residual_ratio": ratio_diff}
-        )
-
-    doc: dict = {
-        "config": cfg.to_json([k.value for k in kinds]),
-        "extractors": extractors,
-        "noise_ratios": {"per_video": ratio_rows},
-    }
-    if ratio_rows:
-        doc["noise_ratios"]["mean_tn_ratio"] = float(
-            np.mean([r["tn_residual_ratio"] for r in ratio_rows])
-        )
-        doc["noise_ratios"]["mean_diff_ratio"] = float(
-            np.mean([r["diff_residual_ratio"] for r in ratio_rows])
-        )
-    return doc
+    Each extractor's block holds the rows and metrics `evaluate_manifest`
+    gives it; each clip is read once for all of them. A repeated extractor is
+    a ValueError. The mean ratios leave out rows with an `error`.
+    """
+    names = [kind.value for kind in kinds]
+    repeated = [name for name in names if names.count(name) > 1]
+    if repeated:
+        raise ValueError(f"extractor {repeated[0]} is listed more than once")
+    per_kind, ratio_rows = _walk(manifest_dir, kinds, cfg, skip_bad, max_workers, noise_ratios=True)
+    noise: dict = {"per_video": ratio_rows}
+    usable = [row for row in ratio_rows if "error" not in row]
+    if usable:
+        noise["mean_tn_ratio"] = float(np.mean([row["tn_residual_ratio"] for row in usable]))
+        noise["mean_diff_ratio"] = float(np.mean([row["diff_residual_ratio"] for row in usable]))
+    blocks = {name: _metrics(rows) | {"per_video": rows} for name, rows in zip(names, per_kind)}
+    return {"config": cfg.to_json(names), "extractors": blocks, "noise_ratios": noise}
 
 
 def write_report(doc: dict, path) -> None:

@@ -63,6 +63,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         _check_segment_s(self.segment_s)
+        if self.nfft < 1:
+            raise ValueError(f"nfft must be >= 1, got {self.nfft}")
         window_len, nfft = self.welch_lengths(self.window_len)
         _check_welch(window_len, self.overlap, nfft)
 

@@ -229,15 +229,15 @@ class TestEvaluate:
         assert [row["video_id"] for row in bad] == ["v002"]
         assert doc["n_evaluated"] == 2
 
-    def test_deterministic_reports(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_deterministic_reports(self, tmp_path, monkeypatch, command):
         manifest = build_manifest(tmp_path / "m", [60.0, 72.0, 84.0], frames=450)
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
-        main(["evaluate", "--manifest", str(manifest), "--out", str(out_a)])
+        assert main([command, "--manifest", str(manifest), "--out", str(out_a)]) == 0
         monkeypatch.setenv("PULSE_TN_THREADS", "1")
-        main(["evaluate", "--manifest", str(manifest), "--out", str(out_b)])
+        assert main([command, "--manifest", str(manifest), "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
-
 
     def test_other_pipeline_settings(self, tmp_path):
         manifest = build_manifest(tmp_path / "m", [60.0, 84.0])
@@ -303,6 +303,8 @@ def small_manifest(tmp_path_factory):
         ("--window-len", "1", "window_len must be >= 2, got 1"),
         ("--segment-s", "0", "segment duration must be finite and > 0 s, got 0.0"),
         ("--segment-s", "inf", "segment duration must be finite and > 0 s, got inf"),
+        ("--nfft", "0", "nfft must be >= 1, got 0"),
+        ("--nfft", "-5", "nfft must be >= 1, got -5"),
     ],
 )
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
@@ -345,3 +347,39 @@ class TestCompare:
         assert ratios["clean"]["tn_residual_ratio"] == 0.0
         drift = ratios["drift"]
         assert drift["tn_residual_ratio"] <= 0.1 * drift["diff_residual_ratio"]
+
+    def test_repeated_extractor_fails_the_command(self, small_manifest, tmp_path, capsys):
+        report_path = tmp_path / "cmp.json"
+        argv = ["compare", "--manifest", str(small_manifest), "--extractors", "tn_pooled", "green_raw", "green_raw"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(report_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "pulse-tn: error: extractor green_raw is listed more than once\n"
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("case", ["missing_field", "malformed_json"])
+    def test_bad_sidecar_spoils_only_its_ratio_row(self, tmp_path, case):
+        manifest = tmp_path / "m"
+        manifest.mkdir()
+        simulate(manifest / "good.rpgc", frames=480, extra=["--noise", "linear:0.1"])
+        simulate(manifest / "spoilt.rpgc", frames=480)
+        sidecar = manifest / "spoilt.rpgc.sim.json"
+        meta = json.loads(sidecar.read_text())
+        if case == "missing_field":
+            del meta["seed"]
+            sidecar.write_text(json.dumps(meta))
+            message = "missing field 'seed'"
+        else:
+            sidecar.write_text(json.dumps(meta).replace(":", "=", 1))
+            message = "Expecting ':' delimiter"
+        report_path = tmp_path / "cmp.json"
+        argv = ["compare", "--manifest", str(manifest), "--extractors", "green_raw", "--out", str(report_path)]
+        assert main(argv) == 0
+        doc = json.loads(report_path.read_text())
+        ratios = {row["video_id"]: row for row in doc["noise_ratios"]["per_video"]}
+        assert ratios["spoilt"]["error"].startswith(f"{sidecar}: ")
+        assert message in ratios["spoilt"]["error"]
+        assert "tn_residual_ratio" not in ratios["spoilt"]
+        assert doc["noise_ratios"]["mean_tn_ratio"] == ratios["good"]["tn_residual_ratio"]
+        assert doc["noise_ratios"]["mean_diff_ratio"] == ratios["good"]["diff_residual_ratio"]
+        assert doc["extractors"]["green_raw"]["mae"] is not None

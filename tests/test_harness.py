@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pulse_tn import ExtractorKind, PulseSpec, SceneSpec, render_ideal, synth_pulse, write_clip
-from pulse_tn.harness import evaluate_manifest, noise_feature_ratios, worker_count, write_report
+from pulse_tn import ExtractorKind, PulseSpec, SceneSpec, clipio, harness, render_ideal, synth_pulse, write_clip
+from pulse_tn.harness import compare_manifest, evaluate_manifest, noise_feature_ratios, worker_count, write_report
 from pulse_tn.simulate import LinearNoise, NoiseSpec
 
 
@@ -28,6 +28,12 @@ class TestWorkerCount:
         monkeypatch.delenv("PULSE_TN_THREADS", raising=False)
         assert worker_count(1) == 1
         assert worker_count(1000) >= 1
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_bad_value_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("PULSE_TN_THREADS", value)
+        with pytest.raises(ValueError, match=f"^PULSE_TN_THREADS must be an integer >= 1, got '{value}'$"):
+            worker_count(4)
 
 
 class TestEvaluateManifest:
@@ -83,6 +89,52 @@ class TestEvaluateManifest:
         doc = evaluate_manifest(tmp_path, ExtractorKind.GREEN_RAW)
         assert doc["mae"] is None
         assert doc["per_video"][0]["label_missing"]
+
+
+ALL_KINDS = list(ExtractorKind)
+
+
+class TestOneWalk:
+    def test_compare_blocks_equal_evaluate_reports(self, tmp_path):
+        write_manifest_clip(tmp_path / "good.rpgc", hr=72.0)
+        write_manifest_clip(tmp_path / "good2.rpgc", hr=84.0, seed=1)
+        write_manifest_clip(tmp_path / "short.rpgc", hr=72.0, frames=120)
+        write_manifest_clip(tmp_path / "unlabeled.rpgc", hr=72.0)
+        write_manifest_clip(tmp_path / "flat.rpgc", hr=72.0)
+        (tmp_path / "bad.rpgc").write_bytes(b"XXXX garbage")
+        t = np.arange(600) / 30.0
+        write_series_labels(tmp_path / "labels.csv", {
+            "good": np.sin(2 * np.pi * 1.2 * t),
+            "good2": np.sin(2 * np.pi * 1.4 * t),
+            "short": np.sin(2 * np.pi * 1.2 * t),
+            "flat": np.full(600, 0.5),
+            "bad": np.sin(2 * np.pi * 1.2 * t),
+        })
+        doc = compare_manifest(tmp_path, ALL_KINDS, skip_bad=True)
+        for kind in ALL_KINDS:
+            single = evaluate_manifest(tmp_path, kind, skip_bad=True)
+            fields = ("mae", "rmse", "pearson", "pearson_defined", "per_video")
+            assert doc["extractors"][kind.value] == {key: single[key] for key in fields}
+        rows = {row["video_id"]: row for row in doc["extractors"]["tn_pooled"]["per_video"]}
+        assert sorted(rows) == ["bad", "flat", "good", "good2", "short", "unlabeled"]
+        assert "error" in rows["bad"] and "error" in rows["short"]
+        assert rows["unlabeled"]["label_missing"]
+        assert "degenerate" in rows["flat"]["label_error"]
+        assert doc["extractors"]["tn_pooled"]["pearson_defined"]
+
+    def test_compare_reads_each_clip_and_label_once(self, tmp_path, monkeypatch):
+        for i, hr in enumerate([60.0, 72.0, 84.0]):
+            write_manifest_clip(tmp_path / f"v{i}.rpgc", hr=hr, seed=i)
+        (tmp_path / "labels.csv").write_text("video_id,hr_bpm\nv0,60.0\nv1,72.0\nv2,84.0\n")
+        reads, labels = [], []
+        read_clip, label_hr = clipio.read_clip, harness._label_hr
+        monkeypatch.setattr(clipio, "read_clip", lambda path: reads.append(path.stem) or read_clip(path))
+        monkeypatch.setattr(harness, "_label_hr", lambda label, cfg: labels.append(label) or label_hr(label, cfg))
+        doc = compare_manifest(tmp_path, ALL_KINDS)
+        assert sorted(reads) == ["v0", "v1", "v2"]
+        assert sorted(labels) == [60.0, 72.0, 84.0]
+        for block in doc["extractors"].values():
+            assert [row["hr_label"] for row in block["per_video"]] == [60.0, 72.0, 84.0]
 
 
 class TestNoiseFeatureRatios:
