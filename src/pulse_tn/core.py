@@ -117,13 +117,9 @@ def _segment_rows(w: Waveform, seconds: float) -> np.ndarray:
     return w.samples[: n * seg_len].reshape(n, seg_len)
 
 
-def _pool_channel(data: np.ndarray, channel: int) -> np.ndarray:
-    """Mean over the spatial dimensions of one channel of a T x H x W x C tensor."""
+def pool_spatial(clip: FrameClip, channel: int) -> Waveform:
+    """Average one channel of a FrameClip (or a DiffClip) over all pixels, frame by frame."""
+    data = clip.data
     if not 0 <= channel < data.shape[3]:
         raise ValueError(f"channel {channel} out of range for {data.shape[3]} channels")
-    return data[:, :, :, channel].mean(axis=(1, 2))
-
-
-def pool_spatial(clip: FrameClip, channel: int) -> Waveform:
-    """Average one channel over all pixels, frame by frame."""
-    return Waveform(_pool_channel(clip.data, channel), clip.fps)
+    return Waveform(data[:, :, :, channel].mean(axis=(1, 2)), clip.fps)

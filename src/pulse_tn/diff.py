@@ -39,15 +39,15 @@ def frame_diff(clip: FrameClip) -> DiffClip:
     return DiffClip(np.diff(clip.data, axis=0), clip.fps)
 
 
-def diff_normalized(clip: FrameClip, guard: float = DIFF_DENOM_GUARD) -> DiffClip:
-    """Sum-normalized first difference: (x[t+1] - x[t]) / (x[t+1] + x[t] + guard).
+def diff_normalized(clip: FrameClip) -> DiffClip:
+    """Sum-normalized first difference: (x[t+1] - x[t]) / (x[t+1] + x[t] + DIFF_DENOM_GUARD).
 
     The guard keeps zero frames harmless; a constant multiplicative gain on
     the whole clip cancels out of the ratio.
     """
     a = clip.data[1:]
     b = clip.data[:-1]
-    return DiffClip((a - b) / (a + b + guard), clip.fps)
+    return DiffClip((a - b) / (a + b + DIFF_DENOM_GUARD), clip.fps)
 
 
 def diff_noise_residual(

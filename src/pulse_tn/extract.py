@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import FrameClip, Waveform, _pool_channel, pool_spatial
+from .core import FrameClip, Waveform, pool_spatial
 from .diff import diff_normalized
 from .tn import TnConfig, tn
 
@@ -15,37 +15,31 @@ class ExtractorKind(Enum):
     DIFF_POOLED = "diff_pooled"
 
 
-def _green_channel(clip_channels: int, channel: int | None) -> int:
-    if channel is None:
-        return 1 if clip_channels >= 2 else 0
-    if not 0 <= channel < clip_channels:
-        raise ValueError(f"channel {channel} out of range for {clip_channels} channels")
-    return channel
+def _green(clip: FrameClip) -> FrameClip:
+    """The green channel (channel 1 of 3, channel 0 of 1) as a one-channel view."""
+    g = 1 if clip.channels == 3 else 0
+    return FrameClip(clip.data[..., g : g + 1], clip.fps)
 
 
-def extract_green(clip: FrameClip, channel: int | None = None) -> Waveform:
+def extract_green(clip: FrameClip) -> Waveform:
     """Classical baseline: spatial mean of the green channel, frame by frame."""
-    return pool_spatial(clip, _green_channel(clip.channels, channel))
+    return pool_spatial(_green(clip), 0)
 
 
-def extract_tn_pooled(
-    clip: FrameClip, cfg: TnConfig = TnConfig(), channel: int | None = None
-) -> Waveform:
+def extract_tn_pooled(clip: FrameClip, cfg: TnConfig = TnConfig()) -> Waveform:
     """Temporally normalize the green channel, then pool it.
 
     Pooling happens after normalization so every pixel contributes at equal
     amplitude instead of bright static pixels swamping strong-pulse ones.
     TN treats each trace on its own, so only the pooled channel is
-    normalized, as a one-channel view of the clip. The output is zero-mean.
+    normalized. The output is zero-mean.
     """
-    g = _green_channel(clip.channels, channel)
-    return pool_spatial(tn(FrameClip(clip.data[..., g : g + 1], clip.fps), cfg), 0)
+    return pool_spatial(tn(_green(clip), cfg), 0)
 
 
-def extract_diff_pooled(clip: FrameClip, channel: int | None = None) -> Waveform:
-    """Sum-normalized frame differences pooled over the green channel (length T-1)."""
-    d = diff_normalized(clip)
-    return Waveform(_pool_channel(d.data, _green_channel(clip.channels, channel)), d.fps)
+def extract_diff_pooled(clip: FrameClip) -> Waveform:
+    """Sum-normalized frame differences of the green channel, pooled (length T-1)."""
+    return pool_spatial(diff_normalized(_green(clip)), 0)
 
 
 def run_extractor(

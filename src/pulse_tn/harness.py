@@ -19,7 +19,7 @@ from . import clipio
 from .core import Waveform
 from .diff import frame_diff
 from .extract import ExtractorKind, run_extractor
-from .hr import DegenerateSignalError, PipelineConfig, compute_metrics, segment_heart_rates
+from .hr import DegenerateSignalError, PipelineConfig, compute_metrics, segment_heart_rates, video_hr
 from .simulate import (
     NoiseSpec,
     PulseSpec,
@@ -71,13 +71,16 @@ def noise_feature_ratios(
     """
     ideal = render_ideal(scene, pulse, height, width)
     noisy = render_noisy(scene, pulse, noise, height, width)
-    tn_ideal = tn(ideal, cfg).data
-    tn_noisy = tn(noisy, cfg).data
-    ratio_tn = _rms(tn_noisy - tn_ideal) / _rms(tn_ideal)
-    fd_ideal = frame_diff(ideal).data
-    fd_noisy = frame_diff(noisy).data
-    ratio_diff = _rms(fd_noisy - fd_ideal) / _rms(fd_ideal)
+    # each pair of feature arrays is freed when its ratio returns
+    ratio_tn = _residual_ratio(tn(ideal, cfg).data, tn(noisy, cfg).data)
+    ratio_diff = _residual_ratio(frame_diff(ideal).data, frame_diff(noisy).data)
     return ratio_tn, ratio_diff
+
+
+def _residual_ratio(ideal: np.ndarray, noisy: np.ndarray) -> float:
+    """rms(noisy - ideal) / rms(ideal), with the residual written over `noisy`."""
+    noisy -= ideal
+    return _rms(noisy) / _rms(ideal)
 
 
 def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, PulseSpec, NoiseSpec]:
@@ -95,12 +98,7 @@ def _label_hr(label, cfg: PipelineConfig) -> float:
     """
     if isinstance(label, ValueError):
         raise label
-    if isinstance(label, Waveform):
-        rates, dropped = segment_heart_rates(label, cfg)
-        if not rates:
-            raise DegenerateSignalError(f"time-series label: all {dropped} segments degenerate")
-        return float(np.mean(rates))
-    return float(label)
+    return video_hr(label, cfg) if isinstance(label, Waveform) else float(label)
 
 
 def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfig, skip_bad: bool) -> list:
@@ -160,11 +158,11 @@ def _noise_ratio_row(path: Path, cfg: TnConfig) -> dict | None:
     return row
 
 
-def _walk(manifest_dir, kinds, cfg, skip_bad, max_workers, noise_ratios) -> tuple[list, list]:
-    """One pool task per clip. Returns each extractor's rows by video id and
-    the noise-ratio rows, if asked for, in file-name order."""
+def _walk(manifest_dir, kinds, cfg, skip_bad, noise_ratios) -> tuple[list, list]:
+    """One pool task per clip. Returns each extractor's rows and the
+    noise-ratio rows, if asked for, all in video-id order."""
     manifest_dir = Path(manifest_dir)
-    clip_paths = sorted(manifest_dir.glob("*.rpgc"))
+    clip_paths = sorted(manifest_dir.glob("*.rpgc"), key=lambda path: path.stem)
     if not clip_paths:
         raise ValueError(f"manifest {manifest_dir} contains no .rpgc clips")
     labels_path = manifest_dir / "labels.csv"
@@ -174,12 +172,9 @@ def _walk(manifest_dir, kinds, cfg, skip_bad, max_workers, noise_ratios) -> tupl
         rows = _clip_rows(path, kinds, labels.get(path.stem), cfg, skip_bad)
         return rows, _noise_ratio_row(path, cfg.tn) if noise_ratios else None
 
-    workers = max_workers or worker_count(len(clip_paths))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count(len(clip_paths))) as pool:
         results = list(pool.map(task, clip_paths))
-    # ids sort apart from file names when an id holds a character below "."
-    by_id = sorted(range(len(clip_paths)), key=lambda i: clip_paths[i].stem)
-    per_kind = [[results[i][0][k] for i in by_id] for k in range(len(kinds))]
+    per_kind = [[rows[k] for rows, _ in results] for k in range(len(kinds))]
     return per_kind, [ratios for _, ratios in results if ratios is not None]
 
 
@@ -203,7 +198,6 @@ def evaluate_manifest(
     cfg: PipelineConfig = PipelineConfig(),
     *,
     skip_bad: bool = False,
-    max_workers: int | None = None,
 ) -> dict:
     """Estimate HR for every clip in a manifest and aggregate metrics.
 
@@ -213,7 +207,7 @@ def evaluate_manifest(
     they become rows with an `error` field. Results are merged by sorted
     video id, so reports are deterministic regardless of scheduling.
     """
-    (rows,), _ = _walk(manifest_dir, [kind], cfg, skip_bad, max_workers, noise_ratios=False)
+    (rows,), _ = _walk(manifest_dir, [kind], cfg, skip_bad, noise_ratios=False)
     n_evaluated = sum("abs_err" in row for row in rows)
     doc = {"config": cfg.to_json([kind.value]), "per_video": rows, "n_videos": len(rows), "n_evaluated": n_evaluated}
     return doc | _metrics(rows)
@@ -225,7 +219,6 @@ def compare_manifest(
     cfg: PipelineConfig = PipelineConfig(),
     *,
     skip_bad: bool = False,
-    max_workers: int | None = None,
 ) -> dict:
     """Side-by-side metrics per extractor, plus noise ratios where sidecars exist.
 
@@ -237,7 +230,7 @@ def compare_manifest(
     repeated = [name for name in names if names.count(name) > 1]
     if repeated:
         raise ValueError(f"extractor {repeated[0]} is listed more than once")
-    per_kind, ratio_rows = _walk(manifest_dir, kinds, cfg, skip_bad, max_workers, noise_ratios=True)
+    per_kind, ratio_rows = _walk(manifest_dir, kinds, cfg, skip_bad, noise_ratios=True)
     noise: dict = {"per_video": ratio_rows}
     usable = [row for row in ratio_rows if "error" not in row]
     if usable:

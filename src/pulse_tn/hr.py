@@ -24,7 +24,7 @@ class DegenerateSignalError(ValueError):
 
 @dataclass(frozen=True)
 class BandpassSpec:
-    """Butterworth bandpass; zero_phase applies it forward and backward.
+    """Butterworth bandpass, applied forward and backward (zero phase).
 
     `order` is the overall filter order (even; order 4 realizes two
     second-order sections). Zero-phase filtering squares the magnitude
@@ -34,7 +34,6 @@ class BandpassSpec:
     low_hz: float = HR_LOW_HZ
     high_hz: float = HR_HIGH_HZ
     order: int = 4
-    zero_phase: bool = True
 
     def __post_init__(self):
         if not 0 < self.low_hz < self.high_hz:
@@ -82,7 +81,7 @@ class PipelineConfig:
             "band_low_hz": self.band.low_hz,
             "band_high_hz": self.band.high_hz,
             "band_order": self.band.order,
-            "zero_phase": self.band.zero_phase,
+            "zero_phase": True,  # the filter is always zero phase; the report format keeps the key
             "window_len": self.window_len,
             "overlap": self.overlap,
             "nfft": self.nfft,
@@ -119,7 +118,6 @@ class MetricsReport:
     False.
     """
 
-    pairs: tuple
     mae: float
     rmse: float
     pearson: float
@@ -143,9 +141,7 @@ def _bandpass_rows(x: np.ndarray, fps: float, spec: BandpassSpec) -> np.ndarray:
     sos = sps.butter(
         spec.order // 2, [spec.low_hz, spec.high_hz], btype="bandpass", fs=fps, output="sos"
     )
-    if spec.zero_phase:
-        return sps.sosfiltfilt(sos, x, axis=-1, padlen=min(3 * spec.order, n - 1))
-    return sps.sosfilt(sos, x, axis=-1)
+    return sps.sosfiltfilt(sos, x, axis=-1, padlen=min(3 * spec.order, n - 1))
 
 
 def welch_psd(
@@ -248,7 +244,7 @@ def video_hr(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> float:
     return float(np.mean(rates))
 
 
-def compute_metrics(preds, labels, ids=None) -> MetricsReport:
+def compute_metrics(preds, labels) -> MetricsReport:
     """MAE, RMSE and Pearson correlation between predictions and labels."""
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -260,11 +256,5 @@ def compute_metrics(preds, labels, ids=None) -> MetricsReport:
     mae = float(np.mean(np.abs(err)))
     rmse = float(np.sqrt(np.mean(err * err)))
     defined = preds.size >= 2 and float(np.std(preds)) > 0 and float(np.std(labels)) > 0
-    if defined:
-        pearson = float(np.corrcoef(preds, labels)[0, 1])
-    else:
-        pearson = float("nan")
-    if ids is None:
-        ids = [None] * preds.size
-    pairs = tuple(zip(preds.tolist(), labels.tolist(), ids))
-    return MetricsReport(pairs=pairs, mae=mae, rmse=rmse, pearson=pearson, pearson_defined=defined)
+    pearson = float(np.corrcoef(preds, labels)[0, 1]) if defined else float("nan")
+    return MetricsReport(mae=mae, rmse=rmse, pearson=pearson, pearson_defined=defined)

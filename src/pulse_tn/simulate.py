@@ -18,12 +18,12 @@ from .core import FrameClip, Waveform
 PULSE_SHAPES = ("sinusoid", "harmonic")
 
 
-def _as_channels(value, channels: int, name: str) -> np.ndarray:
+def _as_channels(value, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
     if arr.size == 1:
-        arr = np.full(channels, arr[0])
-    if arr.shape != (channels,):
-        raise ValueError(f"{name} must be a scalar or length-{channels} sequence, got shape {arr.shape}")
+        arr = np.full(3, arr[0])
+    if arr.shape != (3,):
+        raise ValueError(f"{name} must be a scalar or length-3 sequence, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
@@ -56,10 +56,10 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Static optics of a rendered scene.
+    """Static optics of a rendered three-channel (RGB) scene.
 
     `illumination`, `specular` and `diffuse` are per-channel (scalars
-    broadcast to `channels`). `pixel_jitter` is the relative spread of the
+    broadcast to all three). `pixel_jitter` is the relative spread of the
     per-pixel multiplicative variation applied to the diffuse component,
     drawn uniformly from [-pixel_jitter, +pixel_jitter] with `jitter_seed`;
     it keeps spatial pooling non-degenerate.
@@ -70,14 +70,11 @@ class SceneSpec:
     diffuse: object = 0.5
     pixel_jitter: float = 0.05
     jitter_seed: int = 0
-    channels: int = 3
 
     def __post_init__(self):
-        if self.channels not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
-        ill = _as_channels(self.illumination, self.channels, "illumination")
-        spec = _as_channels(self.specular, self.channels, "specular")
-        diff = _as_channels(self.diffuse, self.channels, "diffuse")
+        ill = _as_channels(self.illumination, "illumination")
+        spec = _as_channels(self.specular, "specular")
+        diff = _as_channels(self.diffuse, "diffuse")
         if np.any(ill <= 0):
             raise ValueError("illumination must be > 0 per channel")
         if np.any(spec < 0) or np.any(diff < 0):
@@ -91,7 +88,7 @@ class SceneSpec:
     def diffuse_field(self, height: int, width: int) -> np.ndarray:
         """Per-pixel diffuse reflectance (H x W x C), jittered deterministically."""
         rng = np.random.default_rng(self.jitter_seed)
-        u = rng.uniform(-1.0, 1.0, size=(height, width, self.channels))
+        u = rng.uniform(-1.0, 1.0, size=(height, width, 3))
         return self.diffuse * (1.0 + self.pixel_jitter * u)
 
 
@@ -176,7 +173,7 @@ def _deltas(scene: SceneSpec, noise: NoiseSpec, frames: int, fps: float):
     gi = noise_profile(noise.delta_illumination, frames, fps)
     gs = noise_profile(noise.delta_specular, frames, fps)
     d_ill = gi[:, None, None, None] * scene.illumination
-    d_spec = np.broadcast_to(gs[:, None, None, None], (frames, 1, 1, scene.channels))
+    d_spec = np.broadcast_to(gs[:, None, None, None], (frames, 1, 1, 3))
     return d_ill, d_spec
 
 

@@ -348,6 +348,19 @@ class TestCompare:
         drift = ratios["drift"]
         assert drift["tn_residual_ratio"] <= 0.1 * drift["diff_residual_ratio"]
 
+    def test_noise_ratio_rows_follow_video_id_order(self, tmp_path):
+        # "a-b.rpgc" sorts before "a.rpgc" by file name, but "a" sorts before "a-b" by id
+        manifest = tmp_path / "m"
+        manifest.mkdir()
+        simulate(manifest / "a.rpgc", frames=480)
+        simulate(manifest / "a-b.rpgc", frames=480)
+        report_path = tmp_path / "cmp.json"
+        argv = ["compare", "--manifest", str(manifest), "--extractors", "green_raw", "--out", str(report_path)]
+        assert main(argv) == 0
+        doc = json.loads(report_path.read_text())
+        assert [row["video_id"] for row in doc["extractors"]["green_raw"]["per_video"]] == ["a", "a-b"]
+        assert [row["video_id"] for row in doc["noise_ratios"]["per_video"]] == ["a", "a-b"]
+
     def test_repeated_extractor_fails_the_command(self, small_manifest, tmp_path, capsys):
         report_path = tmp_path / "cmp.json"
         argv = ["compare", "--manifest", str(small_manifest), "--extractors", "tn_pooled", "green_raw", "green_raw"]

@@ -11,6 +11,7 @@ from pulse_tn import (
     TnConfig,
     Waveform,
     bandpass,
+    diff_normalized,
     extract_diff_pooled,
     extract_green,
     extract_tn_pooled,
@@ -23,6 +24,7 @@ from pulse_tn import (
     video_hr,
     welch_psd,
 )
+from pulse_tn import extract as extract_module
 
 WELCH_BIN_BPM = 60.0 * 30.0 / 3300.0
 
@@ -117,14 +119,22 @@ class TestExtractTnPooled:
         expected = pool_spatial(tn(clip), green).samples
         assert np.max(np.abs(extract_tn_pooled(clip).samples - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("channel", [3, -1])
-    def test_channel_out_of_range(self, channel):
-        clip = FrameClip(np.random.default_rng(16).random((10, 2, 2, 3)), 30.0)
-        with pytest.raises(ValueError, match=f"channel {channel} out of range for 3 channels"):
-            extract_tn_pooled(clip, channel=channel)
-
 
 class TestExtractDiffPooled:
+    def test_differences_only_the_green_channel(self, monkeypatch):
+        seen = []
+        original = extract_module.diff_normalized
+        monkeypatch.setattr(extract_module, "diff_normalized", lambda clip: seen.append(clip.channels) or original(clip))
+        extract_diff_pooled(FrameClip(np.random.default_rng(16).random((10, 2, 2, 3)), 30.0))
+        assert seen == [1]
+
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_equals_pooled_full_clip_difference(self, channels):
+        clip = FrameClip(np.random.default_rng(17).random((40, 5, 7, channels)), 30.0)
+        green = 1 if channels == 3 else 0
+        expected = diff_normalized(clip).data[:, :, :, green].mean(axis=(1, 2))
+        assert np.array_equal(extract_diff_pooled(clip).samples, expected)
+
     def test_constant_clip_silent(self):
         clip = FrameClip(np.full((10, 4, 4, 3), 0.3), 30.0)
         assert np.allclose(extract_diff_pooled(clip).samples, 0.0, atol=1e-12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ class TestEvaluateManifest:
         write_series_labels(tmp_path / "labels.csv", {"good": pulse, "flat": np.full(600, 0.5)})
         doc = evaluate_manifest(tmp_path, ExtractorKind.TN_POOLED)
         by_id = {row["video_id"]: row for row in doc["per_video"]}
-        assert "degenerate" in by_id["flat"]["label_error"]
+        assert by_id["flat"]["label_error"] == "all 1 segments are spectrally degenerate (in-band power < 1e-12)"
         assert "hr_label" not in by_id["flat"]
         assert by_id["good"]["abs_err"] <= 1.0
         assert doc["n_evaluated"] == 1
@@ -151,3 +153,16 @@ class TestNoiseFeatureRatios:
         noise = NoiseSpec(delta_illumination=(LinearNoise(0.1),))
         ratio_tn, ratio_diff = noise_feature_ratios(scene, pulse, noise, 8, 8)
         assert ratio_tn <= 0.1 * ratio_diff
+
+    def test_peak_memory_stays_near_five_clips(self):
+        # the ideal and noisy clips, one pair of feature arrays and a squared residual
+        scene = SceneSpec(jitter_seed=0)
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 300)
+        noise = NoiseSpec(delta_illumination=(LinearNoise(0.1),))
+        tracemalloc.start()
+        try:
+            noise_feature_ratios(scene, pulse, noise, 8, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * (300 * 8 * 8 * 3 * 8)

@@ -226,10 +226,6 @@ class TestBatchedSegments:
         rates, dropped = self.check(Waveform(noisy_pulse(50.0, fps=12.0, seed=3), 12.0))
         assert (len(rates), dropped) == (3, 0)
 
-    def test_causal_filter(self):
-        w = Waveform(noisy_pulse(40.0, seed=4), 30.0)
-        self.check(w, PipelineConfig(band=BandpassSpec(zero_phase=False)))
-
     def test_other_pipeline_settings(self):
         w = Waveform(noisy_pulse(40.0, fps=25.0, seed=5), 25.0)
         cfg = PipelineConfig(
