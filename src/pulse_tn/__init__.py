@@ -29,7 +29,7 @@ from .tn import (
     tn_trace,
     tn_traces,
 )
-from .diff import DiffClip, diff_noise_residual, diff_normalized, frame_diff
+from .diff import diff_normalized, frame_diff
 from .hr import (
     BandpassSpec,
     DegenerateSignalError,

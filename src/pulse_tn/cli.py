@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from . import clipio
-from .core import FrameClip
 from .diff import diff_normalized, frame_diff
 from .extract import ExtractorKind, run_extractor
 from .harness import compare_manifest, evaluate_manifest, write_report
@@ -104,13 +103,9 @@ def cmd_transform(args) -> int:
     if args.method == "tn":
         result = tn(clip, TnConfig(epsilon=args.epsilon))
     elif args.method == "diff":
-        d = frame_diff(clip)
-        result = FrameClip(d.data, d.fps)
-    elif args.method == "diffnorm":
-        d = diff_normalized(clip)
-        result = FrameClip(d.data, d.fps)
+        result = frame_diff(clip)
     else:
-        raise ValueError(f"unknown method {args.method!r}")
+        result = diff_normalized(clip)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     clipio.write_clip(result, out, dtype="f32")

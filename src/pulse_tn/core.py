@@ -118,7 +118,7 @@ def _segment_rows(w: Waveform, seconds: float) -> np.ndarray:
 
 
 def pool_spatial(clip: FrameClip, channel: int) -> Waveform:
-    """Average one channel of a FrameClip (or a DiffClip) over all pixels, frame by frame."""
+    """Average one channel of a FrameClip over all pixels, frame by frame."""
     data = clip.data
     if not 0 <= channel < data.shape[3]:
         raise ValueError(f"channel {channel} out of range for {data.shape[3]} channels")

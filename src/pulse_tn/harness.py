@@ -78,9 +78,16 @@ def noise_feature_ratios(
 
 
 def _residual_ratio(ideal: np.ndarray, noisy: np.ndarray) -> float:
-    """rms(noisy - ideal) / rms(ideal), with the residual written over `noisy`."""
+    """rms(noisy - ideal) / rms(ideal), with the residual written over `noisy`.
+
+    A pulse-free scene has all-zero ideal features, so its ratio is undefined
+    and raises a ValueError.
+    """
+    scale = _rms(ideal)
+    if scale == 0.0:
+        raise ValueError("the ideal features have zero RMS: a pulse-free scene has no noise ratio")
     noisy -= ideal
-    return _rms(noisy) / _rms(ideal)
+    return _rms(noisy) / scale
 
 
 def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, PulseSpec, NoiseSpec]:

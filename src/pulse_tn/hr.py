@@ -36,6 +36,8 @@ class BandpassSpec:
     order: int = 4
 
     def __post_init__(self):
+        if not (np.isfinite(self.low_hz) and np.isfinite(self.high_hz)):
+            raise ValueError(f"band edges must be finite, got {self.low_hz}, {self.high_hz}")
         if not 0 < self.low_hz < self.high_hz:
             raise ValueError(f"need 0 < low_hz < high_hz, got {self.low_hz}, {self.high_hz}")
         if self.order < 2 or self.order % 2:

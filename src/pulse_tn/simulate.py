@@ -179,10 +179,7 @@ def _deltas(scene: SceneSpec, noise: NoiseSpec, frames: int, fps: float):
 
 def render_ideal(scene: SceneSpec, pulse: Waveform, height: int, width: int) -> FrameClip:
     """Noise-free clip: illumination * (specular + diffuse * (1 + pulse))."""
-    vd = scene.diffuse_field(height, width)
-    vp = pulse.samples[:, None, None, None]
-    data = scene.illumination * (scene.specular + vd * (1.0 + vp))
-    return FrameClip(data, pulse.fps)
+    return render_noisy(scene, pulse, NO_NOISE, height, width)
 
 
 def render_noisy(

@@ -305,6 +305,7 @@ def small_manifest(tmp_path_factory):
         ("--segment-s", "inf", "segment duration must be finite and > 0 s, got inf"),
         ("--nfft", "0", "nfft must be >= 1, got 0"),
         ("--nfft", "-5", "nfft must be >= 1, got -5"),
+        ("--band-high", "inf", "band edges must be finite, got 0.5, inf"),
     ],
 )
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
@@ -370,7 +371,7 @@ class TestCompare:
         assert capsys.readouterr().err == "pulse-tn: error: extractor green_raw is listed more than once\n"
         assert not report_path.exists()
 
-    @pytest.mark.parametrize("case", ["missing_field", "malformed_json"])
+    @pytest.mark.parametrize("case", ["missing_field", "malformed_json", "zero_pulse"])
     def test_bad_sidecar_spoils_only_its_ratio_row(self, tmp_path, case):
         manifest = tmp_path / "m"
         manifest.mkdir()
@@ -382,6 +383,10 @@ class TestCompare:
             del meta["seed"]
             sidecar.write_text(json.dumps(meta))
             message = "missing field 'seed'"
+        elif case == "zero_pulse":
+            meta["amplitude"] = 0.0
+            sidecar.write_text(json.dumps(meta))
+            message = "the ideal features have zero RMS: a pulse-free scene has no noise ratio"
         else:
             sidecar.write_text(json.dumps(meta).replace(":", "=", 1))
             message = "Expecting ':' delimiter"

@@ -10,7 +10,6 @@ from pulse_tn import (
     SceneSpec,
     StepNoise,
     SinusoidNoise,
-    diff_noise_residual,
     diff_normalized,
     frame_diff,
     render_ideal,
@@ -18,10 +17,31 @@ from pulse_tn import (
     tn,
     render_noisy,
 )
+from pulse_tn.diff import DIFF_DENOM_GUARD
 
 
 def rms(a):
     return float(np.sqrt(np.mean(np.square(a))))
+
+
+def diff_noise_residual(scene, pulse, noise, height, width):
+    """Noise leakage in difference-feature space, with a shared jitter realization."""
+    noisy = frame_diff(render_noisy(scene, pulse, noise, height, width)).data
+    return noisy - frame_diff(render_ideal(scene, pulse, height, width)).data
+
+
+@pytest.mark.parametrize("transform", [frame_diff, diff_normalized])
+class TestDiffContract:
+    def test_returns_one_frame_fewer_at_the_input_rate(self, transform):
+        clip = FrameClip(np.random.default_rng(3).uniform(0.2, 0.8, (5, 2, 3, 3)), 25.0)
+        out = transform(clip)
+        assert isinstance(out, FrameClip)
+        assert out.data.shape == (4, 2, 3, 3)
+        assert out.fps == 25.0
+
+    def test_two_frame_input_is_rejected(self, transform):
+        with pytest.raises(ValueError, match="clip needs at least 2 frames, got 1"):
+            transform(FrameClip(np.full((2, 1, 1, 1), 0.5), 30.0))
 
 
 class TestFrameDiff:
@@ -69,11 +89,19 @@ class TestDiffNormalized:
         assert np.allclose(diff_normalized(clip).data, 0.0, atol=1e-12)
 
     def test_two_frame_arithmetic(self):
-        data = np.zeros((2, 1, 1, 1))
+        data = np.zeros((3, 1, 1, 1))
         data[0] = 0.4
         data[1] = 0.6
+        data[2] = 0.2
         out = diff_normalized(FrameClip(data, 30.0))
         assert out.data[0, 0, 0, 0] == pytest.approx(0.2, abs=1e-6)
+        assert out.data[1, 0, 0, 0] == pytest.approx(-0.5, abs=1e-6)
+
+    def test_zero_denominator_is_rejected(self):
+        # both frames at -guard/2: the guarded sum is exactly 0, so the ratio is 0/0
+        data = np.full((3, 1, 1, 1), -DIFF_DENOM_GUARD / 2)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="clip data must not contain NaN or Inf"):
+            diff_normalized(FrameClip(data, 30.0))
 
     def test_gain_invariance(self):
         rng = np.random.default_rng(2)
@@ -88,7 +116,7 @@ class TestDiffNoiseResidual:
         scene = SceneSpec(jitter_seed=3)
         pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 60)
         res = diff_noise_residual(scene, pulse, NO_NOISE, 3, 3)
-        assert np.array_equal(res.data, np.zeros_like(res.data))
+        assert np.array_equal(res, np.zeros_like(res))
 
     def test_linear_drift_rate(self):
         # drift ramps by total/(T-1) per frame, scaled by (v_s + v_d)
@@ -97,14 +125,14 @@ class TestDiffNoiseResidual:
         noise = NoiseSpec(delta_illumination=(LinearNoise(0.06),))
         res = diff_noise_residual(scene, pulse, noise, 4, 4)
         rate = 0.06 / 299
-        assert np.allclose(res.data, rate * 0.7, atol=1e-12)
+        assert np.allclose(res, rate * 0.7, atol=1e-12)
 
     def test_step_noise_single_spike(self):
         scene = SceneSpec(jitter_seed=3)
         pulse = synth_pulse(PulseSpec(hr_bpm=72.0, amplitude=0.0), 30.0, 300)
         noise = NoiseSpec(delta_illumination=(StepNoise(t0_s=5.0, gain=0.05),))
         res = diff_noise_residual(scene, pulse, noise, 4, 4)
-        frame_peaks = np.abs(res.data).max(axis=(1, 2, 3))
+        frame_peaks = np.abs(res).max(axis=(1, 2, 3))
         nonzero = np.where(frame_peaks > 0)[0]
         assert nonzero.tolist() == [int(5.0 * 30) - 1]
 
