@@ -50,6 +50,17 @@ class FrameClip:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "fps", _require_fps(self.fps))
 
+    def _channel(self, c: int) -> FrameClip:
+        """Channel c as a one-channel clip that views this clip's data.
+
+        The view is not validated again: this clip's construction already
+        checked every sample and the shape, and one channel keeps both valid.
+        """
+        view = object.__new__(FrameClip)
+        object.__setattr__(view, "data", self.data[..., c : c + 1])
+        object.__setattr__(view, "fps", self.fps)
+        return view
+
     @property
     def frames(self) -> int:
         return self.data.shape[0]

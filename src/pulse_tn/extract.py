@@ -17,8 +17,7 @@ class ExtractorKind(Enum):
 
 def _green(clip: FrameClip) -> FrameClip:
     """The green channel (channel 1 of 3, channel 0 of 1) as a one-channel view."""
-    g = 1 if clip.channels == 3 else 0
-    return FrameClip(clip.data[..., g : g + 1], clip.fps)
+    return clip._channel(1 if clip.channels == 3 else 0)
 
 
 def extract_green(clip: FrameClip) -> Waveform:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
 
 from .core import Waveform, _check_segment_s, _require_finite, _segment_rows
 from .tn import TnConfig
@@ -16,6 +16,8 @@ WELCH_WINDOW_LEN = 256
 WELCH_OVERLAP = 0.5
 WELCH_NFFT = 3300
 DEGENERATE_POWER = 1e-12
+# samples per step of the block recursion that runs the filter cascade
+_BLOCK = 64
 
 
 class DegenerateSignalError(ValueError):
@@ -140,10 +142,117 @@ def _bandpass_rows(x: np.ndarray, fps: float, spec: BandpassSpec) -> np.ndarray:
         )
     if n < 3 * spec.order:
         raise ValueError(f"waveform too short to filter: {n} < {3 * spec.order}")
-    sos = sps.butter(
-        spec.order // 2, [spec.low_hz, spec.high_hz], btype="bandpass", fs=fps, output="sos"
+    rows = _sosfiltfilt(x.reshape(-1, n), fps, spec, min(3 * spec.order, n - 1))
+    return rows.reshape(x.shape)
+
+
+@lru_cache
+def _butter_sos(fps: float, spec: BandpassSpec) -> np.ndarray:
+    """Second-order sections (b0, b1, b2, 1, a1, a2) of the digital Butterworth
+    bandpass, designed as scipy.signal.butter designs it: band edges prewarped,
+    the analog prototype's poles moved to the band, then the bilinear transform.
+
+    Each section holds one conjugate pole pair (or two real poles) and zeros at
+    +1 and -1; the section whose poles lie nearest the unit circle comes last,
+    and the overall gain sits on the first. The array is shared, so read-only.
+    """
+    n = spec.order // 2
+    wn = 2 * np.array([spec.low_hz, spec.high_hz]) / fps
+    warped = 4.0 * np.tan(np.pi * wn / 2.0)
+    bw = warped[1] - warped[0]
+    wo = np.sqrt(warped[0] * warped[1])
+    p_lp = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2) / (2 * n)) * bw / 2
+    root = np.sqrt(p_lp**2 - wo**2)
+    p_analog = np.concatenate([p_lp + root, p_lp - root])
+    gain = bw**n * np.real(4.0**n / np.prod(4.0 - p_analog))
+    poles = (4.0 + p_analog) / (4.0 - p_analog)
+
+    real = np.abs(poles.imag) <= 100 * np.finfo(float).eps * np.abs(poles)
+    pairs = [(p, np.conj(p)) for p in poles[~real & (poles.imag > 0)]]
+    pairs += list(np.sort(poles[real].real).reshape(-1, 2))
+    pairs.sort(key=lambda pair: -min(abs(1 - abs(p)) for p in pair))
+    sos = np.zeros((n, 6))
+    sos[:, 0], sos[:, 2], sos[:, 3] = 1.0, -1.0, 1.0
+    for row, (p1, p2) in zip(sos, pairs):
+        row[4], row[5] = np.real(-(p1 + p2)), np.real(p1 * p2)
+    sos[0, :3] *= gain
+    sos.setflags(write=False)
+    return sos
+
+
+@lru_cache
+def _cascade(fps: float, spec: BandpassSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The `_butter_sos` cascade as a block recursion on the rows of a matrix.
+
+    The cascade's state is the two transposed-direct-form-II delays of each
+    section, k = 2 * sections values. With M the (B + k) x (B + k) matrix
+    returned here (B = _BLOCK), [x_block, state] @ M = [y_block, next_state].
+    Row j of M is the run of the per-sample recursion from the unit vector j.
+    Also returned is the start state of scipy.signal.sosfilt_zi: the state
+    after a unit step has run forever, so a constant input starts settled.
+    Both arrays are shared, so read-only.
+    """
+    sections = _butter_sos(fps, spec).tolist()
+    k = 2 * len(sections)
+    units = np.eye(_BLOCK + k)  # symmetric: row j is unit vector j and its column
+    # the two delays of every section, each a vector over the B + k runs
+    delay0, delay1 = list(units[_BLOCK::2]), list(units[_BLOCK + 1 :: 2])
+    outputs = []
+    for x in units[:_BLOCK]:
+        for s, (b0, b1, b2, _, a1, a2) in enumerate(sections):
+            y = b0 * x + delay0[s]
+            delay0[s] = b1 * x - a1 * y + delay1[s]
+            delay1[s] = b2 * x - a2 * y
+            x = y
+        outputs.append(x)
+    block = np.column_stack(outputs + [d for pair in zip(delay0, delay1) for d in pair])
+
+    zi, scale = [], 1.0
+    for b0, b1, b2, _, a1, a2 in sections:
+        # lfilter_zi of one section: solve (I - companion(a).T) z = b[1:] - a[1:] * b0
+        z0 = (b1 - a1 * b0 + b2 - a2 * b0) / (1.0 + a1 + a2)
+        zi += [scale * z0, scale * (b2 - a2 * b0 - a2 * z0)]
+        scale *= (b0 + b1 + b2) / (1.0 + a1 + a2)
+    zi = np.array(zi)
+    block.setflags(write=False)
+    zi.setflags(write=False)
+    return block, zi
+
+
+def _sosfiltfilt(x: np.ndarray, fps: float, spec: BandpassSpec, padlen: int) -> np.ndarray:
+    """Zero-phase `_butter_sos` filtering of the rows of x, as
+    scipy.signal.sosfiltfilt does it: odd extension by `padlen` samples at each
+    end, a forward and a backward pass each started from the settled state
+    scaled by its first sample, and the extension cut off again."""
+    block, zi = _cascade(fps, spec)
+    ext = np.concatenate(
+        [2 * x[:, :1] - x[:, padlen:0:-1], x, 2 * x[:, -1:] - x[:, -2 : -padlen - 2 : -1]], axis=1
     )
-    return sps.sosfiltfilt(sos, x, axis=-1, padlen=min(3 * spec.order, n - 1))
+    # samples near the float64 limit overflow; callers reject the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _run_cascade(ext, zi * ext[:, :1], block)
+        y = _run_cascade(y[:, ::-1], zi * y[:, -1:], block)
+    return y[:, ::-1][:, padlen:-padlen]
+
+
+def _run_cascade(x: np.ndarray, state: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The cascade's output on the rows of x from `state`, one product per block.
+
+    The rows are zero-padded to whole blocks; the padding follows the data, so
+    it changes no output sample that is kept.
+    """
+    rows, n = x.shape
+    padded = np.zeros((rows, -(-n // _BLOCK) * _BLOCK))
+    padded[:, :n] = x
+    out = np.empty_like(padded)
+    for start in range(0, padded.shape[1], _BLOCK):
+        # einsum, not @: a threaded BLAS product this small can stall for milliseconds
+        z = np.einsum(
+            "ri,ij->rj", np.concatenate([padded[:, start : start + _BLOCK], state], axis=1), block
+        )
+        out[:, start : start + _BLOCK] = z[:, :_BLOCK]
+        state = z[:, _BLOCK:]
+    return out[:, :n]
 
 
 def welch_psd(
@@ -164,23 +273,25 @@ def welch_psd(
 def _welch_rows(
     x: np.ndarray, fps: float, window_len: int, overlap: float, nfft: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`welch_psd` along the last axis of `x`: the frequencies and one power row per row."""
+    """`welch_psd` along the last axis of `x`: the frequencies and one power row per row.
+
+    The frames start every window_len - int(window_len * overlap) samples and
+    are not detrended, as in scipy.signal.welch(detrend=False).
+    """
     _check_welch(window_len, overlap, nfft)
     if x.shape[-1] < window_len:
         raise ValueError(
             f"waveform length {x.shape[-1]} < window_len {window_len}; segment accordingly"
         )
-    return sps.welch(
-        x,
-        fs=fps,
-        window="hann",
-        nperseg=window_len,
-        noverlap=int(window_len * overlap),
-        nfft=nfft,
-        detrend=False,
-        scaling="density",
-        axis=-1,
-    )
+    step = window_len - int(window_len * overlap)
+    # the periodic Hann window
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_len + 1)[:-1])
+    frames = np.lib.stride_tricks.sliding_window_view(x, window_len, axis=-1)[..., ::step, :]
+    spectra = np.fft.rfft(win * frames, n=nfft)
+    power = (np.conj(spectra) * spectra).real * (1.0 / (fps * (win * win).sum()))
+    # one-sided: every bin but DC, and Nyquist for an even nfft, also holds its mirror
+    power[..., 1 : (nfft + 1) // 2] *= 2
+    return np.fft.rfftfreq(nfft, 1 / fps), power.mean(axis=-2)
 
 
 def _check_welch(window_len: int, overlap: float, nfft: int) -> None:

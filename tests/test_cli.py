@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pulse_tn
 from pulse_tn import (
     BandpassSpec,
     ExtractorKind,
@@ -401,3 +406,14 @@ class TestCompare:
         assert doc["noise_ratios"]["mean_tn_ratio"] == ratios["good"]["tn_residual_ratio"]
         assert doc["noise_ratios"]["mean_diff_ratio"] == ratios["good"]["diff_residual_ratio"]
         assert doc["extractors"]["green_raw"]["mae"] is not None
+
+
+def test_cold_start_imports_no_scipy():
+    # scipy serves the tests as an oracle; importing it would be most of a cold start
+    code = "import sys, pulse_tn, pulse_tn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(pulse_tn.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout == "[]\n"

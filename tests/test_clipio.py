@@ -96,6 +96,16 @@ class TestClipParsing:
         with pytest.raises(TruncatedClipError):
             read_clip(path)
 
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_non_finite_sample_in_any_channel(self, tmp_path, channel):
+        path, buf = self.write_valid(tmp_path)
+        # the little-endian f32 payload of the 12x3x4x3 clip, in T, H, W, C order
+        offset = clipio._HEADER.size + 4 * (((5 * 3 + 2) * 4 + 3) * 3 + channel)
+        buf[offset : offset + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(buf)
+        with pytest.raises(ClipFormatError, match="clip data must not contain NaN or Inf$"):
+            read_clip(path)
+
     def test_short_header(self, tmp_path):
         path = tmp_path / "clip.rpgc"
         path.write_bytes(b"RPGC\x01")

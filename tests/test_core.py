@@ -29,6 +29,14 @@ class TestFrameClip:
         with pytest.raises(ValueError):
             FrameClip(data, 30.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_rejects_nonfinite_in_any_channel(self, channel, bad):
+        data = np.full((4, 2, 2, 3), 0.5)
+        data[1, 1, 0, channel] = bad
+        with pytest.raises(ValueError, match="^clip data must not contain NaN or Inf$"):
+            FrameClip(data, 30.0)
+
     @pytest.mark.parametrize("fps", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_fps(self, fps):
         with pytest.raises(ValueError):

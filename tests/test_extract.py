@@ -184,6 +184,18 @@ class TestRunExtractor:
         clip, _, _ = ideal_clip(frames=90)
         assert len(run_extractor(ExtractorKind.DIFF_POOLED, clip)) == 89
 
+    @pytest.mark.parametrize(
+        "kind, validated", [(ExtractorKind.GREEN_RAW, 0), (ExtractorKind.TN_POOLED, 1), (ExtractorKind.DIFF_POOLED, 1)]
+    )
+    def test_green_view_is_not_validated_again(self, monkeypatch, kind, validated):
+        # the source clip was checked when it was built; only a transform's output is new data
+        clip, _, _ = ideal_clip(frames=60)
+        calls = []
+        check = FrameClip.__post_init__
+        monkeypatch.setattr(FrameClip, "__post_init__", lambda self: calls.append(self) or check(self))
+        run_extractor(kind, clip)
+        assert len(calls) == validated
+
 
 class TestExtractorAgreement:
     def test_noise_free_extractors_agree_within_one_bin(self):

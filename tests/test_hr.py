@@ -10,18 +10,26 @@ from scipy import signal as sps
 from pulse_tn import (
     BandpassSpec,
     DegenerateSignalError,
+    ExtractorKind,
     PipelineConfig,
     PowerSpectrum,
+    PulseSpec,
+    SceneSpec,
     Waveform,
     bandpass,
     compute_metrics,
     hr_from_psd,
+    parse_noise_string,
+    render_noisy,
+    run_extractor,
     segment_heart_rates,
     segment_waveform,
+    synth_pulse,
     video_hr,
     welch_psd,
 )
 from pulse_tn import hr
+from pulse_tn.core import _segment_rows
 
 
 def sinusoid(freq_hz, seconds, fps=30.0, amp=1.0):
@@ -29,10 +37,13 @@ def sinusoid(freq_hz, seconds, fps=30.0, amp=1.0):
     return Waveform(amp * np.sin(2 * np.pi * freq_hz * t), fps)
 
 
+def scipy_sos(fps, spec=BandpassSpec()):
+    return sps.butter(spec.order // 2, [spec.low_hz, spec.high_hz], btype="bandpass", fs=fps, output="sos")
+
+
 def butter_gain_sq(freq_hz, spec=BandpassSpec(), fps=30.0):
     """Oracle: squared magnitude response of the designed filter."""
-    sos = sps.butter(spec.order // 2, [spec.low_hz, spec.high_hz], btype="bandpass", fs=fps, output="sos")
-    _, h = sps.sosfreqz(sos, worN=[freq_hz], fs=fps)
+    _, h = sps.sosfreqz(scipy_sos(fps, spec), worN=[freq_hz], fs=fps)
     return float(np.abs(h[0]) ** 2)
 
 
@@ -259,6 +270,76 @@ class TestBatchedSegments:
     def test_error_messages(self, samples, fps, segment_s, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             segment_heart_rates(Waveform(samples, fps), PipelineConfig(segment_s=segment_s))
+
+
+def scipy_segment_heart_rates(w, cfg=PipelineConfig()):
+    """Oracle: segment_heart_rates with the filter and spectrum from scipy.signal."""
+    segments = _segment_rows(w, cfg.segment_s)
+    n = segments.shape[1]
+    filtered = sps.sosfiltfilt(scipy_sos(w.fps, cfg.band), segments, padlen=min(3 * cfg.band.order, n - 1))
+    window_len, nfft = cfg.welch_lengths(n)
+    freqs, power = sps.welch(
+        filtered, fs=w.fps, window="hann", nperseg=window_len, noverlap=int(window_len * cfg.overlap),
+        nfft=nfft, detrend=False, scaling="density",
+    )
+    in_band = (freqs >= cfg.band.low_hz) & (freqs <= cfg.band.high_hz)
+    freqs, power = freqs[in_band], power[:, in_band]
+    dead = power.max(axis=1, initial=0.0) < hr.DEGENERATE_POWER
+    return (60.0 * freqs[power[~dead].argmax(axis=1)]).tolist(), int(dead.sum())
+
+
+class TestScipyOracle:
+    """The numpy filter design, zero-phase filter and Welch spectrum against scipy.signal."""
+
+    @pytest.mark.parametrize("fps", [25.0, 30.0, 60.0])
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_filter_response(self, fps, order):
+        spec = BandpassSpec(order=order)
+        sos = hr._butter_sos(fps, spec)
+        assert sos.shape == (order // 2, 6)
+        _, h = sps.sosfreqz(sos.copy(), worN=512, fs=fps)
+        _, expected = sps.sosfreqz(scipy_sos(fps, spec), worN=512, fs=fps)
+        assert np.max(np.abs(h - expected)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "order, n", [(2, 6), (4, 12), (6, 18), (8, 24), (4, 13), (4, 450), (6, 450), (4, 1799), (8, 1799)]
+    )
+    def test_zero_phase_filter(self, order, n):
+        # n = 3 * order pads by n - 1 samples, the longest odd extension there is
+        spec = BandpassSpec(order=order)
+        rng = np.random.default_rng(order * n)
+        x = rng.normal(size=(3, n)) + np.array([[0.0], [1e3], [-1e3]])
+        out = hr._bandpass_rows(x, 30.0, spec)
+        expected = sps.sosfiltfilt(scipy_sos(30.0, spec), x, padlen=min(3 * order, n - 1))
+        # rounding grows with the DC offset the filter removes
+        assert np.all(np.abs(out - expected) <= 1e-13 * np.abs(x).max(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("nfft", [3300, 3301, 450, 451])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    @pytest.mark.parametrize("window_len", [256, 450])
+    def test_welch(self, nfft, overlap, window_len):
+        w = Waveform(noisy_pulse(15.0, seed=nfft), 30.0)
+        ps = welch_psd(w, window_len, overlap, nfft)
+        freqs, expected = sps.welch(
+            w.samples, fs=30.0, window="hann", nperseg=window_len, noverlap=int(window_len * overlap),
+            nfft=nfft, detrend=False, scaling="density",
+        )
+        assert np.array_equal(ps.freqs, freqs)
+        assert np.max(np.abs(ps.power - expected)) <= 1e-13 * expected.max()
+
+    @pytest.mark.parametrize("noise", ["none", "linear:0.1", "sin:0.3:0.05", "linear:0.1+vs/sin:0.5:0.02"])
+    def test_segment_rates(self, noise):
+        pulse = synth_pulse(PulseSpec(hr_bpm=77.0), 30.0, 1800)
+        clip = render_noisy(SceneSpec(jitter_seed=11), pulse, parse_noise_string(noise), 4, 4)
+        for w in [pulse] + [run_extractor(kind, clip) for kind in ExtractorKind]:
+            assert segment_heart_rates(w) == scipy_segment_heart_rates(w)
+
+    def test_shared_filter_arrays_are_read_only(self):
+        # the cached arrays are shared by every thread that filters at this rate
+        block, zi = hr._cascade(30.0, BandpassSpec())
+        for array in (hr._butter_sos(30.0, BandpassSpec()), block, zi):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestPipelineConfig:
