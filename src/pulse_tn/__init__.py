@@ -36,6 +36,7 @@ from .hr import (
     MetricsReport,
     PipelineConfig,
     PowerSpectrum,
+    SamplingRateError,
     bandpass,
     compute_metrics,
     hr_from_psd,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +11,9 @@ import numpy as np
 from . import clipio
 from .diff import diff_normalized, frame_diff
 from .extract import ExtractorKind, run_extractor
-from .harness import compare_manifest, evaluate_manifest, write_report
+from .harness import compare_manifest, evaluate_manifest, scene_from_sidecar, write_report
 from .hr import BandpassSpec, PipelineConfig, bandpass, video_hr, welch_psd
-from .simulate import PulseSpec, SceneSpec, parse_noise_string, render_noisy, synth_pulse
+from .simulate import render_noisy, synth_pulse
 from .tn import TnConfig, tn
 
 EXTRACTOR_NAMES = [k.value for k in ExtractorKind]
@@ -53,28 +52,7 @@ def _pipeline(args) -> PipelineConfig:
 
 
 def cmd_simulate(args) -> int:
-    noise = parse_noise_string(args.noise)
-    scene = SceneSpec(
-        illumination=args.illumination,
-        specular=args.specular,
-        diffuse=args.diffuse,
-        pixel_jitter=args.jitter,
-        jitter_seed=args.seed,
-    )
-    pulse_spec = PulseSpec(
-        hr_bpm=args.hr,
-        amplitude=args.amplitude,
-        shape=args.pulse_shape,
-        harmonic_ratio=args.harmonic_ratio,
-    )
     height, width = args.size
-    pulse = synth_pulse(pulse_spec, args.fps, args.frames)
-    clip = render_noisy(scene, pulse, noise, height, width)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    clipio.write_clip(clip, out, dtype=args.dtype)
-    labels = Path(args.labels) if args.labels else out.parent / "labels.csv"
-    clipio.upsert_label(labels, out.stem, args.hr)
     sidecar = {
         "hr_bpm": args.hr,
         "amplitude": args.amplitude,
@@ -91,6 +69,14 @@ def cmd_simulate(args) -> int:
         "diffuse": args.diffuse,
         "pixel_jitter": args.jitter,
     }
+    # rendered from the sidecar, so compare recomputes exactly these specs
+    scene, pulse_spec, noise = scene_from_sidecar(sidecar)
+    clip = render_noisy(scene, synth_pulse(pulse_spec, args.fps, args.frames), noise, height, width)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    clipio.write_clip(clip, out, dtype=args.dtype)
+    labels = Path(args.labels) if args.labels else out.parent / "labels.csv"
+    clipio.upsert_label(labels, out.stem, args.hr)
     out.with_suffix(out.suffix + ".sim.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     )
@@ -138,11 +124,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     kind = ExtractorKind(args.extractor)
-    try:
-        doc = evaluate_manifest(args.manifest, kind, _pipeline(args), skip_bad=args.skip_bad)
-    except clipio.ClipFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    doc = evaluate_manifest(args.manifest, kind, _pipeline(args))
     write_report(doc, args.out)
     mae = doc["mae"]
     summary = f"n={doc['n_evaluated']}"
@@ -156,11 +138,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     kinds = [ExtractorKind(name) for name in args.extractors]
-    try:
-        doc = compare_manifest(args.manifest, kinds, _pipeline(args), skip_bad=args.skip_bad)
-    except clipio.ClipFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    doc = compare_manifest(args.manifest, kinds, _pipeline(args))
     write_report(doc, args.out)
     for name, block in doc["extractors"].items():
         mae = block["mae"]
@@ -213,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--extractor", choices=EXTRACTOR_NAMES, default="tn_pooled")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--skip-bad", action="store_true", help="flag unreadable clips instead of failing")
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -221,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--extractors", nargs="+", choices=EXTRACTOR_NAMES, default=EXTRACTOR_NAMES)
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--skip-bad", action="store_true")
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_compare)
 
@@ -233,5 +209,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # a bad setting, manifest or file: one line, no report
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

@@ -19,7 +19,14 @@ from . import clipio
 from .core import Waveform
 from .diff import frame_diff
 from .extract import ExtractorKind, run_extractor
-from .hr import DegenerateSignalError, PipelineConfig, compute_metrics, segment_heart_rates, video_hr
+from .hr import (
+    DegenerateSignalError,
+    PipelineConfig,
+    SamplingRateError,
+    compute_metrics,
+    segment_heart_rates,
+    video_hr,
+)
 from .simulate import (
     NoiseSpec,
     PulseSpec,
@@ -108,26 +115,28 @@ def _label_hr(label, cfg: PipelineConfig) -> float:
     return video_hr(label, cfg) if isinstance(label, Waveform) else float(label)
 
 
-def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfig, skip_bad: bool) -> list:
+def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfig) -> tuple[list, list]:
     """One row per extractor from one read of the clip, each scored against
-    the label HR, which is computed once. The clip is freed on return."""
+    the label HR, which is computed once. Also returned are the classes of the
+    errors that flagged rows. The clip is freed on return."""
     try:
         clip = clipio.read_clip(path)
-    except ValueError as exc:
-        if isinstance(exc, clipio.ClipFormatError) and not skip_bad:
-            raise
-        return [{"video_id": path.stem, "error": str(exc)} for _ in kinds]
-    rows, fields = [], None
+    except (OSError, clipio.ClipFormatError) as exc:
+        return [{"video_id": path.stem, "error": str(exc)} for _ in kinds], [type(exc)] * len(kinds)
+    rows, failures, fields = [], [], None
     for kind in kinds:
         row: dict = {"video_id": path.stem}
         rows.append(row)
         try:
             rates, dropped = segment_heart_rates(run_extractor(kind, clip, cfg.tn), cfg)
-            if not rates:
-                raise DegenerateSignalError(f"{path.stem}: all {dropped} segments degenerate")
         except ValueError as exc:
             # degenerate spectra, clips shorter than one segment, etc.: flag the row
             row["error"] = str(exc)
+            failures.append(type(exc))
+            continue
+        if not rates:
+            row["error"] = f"{path.stem}: all {dropped} segments degenerate"
+            failures.append(DegenerateSignalError)
             continue
         row.update(hr_pred=float(np.mean(rates)), segments_dropped=dropped)
         if fields is None:
@@ -141,14 +150,15 @@ def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfi
         row.update(fields)
         if row.get("hr_label") is not None:
             row["abs_err"] = abs(row["hr_pred"] - row["hr_label"])
-    return rows
+    return rows, failures
 
 
 def _noise_ratio_row(path: Path, cfg: TnConfig) -> dict | None:
-    """Noise ratios of a clip with a simulator sidecar; a sidecar that is not
-    JSON, lacks a field or holds a bad value gives the row an `error` instead."""
+    """Noise ratios of a clip with a simulator sidecar; a sidecar that cannot
+    be read, is not JSON, lacks a field or holds a bad value gives the row an
+    `error` instead. A dangling sidecar link counts as a sidecar."""
     sidecar = path.with_suffix(path.suffix + ".sim.json")
-    if not sidecar.exists():
+    if not os.path.lexists(sidecar):
         return None
     row: dict = {"video_id": path.stem}
     try:
@@ -158,31 +168,38 @@ def _noise_ratio_row(path: Path, cfg: TnConfig) -> dict | None:
         ratio_tn, ratio_diff = noise_feature_ratios(scene, pulse, noise, meta["height"], meta["width"], cfg)
     except KeyError as exc:
         row["error"] = f"{sidecar}: missing field {exc}"
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         row["error"] = f"{sidecar}: {exc}"
     else:
         row.update(tn_residual_ratio=ratio_tn, diff_residual_ratio=ratio_diff)
     return row
 
 
-def _walk(manifest_dir, kinds, cfg, skip_bad, noise_ratios) -> tuple[list, list]:
+def _walk(manifest_dir, kinds, cfg, noise_ratios) -> tuple[list, list]:
     """One pool task per clip. Returns each extractor's rows and the
-    noise-ratio rows, if asked for, all in video-id order."""
+    noise-ratio rows, if asked for, all in video-id order.
+
+    A band no clip's frame rate can carry is a bad setting, not a set of bad
+    clips: when every row failed with SamplingRateError, that error is raised.
+    """
     manifest_dir = Path(manifest_dir)
     clip_paths = sorted(manifest_dir.glob("*.rpgc"), key=lambda path: path.stem)
     if not clip_paths:
         raise ValueError(f"manifest {manifest_dir} contains no .rpgc clips")
     labels_path = manifest_dir / "labels.csv"
-    labels = clipio.read_labels(labels_path) if labels_path.exists() else {}
+    labels = clipio.read_labels(labels_path) if os.path.lexists(labels_path) else {}
 
-    def task(path: Path) -> tuple[list[dict], dict | None]:
-        rows = _clip_rows(path, kinds, labels.get(path.stem), cfg, skip_bad)
-        return rows, _noise_ratio_row(path, cfg.tn) if noise_ratios else None
+    def task(path: Path) -> tuple[list[dict], list, dict | None]:
+        rows, failures = _clip_rows(path, kinds, labels.get(path.stem), cfg)
+        return rows, failures, _noise_ratio_row(path, cfg.tn) if noise_ratios else None
 
     with ThreadPoolExecutor(max_workers=worker_count(len(clip_paths))) as pool:
         results = list(pool.map(task, clip_paths))
-    per_kind = [[rows[k] for rows, _ in results] for k in range(len(kinds))]
-    return per_kind, [ratios for _, ratios in results if ratios is not None]
+    per_kind = [[rows[k] for rows, _, _ in results] for k in range(len(kinds))]
+    failures = [cls for _, classes, _ in results for cls in classes]
+    if len(failures) == len(clip_paths) * len(kinds) and all(cls is SamplingRateError for cls in failures):
+        raise SamplingRateError(per_kind[0][0]["error"])
+    return per_kind, [ratios for _, _, ratios in results if ratios is not None]
 
 
 def _metrics(rows: list[dict]) -> dict:
@@ -199,34 +216,22 @@ def _metrics(rows: list[dict]) -> dict:
     }
 
 
-def evaluate_manifest(
-    manifest_dir,
-    kind: ExtractorKind,
-    cfg: PipelineConfig = PipelineConfig(),
-    *,
-    skip_bad: bool = False,
-) -> dict:
+def evaluate_manifest(manifest_dir, kind: ExtractorKind, cfg: PipelineConfig = PipelineConfig()) -> dict:
     """Estimate HR for every clip in a manifest and aggregate metrics.
 
     Videos without a label, or whose label is rejected or yields no heart
     rate (`label_error`), are kept as flagged rows and excluded from the
-    aggregates. Unreadable clips raise unless skip_bad is set, in which case
-    they become rows with an `error` field. Results are merged by sorted
-    video id, so reports are deterministic regardless of scheduling.
+    aggregates. A clip that cannot be read or yields no heart rate becomes a
+    row with an `error` field. Results are merged by sorted video id, so
+    reports are deterministic regardless of scheduling.
     """
-    (rows,), _ = _walk(manifest_dir, [kind], cfg, skip_bad, noise_ratios=False)
+    (rows,), _ = _walk(manifest_dir, [kind], cfg, noise_ratios=False)
     n_evaluated = sum("abs_err" in row for row in rows)
     doc = {"config": cfg.to_json([kind.value]), "per_video": rows, "n_videos": len(rows), "n_evaluated": n_evaluated}
     return doc | _metrics(rows)
 
 
-def compare_manifest(
-    manifest_dir,
-    kinds: list[ExtractorKind],
-    cfg: PipelineConfig = PipelineConfig(),
-    *,
-    skip_bad: bool = False,
-) -> dict:
+def compare_manifest(manifest_dir, kinds: list[ExtractorKind], cfg: PipelineConfig = PipelineConfig()) -> dict:
     """Side-by-side metrics per extractor, plus noise ratios where sidecars exist.
 
     Each extractor's block holds the rows and metrics `evaluate_manifest`
@@ -237,7 +242,7 @@ def compare_manifest(
     repeated = [name for name in names if names.count(name) > 1]
     if repeated:
         raise ValueError(f"extractor {repeated[0]} is listed more than once")
-    per_kind, ratio_rows = _walk(manifest_dir, kinds, cfg, skip_bad, noise_ratios=True)
+    per_kind, ratio_rows = _walk(manifest_dir, kinds, cfg, noise_ratios=True)
     noise: dict = {"per_video": ratio_rows}
     usable = [row for row in ratio_rows if "error" not in row]
     if usable:

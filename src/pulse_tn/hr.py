@@ -24,6 +24,10 @@ class DegenerateSignalError(ValueError):
     """Raised when a signal carries no usable in-band power."""
 
 
+class SamplingRateError(ValueError):
+    """Raised when the frame rate is too low to carry the passband."""
+
+
 @dataclass(frozen=True)
 class BandpassSpec:
     """Butterworth bandpass, applied forward and backward (zero phase).
@@ -137,9 +141,7 @@ def _bandpass_rows(x: np.ndarray, fps: float, spec: BandpassSpec) -> np.ndarray:
     """`bandpass` along the last axis of `x`, each row filtered on its own."""
     n = x.shape[-1]
     if fps <= 2.0 * spec.high_hz:
-        raise ValueError(
-            f"sampling rate {fps} Hz too low for a {spec.high_hz} Hz passband edge"
-        )
+        raise SamplingRateError(f"sampling rate {fps} Hz too low for a {spec.high_hz} Hz passband edge")
     if n < 3 * spec.order:
         raise ValueError(f"waveform too short to filter: {n} < {3 * spec.order}")
     rows = _sosfiltfilt(x.reshape(-1, n), fps, spec, min(3 * spec.order, n - 1))

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,14 +14,23 @@ from pulse_tn import (
     BandpassSpec,
     ExtractorKind,
     PipelineConfig,
+    PulseSpec,
+    SceneSpec,
     TnConfig,
     bandpass,
+    parse_noise_string,
     read_clip,
+    render_noisy,
     run_extractor,
+    synth_pulse,
     video_hr,
     welch_psd,
+    write_clip,
 )
-from pulse_tn.cli import main
+from pulse_tn.cli import build_parser, main
+from pulse_tn.harness import scene_from_sidecar
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Every pipeline flag at a non-default value, and the config it stands for.
 OTHER_SETTINGS = [
@@ -88,6 +99,26 @@ class TestSimulate:
         green = clip.data[:, :, :, 1].mean(axis=(1, 2))
         drift = (green[-30:].mean() - green[:30].mean()) / green[:30].mean()
         assert drift == pytest.approx(0.1, abs=0.02)
+
+    def test_every_flag_round_trips_through_the_sidecar(self, tmp_path):
+        out = tmp_path / "v.rpgc"
+        noise = "linear:0.1+vs/sin:0.5:0.02"
+        simulate(out, hr=66.0, frames=300, extra=[
+            "--fps", "25", "--size", "6x5", "--noise", noise, "--amplitude", "0.01",
+            "--jitter", "0.1", "--pulse-shape", "harmonic", "--harmonic-ratio", "0.5",
+            "--illumination", "0.9", "--specular", "0.3", "--diffuse", "0.4", "--dtype", "u8",
+        ])
+        scene = SceneSpec(illumination=0.9, specular=0.3, diffuse=0.4, pixel_jitter=0.1, jitter_seed=7)
+        pulse = PulseSpec(hr_bpm=66.0, amplitude=0.01, shape="harmonic", harmonic_ratio=0.5)
+        by_hand = tmp_path / "by_hand.rpgc"
+        write_clip(render_noisy(scene, synth_pulse(pulse, 25.0, 300), parse_noise_string(noise), 6, 5), by_hand, "u8")
+        # the specs compare recomputes from the sidecar render the same clip
+        meta = json.loads(out.with_suffix(".rpgc.sim.json").read_text())
+        scene, pulse, noise_spec = scene_from_sidecar(meta)
+        from_sidecar = tmp_path / "from_sidecar.rpgc"
+        clip = render_noisy(scene, synth_pulse(pulse, meta["fps"], meta["frames"]), noise_spec, 6, 5)
+        write_clip(clip, from_sidecar, "u8")
+        assert out.read_bytes() == by_hand.read_bytes() == from_sidecar.read_bytes()
 
     def test_bad_noise_spec_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -220,15 +251,11 @@ class TestEvaluate:
             main(["evaluate", "--manifest", str(empty), "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 2
 
-    def test_unreadable_clip_fails_unless_skipped(self, tmp_path):
+    def test_unreadable_clip_flags_its_row(self, tmp_path):
         manifest = build_manifest(tmp_path / "m", [60.0, 72.0])
         (manifest / "v002.rpgc").write_bytes(b"XXXX garbage")
         report_path = tmp_path / "report.json"
-        assert main(["evaluate", "--manifest", str(manifest), "--out", str(report_path)]) == 1
-        code = main(
-            ["evaluate", "--manifest", str(manifest), "--out", str(report_path), "--skip-bad"]
-        )
-        assert code == 0
+        assert main(["evaluate", "--manifest", str(manifest), "--out", str(report_path)]) == 0
         doc = json.loads(report_path.read_text())
         bad = [row for row in doc["per_video"] if "error" in row]
         assert [row["video_id"] for row in bad] == ["v002"]
@@ -295,6 +322,25 @@ class TestEvaluate:
         assert not report_path.exists()
 
 
+    @pytest.mark.parametrize("case", ["directory", "dangling_link"])
+    def test_unreadable_labels_file_fails_the_command(self, tmp_path, capsys, case):
+        manifest = build_manifest(tmp_path / "m", [60.0])
+        labels = manifest / "labels.csv"
+        labels.unlink()
+        if case == "directory":
+            labels.mkdir()
+        else:
+            labels.symlink_to(tmp_path / "gone.csv")
+        report_path = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--manifest", str(manifest), "--out", str(report_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pulse-tn: error: ") and err.count("\n") == 1
+        assert str(labels) in err
+        assert not report_path.exists()
+
+
 @pytest.fixture(scope="module")
 def small_manifest(tmp_path_factory):
     return build_manifest(tmp_path_factory.mktemp("bad_settings") / "m", [60.0, 72.0])
@@ -311,6 +357,7 @@ def small_manifest(tmp_path_factory):
         ("--nfft", "0", "nfft must be >= 1, got 0"),
         ("--nfft", "-5", "nfft must be >= 1, got -5"),
         ("--band-high", "inf", "band edges must be finite, got 0.5, inf"),
+        ("--band-high", "20", "sampling rate 30.0 Hz too low for a 20.0 Hz passband edge"),
     ],
 )
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
@@ -327,6 +374,66 @@ def test_bad_pipeline_setting_fails_the_command(small_manifest, tmp_path, capsys
         main(["estimate", "--in", str(small_manifest / "v000.rpgc"), flag, value])
     assert exc.value.code == 2
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_dangling_clip_link_flags_its_row_only(tmp_path, capsys, command):
+    manifest = build_manifest(tmp_path / "m", [60.0, 72.0])
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert main([command, "--manifest", str(manifest), "--out", str(before)]) == 0
+    (manifest / "v002.rpgc").symlink_to(tmp_path / "gone.rpgc")
+    assert main([command, "--manifest", str(manifest), "--out", str(after)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    doc_before, doc_after = json.loads(before.read_text()), json.loads(after.read_text())
+    blocks = [(doc_before, doc_after)] if command == "evaluate" else list(
+        zip(doc_before["extractors"].values(), doc_after["extractors"].values())
+    )
+    for old, new in blocks:
+        assert new["per_video"][:2] == old["per_video"]
+        assert new["per_video"][2]["video_id"] == "v002"
+        assert "No such file or directory" in new["per_video"][2]["error"]
+        assert new["mae"] == old["mae"]
+    if command == "compare":
+        assert doc_after["noise_ratios"] == doc_before["noise_ratios"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "transform"])
+def test_missing_input_is_one_line_error(tmp_path, capsys, command):
+    argv = [command, "--in", str(tmp_path / "missing.rpgc")]
+    if command == "transform":
+        argv += ["--out", str(tmp_path / "out.rpgc"), "--method", "tn"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pulse-tn: error: ") and "missing.rpgc" in err
+    assert err.count("\n") == 1
+
+
+def _options():
+    """(command, option string) for every option of every subcommand but --help."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                yield from ((command, option) for option in action.option_strings)
+
+
+def test_manifest_commands_take_no_failure_mode_flag():
+    # an unreadable clip always flags its own row: there is no abort mode to select
+    pipeline = {"--segment-s", "--band-low", "--band-high", "--order", "--window-len", "--overlap", "--nfft", "--epsilon"}
+    for command, extractor in [("evaluate", "--extractor"), ("compare", "--extractors")]:
+        options = {option for name, option in _options() if name == command}
+        assert options == {"--manifest", extractor, "--out", *pipeline}
+
+
+def test_every_option_is_documented():
+    readme = README.read_text()
+    missing = [
+        f"{command} {option}" for command, option in _options()
+        if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)
+    ]
+    assert not missing, f"options absent from README.md: {missing}"
 
 
 class TestCompare:
@@ -376,7 +483,7 @@ class TestCompare:
         assert capsys.readouterr().err == "pulse-tn: error: extractor green_raw is listed more than once\n"
         assert not report_path.exists()
 
-    @pytest.mark.parametrize("case", ["missing_field", "malformed_json", "zero_pulse"])
+    @pytest.mark.parametrize("case", ["missing_field", "malformed_json", "zero_pulse", "directory", "dangling_link"])
     def test_bad_sidecar_spoils_only_its_ratio_row(self, tmp_path, case):
         manifest = tmp_path / "m"
         manifest.mkdir()
@@ -392,6 +499,14 @@ class TestCompare:
             meta["amplitude"] = 0.0
             sidecar.write_text(json.dumps(meta))
             message = "the ideal features have zero RMS: a pulse-free scene has no noise ratio"
+        elif case == "directory":
+            sidecar.unlink()
+            sidecar.mkdir()
+            message = "Is a directory"
+        elif case == "dangling_link":
+            sidecar.unlink()
+            sidecar.symlink_to(manifest / "gone.sim.json")
+            message = "No such file or directory"
         else:
             sidecar.write_text(json.dumps(meta).replace(":", "=", 1))
             message = "Expecting ':' delimiter"

@@ -3,14 +3,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pulse_tn import ExtractorKind, PulseSpec, SceneSpec, clipio, harness, render_ideal, synth_pulse, write_clip
+from pulse_tn import (
+    BandpassSpec,
+    ExtractorKind,
+    PipelineConfig,
+    PulseSpec,
+    SamplingRateError,
+    SceneSpec,
+    clipio,
+    harness,
+    render_ideal,
+    synth_pulse,
+    write_clip,
+)
 from pulse_tn.harness import compare_manifest, evaluate_manifest, noise_feature_ratios, worker_count, write_report
 from pulse_tn.simulate import LinearNoise, NoiseSpec
 
 
-def write_manifest_clip(path, hr, frames=600, seed=0):
+def write_manifest_clip(path, hr, frames=600, seed=0, fps=30.0):
     scene = SceneSpec(jitter_seed=seed)
-    pulse = synth_pulse(PulseSpec(hr_bpm=hr), 30.0, frames)
+    pulse = synth_pulse(PulseSpec(hr_bpm=hr), fps, frames)
     write_clip(render_ideal(scene, pulse, 8, 8), path)
 
 
@@ -112,9 +124,9 @@ class TestOneWalk:
             "flat": np.full(600, 0.5),
             "bad": np.sin(2 * np.pi * 1.2 * t),
         })
-        doc = compare_manifest(tmp_path, ALL_KINDS, skip_bad=True)
+        doc = compare_manifest(tmp_path, ALL_KINDS)
         for kind in ALL_KINDS:
-            single = evaluate_manifest(tmp_path, kind, skip_bad=True)
+            single = evaluate_manifest(tmp_path, kind)
             fields = ("mae", "rmse", "pearson", "pearson_defined", "per_video")
             assert doc["extractors"][kind.value] == {key: single[key] for key in fields}
         rows = {row["video_id"]: row for row in doc["extractors"]["tn_pooled"]["per_video"]}
@@ -137,6 +149,38 @@ class TestOneWalk:
         assert sorted(labels) == [60.0, 72.0, 84.0]
         for block in doc["extractors"].values():
             assert [row["hr_label"] for row in block["per_video"]] == [60.0, 72.0, 84.0]
+
+
+class TestSamplingRate:
+    # a 20 Hz band edge needs more than 40 frames per second
+    CFG = PipelineConfig(band=BandpassSpec(0.5, 20.0))
+    MESSAGE = "^sampling rate 30.0 Hz too low for a 20.0 Hz passband edge$"
+
+    def test_band_no_clip_can_carry_fails_the_walk(self, tmp_path):
+        write_manifest_clip(tmp_path / "v0.rpgc", hr=72.0)
+        write_manifest_clip(tmp_path / "v1.rpgc", hr=84.0, seed=1)
+        with pytest.raises(SamplingRateError, match=self.MESSAGE):
+            evaluate_manifest(tmp_path, ExtractorKind.TN_POOLED, self.CFG)
+        with pytest.raises(SamplingRateError, match=self.MESSAGE):
+            compare_manifest(tmp_path, ALL_KINDS, self.CFG)
+
+    def test_mixed_frame_rates_keep_their_rows(self, tmp_path):
+        write_manifest_clip(tmp_path / "slow.rpgc", hr=72.0)
+        write_manifest_clip(tmp_path / "fast.rpgc", hr=72.0, frames=1200, fps=60.0)
+        doc = evaluate_manifest(tmp_path, ExtractorKind.TN_POOLED, self.CFG)
+        by_id = {row["video_id"]: row for row in doc["per_video"]}
+        assert by_id["slow"]["error"] == "sampling rate 30.0 Hz too low for a 20.0 Hz passband edge"
+        assert by_id["fast"]["hr_pred"] == pytest.approx(72.0, abs=1.0)
+
+    def test_other_failures_keep_their_rows(self, tmp_path):
+        # no row is evaluated, but one failed for another reason
+        write_manifest_clip(tmp_path / "v0.rpgc", hr=72.0)
+        (tmp_path / "bad.rpgc").write_bytes(b"XXXX garbage")
+        doc = evaluate_manifest(tmp_path, ExtractorKind.TN_POOLED, self.CFG)
+        by_id = {row["video_id"]: row for row in doc["per_video"]}
+        assert "too low" in by_id["v0"]["error"]
+        assert "shorter than the 32-byte header" in by_id["bad"]["error"]
+        assert doc["n_evaluated"] == 0
 
 
 class TestNoiseFeatureRatios:
