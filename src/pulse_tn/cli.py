@@ -13,7 +13,7 @@ from .diff import diff_normalized, frame_diff
 from .extract import ExtractorKind, run_extractor
 from .harness import compare_manifest, evaluate_manifest, scene_from_sidecar, write_report
 from .hr import BandpassSpec, PipelineConfig, bandpass, video_hr, welch_psd
-from .simulate import render_noisy, synth_pulse
+from .simulate import render_noisy
 from .tn import TnConfig, tn
 
 EXTRACTOR_NAMES = [k.value for k in ExtractorKind]
@@ -69,14 +69,13 @@ def cmd_simulate(args) -> int:
         "diffuse": args.diffuse,
         "pixel_jitter": args.jitter,
     }
-    # rendered from the sidecar, so compare recomputes exactly these specs
-    scene, pulse_spec, noise = scene_from_sidecar(sidecar)
-    clip = render_noisy(scene, synth_pulse(pulse_spec, args.fps, args.frames), noise, height, width)
+    # rendered from the sidecar, so compare recomputes exactly this clip
+    clip = render_noisy(*scene_from_sidecar(sidecar))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    # the label first: a refused label leaves no clip behind
+    clipio.upsert_label(Path(args.labels) if args.labels else out.parent / "labels.csv", out.stem, args.hr)
     clipio.write_clip(clip, out, dtype=args.dtype)
-    labels = Path(args.labels) if args.labels else out.parent / "labels.csv"
-    clipio.upsert_label(labels, out.stem, args.hr)
     out.with_suffix(out.suffix + ".sim.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     )
@@ -85,9 +84,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    cfg = TnConfig(epsilon=args.epsilon)
     clip = clipio.read_clip(args.infile)
     if args.method == "tn":
-        result = tn(clip, TnConfig(epsilon=args.epsilon))
+        result = tn(clip, cfg)
     elif args.method == "diff":
         result = frame_diff(clip)
     else:
@@ -212,3 +212,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # a bad setting, manifest or file: one line, no report
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -65,14 +65,16 @@ def write_clip(clip: FrameClip, path, dtype: str = "f32") -> None:
     t, h, w, c = clip.data.shape
     if dtype == "f32":
         code = DTYPE_F32
-        payload = clip.data.astype("<f4").tobytes()
+        payload = clip.data.astype("<f4", order="C")
     elif dtype == "u8":
         code = DTYPE_U8
-        payload = np.round(np.clip(clip.data, 0.0, 1.0) * 255.0).astype("u1").tobytes()
+        payload = np.round(np.clip(clip.data, 0.0, 1.0) * 255.0).astype("u1", order="C")
     else:
         raise ValueError(f"dtype must be 'f32' or 'u8', got {dtype!r}")
-    header = _HEADER.pack(MAGIC, VERSION, t, h, w, c, code, clip.fps)
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, t, h, w, c, code, clip.fps))
+        # the C-ordered array itself, not a bytes copy of it
+        fh.write(payload)
 
 
 def read_clip(path) -> FrameClip:

@@ -69,10 +69,6 @@ class FrameClip:
     def channels(self) -> int:
         return self.data.shape[3]
 
-    @property
-    def duration_s(self) -> float:
-        return self.frames / self.fps
-
 
 @dataclass(frozen=True)
 class Waveform:

@@ -97,12 +97,14 @@ def _residual_ratio(ideal: np.ndarray, noisy: np.ndarray) -> float:
     return _rms(noisy) / scale
 
 
-def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, PulseSpec, NoiseSpec]:
-    """The specs a simulator sidecar records; its keys are the spec field names, but `seed`."""
+def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, Waveform, NoiseSpec, int, int]:
+    """`render_noisy`'s arguments for the clip a simulator sidecar records; its keys
+    are the spec field names, but `seed`, plus `fps`, `frames`, `height` and `width`."""
     scene_keys = ("illumination", "specular", "diffuse", "pixel_jitter")
     scene = SceneSpec(jitter_seed=meta["seed"], **{key: meta[key] for key in scene_keys})
     pulse = PulseSpec(**{key: meta[key] for key in ("hr_bpm", "amplitude", "shape", "harmonic_ratio")})
-    return scene, pulse, parse_noise_string(meta["noise"])
+    noise = parse_noise_string(meta["noise"])
+    return scene, synth_pulse(pulse, meta["fps"], meta["frames"]), noise, meta["height"], meta["width"]
 
 
 def _label_hr(label, cfg: PipelineConfig) -> float:
@@ -162,10 +164,7 @@ def _noise_ratio_row(path: Path, cfg: TnConfig) -> dict | None:
         return None
     row: dict = {"video_id": path.stem}
     try:
-        meta = json.loads(sidecar.read_text())
-        scene, pulse_spec, noise = scene_from_sidecar(meta)
-        pulse = synth_pulse(pulse_spec, meta["fps"], meta["frames"])
-        ratio_tn, ratio_diff = noise_feature_ratios(scene, pulse, noise, meta["height"], meta["width"], cfg)
+        ratio_tn, ratio_diff = noise_feature_ratios(*scene_from_sidecar(json.loads(sidecar.read_text())), cfg)
     except KeyError as exc:
         row["error"] = f"{sidecar}: missing field {exc}"
     except (OSError, TypeError, ValueError) as exc:

@@ -9,7 +9,7 @@ known, analytically exact noise residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,6 +116,8 @@ class SinusoidNoise:
 
 
 NoiseTerm = StepNoise | LinearNoise | SinusoidNoise
+# The noise grammar's term kinds; a term takes one number per field, in field order.
+_NOISE_TERMS = {"step": StepNoise, "linear": LinearNoise, "sin": SinusoidNoise}
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,6 @@ class NoiseSpec:
 
     delta_illumination: tuple[NoiseTerm, ...] = ()
     delta_specular: tuple[NoiseTerm, ...] = ()
-
-    def is_none(self) -> bool:
-        return not self.delta_illumination and not self.delta_specular
 
 
 NO_NOISE = NoiseSpec()
@@ -229,26 +228,15 @@ def parse_noise_string(text: str) -> NoiseSpec:
         token = raw.strip()
         if not token:
             raise ValueError(f"empty noise term in {text!r}")
-        target = d_ill
-        body = token
-        if body.startswith("vs/"):
-            target = d_spec
-            body = body[3:]
-        parts = body.split(":")
-        kind = parts[0]
+        target, body = (d_spec, token[3:]) if token.startswith("vs/") else (d_ill, token)
+        kind, *args = body.split(":")
+        if kind == "none" and not args:
+            continue
+        term = _NOISE_TERMS.get(kind)
+        if term is None or len(args) != len(fields(term)):
+            raise ValueError(f"bad noise term {token!r} (expected none, step:t0:gain, linear:total or sin:hz:amp)")
         try:
-            if kind == "none" and len(parts) == 1:
-                continue
-            if kind == "step" and len(parts) == 3:
-                target.append(StepNoise(t0_s=float(parts[1]), gain=float(parts[2])))
-                continue
-            if kind == "linear" and len(parts) == 2:
-                target.append(LinearNoise(total=float(parts[1])))
-                continue
-            if kind == "sin" and len(parts) == 3:
-                target.append(SinusoidNoise(freq_hz=float(parts[1]), amplitude=float(parts[2])))
-                continue
+            target.append(term(*map(float, args)))
         except ValueError as exc:
             raise ValueError(f"bad noise term {token!r}: {exc}") from None
-        raise ValueError(f"bad noise term {token!r} (expected none, step:t0:gain, linear:total or sin:hz:amp)")
     return NoiseSpec(delta_illumination=tuple(d_ill), delta_specular=tuple(d_spec))

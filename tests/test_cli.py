@@ -112,13 +112,22 @@ class TestSimulate:
         pulse = PulseSpec(hr_bpm=66.0, amplitude=0.01, shape="harmonic", harmonic_ratio=0.5)
         by_hand = tmp_path / "by_hand.rpgc"
         write_clip(render_noisy(scene, synth_pulse(pulse, 25.0, 300), parse_noise_string(noise), 6, 5), by_hand, "u8")
-        # the specs compare recomputes from the sidecar render the same clip
+        # the render arguments compare recomputes from the sidecar render the same clip
         meta = json.loads(out.with_suffix(".rpgc.sim.json").read_text())
-        scene, pulse, noise_spec = scene_from_sidecar(meta)
         from_sidecar = tmp_path / "from_sidecar.rpgc"
-        clip = render_noisy(scene, synth_pulse(pulse, meta["fps"], meta["frames"]), noise_spec, 6, 5)
-        write_clip(clip, from_sidecar, "u8")
+        write_clip(render_noisy(*scene_from_sidecar(meta)), from_sidecar, "u8")
         assert out.read_bytes() == by_hand.read_bytes() == from_sidecar.read_bytes()
+
+    def test_refused_label_leaves_no_clip(self, tmp_path, capsys):
+        # a time-series labels.csv takes no hr_bpm row, so the label is refused
+        labels = tmp_path / "labels.csv"
+        labels.write_text("video_id,t_s,bvp\nx,0.0,1.0\n")
+        out = tmp_path / "v.rpgc"
+        with pytest.raises(SystemExit) as exc:
+            simulate(out)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"pulse-tn: error: {labels}: non-increasing t_s for x\n"
+        assert sorted(tmp_path.iterdir()) == [labels]
 
     def test_bad_noise_spec_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -150,6 +159,14 @@ class TestTransform:
         out = tmp_path / "d.rpgc"
         assert main(["transform", "--in", str(src), "--out", str(out), "--method", method]) == 0
         assert read_clip(out).data.shape == (299, 8, 8, 3)
+
+    @pytest.mark.parametrize("method", ["tn", "diff", "diffnorm"])
+    def test_bad_epsilon_fails_before_the_clip_is_read(self, tmp_path, capsys, method):
+        argv = ["transform", "--in", str(tmp_path / "missing.rpgc"), "--out", str(tmp_path / "out.rpgc")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--method", method, "--epsilon", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "pulse-tn: error: epsilon must be finite and > 0, got 0.0\n"
 
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -532,3 +549,15 @@ def test_cold_start_imports_no_scipy():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("module", ["pulse_tn", "pulse_tn.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    out = tmp_path / "v.rpgc"
+    argv = ["simulate", "--hr", "72", "--frames", "60", "--out", str(out)]
+    src = str(Path(pulse_tn.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-m", module, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert read_clip(out).data.shape == (60, 8, 8, 3)

@@ -200,6 +200,19 @@ def test_read_and_extract_peak_memory(tmp_path):
     assert peak <= 2.0 * clip_bytes
 
 
+def test_write_clip_peak_memory(tmp_path):
+    # the encoded payload is the floor; a second full-size copy of it must not add to it
+    clip = FrameClip(np.random.default_rng(25).random((300, 32, 32, 3)), 30.0)
+    payload_bytes = 300 * 32 * 32 * 3 * 4
+    tracemalloc.start()
+    try:
+        write_clip(clip, tmp_path / "clip.rpgc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * payload_bytes
+
+
 class TestLabels:
     def test_upsert_and_read(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -306,6 +319,59 @@ class TestLabelRows:
         path = tmp_path / "labels.csv"
         write_series(path, rows)
         assert_rejected(read_labels(path)["v3"], r"labels\.csv: non-finite t_s or bvp for v3")
+
+
+def write_lines(path, lines, newline):
+    path.write_bytes((newline.join(lines) + newline).encode())
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+class TestLabelsCsvDialect:
+    """The CSV dialect both label schemas accept: quoted fields (an id may
+    hold a comma), LF or CRLF line ends, columns in any order beside extra
+    ones, and blank lines between rows, which still count toward the line
+    numbers errors name."""
+
+    def test_hr_schema_values(self, tmp_path, newline):
+        path = tmp_path / "labels.csv"
+        lines = ["note,hr_bpm,video_id", "x,72.0,v0", "", '"a, b","66.5","id,with,commas"', "", "", "y,80,v2"]
+        write_lines(path, lines, newline)
+        assert read_labels(path) == {"v0": 72.0, "id,with,commas": 66.5, "v2": 80.0}
+
+    def test_hr_schema_error_lines(self, tmp_path, newline):
+        path = tmp_path / "labels.csv"
+        head = ["note,hr_bpm,video_id", '"a,b",72.0,"v,0"', ""]
+        write_lines(path, head + ["", "x,fast,v1"], newline)
+        with pytest.raises(ValueError, match=r"labels\.csv: line 5: could not convert string to float: 'fast'"):
+            read_labels(path)
+        write_lines(path, head + ['"y,z",72.0'], newline)
+        with pytest.raises(ValueError, match=r"labels\.csv: line 4: 2 fields, expected at least 3"):
+            read_labels(path)
+
+    def test_series_schema_values(self, tmp_path, newline):
+        path = tmp_path / "labels.csv"
+        lines = ["bvp,extra,t_s,video_id"]
+        for k in range(40):
+            lines += [f'{0.1 * k!r},"n, {k}",{k / 20!r},"a,b"', f"{-0.1 * k!r},,{k / 25!r},v1"]
+            if k % 9 == 0:
+                lines.append("")
+        write_lines(path, lines, newline)
+        labels = read_labels(path)
+        assert list(labels) == ["a,b", "v1"]
+        assert labels["a,b"].fps == pytest.approx(20.0)
+        assert labels["a,b"].samples.tolist() == [0.1 * k for k in range(40)]
+        assert labels["v1"].fps == pytest.approx(25.0)
+        assert labels["v1"].samples.tolist() == [-0.1 * k for k in range(40)]
+
+    def test_series_schema_error_lines(self, tmp_path, newline):
+        path = tmp_path / "labels.csv"
+        head = ["bvp,extra,t_s,video_id", '0.5,"x,y",0.0,"a,b"', "", '0.6,"",0.04,"a,b"', ""]
+        write_lines(path, head + ["0.7,,0.08,v1", "high,,0.12,v1"], newline)
+        with pytest.raises(ValueError, match=r"labels\.csv: line 7: could not convert string to float: 'high'"):
+            read_labels(path)
+        write_lines(path, head + ['0.7,"z",0.08'], newline)
+        with pytest.raises(ValueError, match=r"labels\.csv: line 6: 3 fields, expected at least 4"):
+            read_labels(path)
 
 
 def dict_reader_series(path):

@@ -14,7 +14,6 @@ class TestFrameClip:
         assert clip.frames == 10
         assert clip.channels == 3
         assert clip.data.dtype == np.float64
-        assert clip.duration_s == pytest.approx(10 / 30)
 
     @pytest.mark.parametrize(
         "shape", [(10, 4, 4), (1, 4, 4, 3), (10, 0, 4, 3), (10, 4, 4, 2), (10, 4, 4, 4)]

@@ -188,7 +188,7 @@ class TestAnalyticResidual:
 
 class TestParseNoiseString:
     def test_none(self):
-        assert parse_noise_string("none").is_none()
+        assert parse_noise_string("none") == NO_NOISE == parse_noise_string("vs/none")
 
     def test_single_terms(self):
         assert parse_noise_string("linear:0.1") == NoiseSpec(
@@ -214,3 +214,20 @@ class TestParseNoiseString:
     def test_offending_token_named(self):
         with pytest.raises(ValueError, match="bogus:1"):
             parse_noise_string("linear:0.1+bogus:1")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("bogus:1", "bad noise term 'bogus:1' (expected none, step:t0:gain, linear:total or sin:hz:amp)"),
+            ("step:1", "bad noise term 'step:1' (expected none, step:t0:gain, linear:total or sin:hz:amp)"),
+            ("none:1", "bad noise term 'none:1' (expected none, step:t0:gain, linear:total or sin:hz:amp)"),
+            ("vs/", "bad noise term 'vs/' (expected none, step:t0:gain, linear:total or sin:hz:amp)"),
+            ("step:1:2:3", "bad noise term 'step:1:2:3' (expected none, step:t0:gain, linear:total or sin:hz:amp)"),
+            ("linear:x", "bad noise term 'linear:x': could not convert string to float: 'x'"),
+            ("linear:0.1+", "empty noise term in 'linear:0.1+'"),
+        ],
+    )
+    def test_exact_messages(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_noise_string(text)
+        assert str(exc.value) == message
