@@ -101,7 +101,7 @@ def cmd_transform(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _pipeline(args)
-    clip = clipio.read_clip(args.infile)
+    clip = clipio.read_clip(args.infile, green_only=True)
     waveform = run_extractor(ExtractorKind(args.extractor), clip, cfg.tn)
     hr = video_hr(waveform, cfg)
     if args.dump_waveform:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FrameClip, Waveform
+from .core import FrameClip, Waveform, _require_clip_shape, _require_finite, green_channel
 
 MAGIC = b"RPGC"
 VERSION = 1
@@ -34,8 +34,8 @@ DTYPE_F32 = 0
 DTYPE_U8 = 1
 _HEADER = struct.Struct("<4sIIIIIIf")
 _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype("u1")}
-# Payload bytes read per chunk by read_clip.
-_CHUNK_BYTES = 4 * 1024 * 1024
+# Payload bytes read, or float64 bytes quantized, per chunk by read_clip and write_clip.
+_CHUNK_BYTES = 1024 * 1024
 # Largest allowed |step - mean step| of a time-series label, relative to the mean step.
 _SPACING_TOLERANCE = 0.01
 
@@ -65,25 +65,48 @@ def write_clip(clip: FrameClip, path, dtype: str = "f32") -> None:
     t, h, w, c = clip.data.shape
     if dtype == "f32":
         code = DTYPE_F32
-        payload = clip.data.astype("<f4", order="C")
     elif dtype == "u8":
         code = DTYPE_U8
-        payload = np.round(np.clip(clip.data, 0.0, 1.0) * 255.0).astype("u1", order="C")
     else:
         raise ValueError(f"dtype must be 'f32' or 'u8', got {dtype!r}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, t, h, w, c, code, clip.fps))
-        # the C-ordered array itself, not a bytes copy of it
-        fh.write(payload)
+        if code == DTYPE_F32:
+            # the C-ordered array itself, not a bytes copy of it
+            fh.write(clip.data.astype("<f4", order="C"))
+        else:
+            _write_u8(fh, clip.data)
 
 
-def read_clip(path) -> FrameClip:
+def _write_u8(fh, data: np.ndarray) -> None:
+    """Write round(clip(data, 0, 1) * 255) as bytes in C order, quantizing as
+    many whole frames at a time as fit one reused float64 buffer of
+    _CHUNK_BYTES (at least one frame), so no full-size temporary is made."""
+    frame = data[0].size
+    step = max(1, _CHUNK_BYTES // (8 * frame))
+    scaled = np.empty(min(step, len(data)) * frame)
+    for start in range(0, len(data), step):
+        block = data[start : start + step]
+        f64 = scaled[: block.size]
+        np.clip(block, 0.0, 1.0, out=f64.reshape(block.shape))
+        f64 *= 255.0
+        np.round(f64, out=f64)
+        fh.write(f64.astype("u1"))
+
+
+def read_clip(path, green_only: bool = False) -> FrameClip:
     """Parse a clip file, rejecting malformed headers with structured errors.
 
-    The path must be a regular file. The payload size is checked against
-    the header dims before anything is allocated; the payload is then
-    streamed in chunks through one reused buffer into the float64 clip, so
-    the file bytes are never held whole.
+    The path must be a regular file. The payload size is checked against the
+    header dims, and the dims against FrameClip's shape rules, before anything
+    is allocated. The payload is then streamed whole pixels at a time through
+    one reused buffer, so the file bytes are never held whole, and every
+    sample of every channel is checked finite on the way.
+
+    By default every channel is widened into the float64 clip. With
+    green_only, only the green channel is (channel 1 of 3, channel 0 of 1),
+    and the result is a one-channel clip: the extractors read nothing else,
+    and it is a third of the float64 bytes of a 3-channel clip.
     """
     info = os.stat(path)
     # checked before open: opening a FIFO would block until a writer appears
@@ -108,29 +131,38 @@ def read_clip(path) -> FrameClip:
                 f"{path}: payload of {actual} bytes does not match dims "
                 f"{t}x{h}x{w}x{c} ({expected} bytes expected)"
             )
-        data = _read_payload(fh, dtype, t * h * w * c, path).reshape(t, h, w, c)
-    try:
-        return FrameClip(data, fps)
-    except ValueError as exc:
-        raise ClipFormatError(f"{path}: {exc}") from exc
+        # FrameClip's checks in its order: shape, then finiteness, then fps
+        try:
+            _require_clip_shape((t, h, w, c))
+            g = green_channel(c)
+            keep = slice(g, g + 1) if green_only else slice(0, c)
+            data = _read_payload(fh, dtype, t * h * w, c, keep, path)
+            return FrameClip(data.reshape(t, h, w, -1), fps)
+        except ClipFormatError:
+            raise
+        except ValueError as exc:
+            raise ClipFormatError(f"{path}: {exc}") from exc
 
 
-def _read_payload(fh, dtype: np.dtype, count: int, path) -> np.ndarray:
-    """Read `count` samples of `dtype` from `fh` into a new float64 array
-    (u8 samples divided by 255), one chunk at a time."""
-    data = np.empty(count, dtype=np.float64)
+def _read_payload(fh, dtype: np.dtype, pixels: int, channels: int, keep: slice, path) -> np.ndarray:
+    """Read `pixels` pixels of `channels` samples of `dtype` from `fh`, whole
+    pixels per chunk, and return the `keep` channels as a new float64
+    (pixels, kept) array, u8 samples divided by 255. Every f32 sample of
+    every channel is checked finite, kept or not."""
+    data = np.empty((pixels, keep.stop - keep.start), dtype=np.float64)
     u8 = dtype == _DTYPES[DTYPE_U8]
-    step = max(1, _CHUNK_BYTES // dtype.itemsize)
-    buf = np.empty(min(step, count), dtype=dtype)
-    for start in range(0, count, step):
-        chunk = buf[: min(step, count - start)]
+    step = max(1, _CHUNK_BYTES // (dtype.itemsize * channels))
+    buf = np.empty((min(step, pixels), channels), dtype=dtype)
+    for start in range(0, pixels, step):
+        chunk = buf[: min(step, pixels - start)]
         if fh.readinto(chunk) != chunk.nbytes:
             raise TruncatedClipError(f"{path}: file ended inside the payload")
-        out = data[start : start + chunk.size]
+        out = data[start : start + len(chunk)]
         if u8:
-            np.divide(chunk, 255.0, out=out)
+            np.divide(chunk[:, keep], 255.0, out=out)
         else:
-            out[...] = chunk
+            _require_finite(chunk, "clip data")
+            out[...] = chunk[:, keep]
     return data
 
 
@@ -149,7 +181,8 @@ def read_labels(path) -> dict[str, object]:
     malformed file (unknown header, short row, unparsable number) raises.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    # utf-8-sig: a byte order mark, as spreadsheet programs write, is not part of the header
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         col = {name: i for i, name in enumerate(next(reader, []))}
         if "video_id" in col and "hr_bpm" in col:
@@ -243,7 +276,7 @@ def upsert_label(path, video_id: str, hr_bpm: float) -> None:
                 raise ValueError(f"{path}: cannot append a plain label to a time-series file")
             rows[vid] = value
     rows[str(video_id)] = float(hr_bpm)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "hr_bpm"])
         for vid in sorted(rows):

@@ -23,6 +23,25 @@ def _require_fps(fps: float) -> float:
     return fps
 
 
+def _require_clip_shape(shape: tuple) -> None:
+    """FrameClip's shape rules, which clipio also applies to a header's dims
+    before it reads the payload."""
+    if len(shape) != 4:
+        raise ValueError(f"clip tensor must be T x H x W x C, got shape {shape}")
+    t, h, w, c = shape
+    if t < 2:
+        raise ValueError(f"clip needs at least 2 frames, got {t}")
+    if h < 1 or w < 1:
+        raise ValueError(f"clip needs H >= 1 and W >= 1, got {h} x {w}")
+    if c not in (1, 3):
+        raise ValueError(f"clip channel count must be 1 or 3, got {c}")
+
+
+def green_channel(channels: int) -> int:
+    """Index of the green channel: channel 1 of 3, channel 0 of 1."""
+    return 1 if channels == 3 else 0
+
+
 @dataclass(frozen=True)
 class FrameClip:
     """A T x H x W x C video tensor with its frame rate in Hz.
@@ -37,15 +56,7 @@ class FrameClip:
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 4:
-            raise ValueError(f"clip tensor must be T x H x W x C, got shape {data.shape}")
-        t, h, w, c = data.shape
-        if t < 2:
-            raise ValueError(f"clip needs at least 2 frames, got {t}")
-        if h < 1 or w < 1:
-            raise ValueError(f"clip needs H >= 1 and W >= 1, got {h} x {w}")
-        if c not in (1, 3):
-            raise ValueError(f"clip channel count must be 1 or 3, got {c}")
+        _require_clip_shape(data.shape)
         _require_finite(data, "clip data")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "fps", _require_fps(self.fps))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import FrameClip, Waveform, pool_spatial
+from .core import FrameClip, Waveform, green_channel, pool_spatial
 from .diff import diff_normalized
 from .tn import TnConfig, tn
 
@@ -16,8 +16,8 @@ class ExtractorKind(Enum):
 
 
 def _green(clip: FrameClip) -> FrameClip:
-    """The green channel (channel 1 of 3, channel 0 of 1) as a one-channel view."""
-    return clip._channel(1 if clip.channels == 3 else 0)
+    """The green channel as a one-channel view."""
+    return clip._channel(green_channel(clip.channels))
 
 
 def extract_green(clip: FrameClip) -> Waveform:

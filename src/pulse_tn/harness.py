@@ -118,11 +118,12 @@ def _label_hr(label, cfg: PipelineConfig) -> float:
 
 
 def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfig) -> tuple[list, list]:
-    """One row per extractor from one read of the clip, each scored against
-    the label HR, which is computed once. Also returned are the classes of the
-    errors that flagged rows. The clip is freed on return."""
+    """One row per extractor from one read of the clip's green channel (the
+    only channel the extractors read), each scored against the label HR,
+    which is computed once. Also returned are the classes of the errors that
+    flagged rows. The clip is freed on return."""
     try:
-        clip = clipio.read_clip(path)
+        clip = clipio.read_clip(path, green_only=True)
     except (OSError, clipio.ClipFormatError) as exc:
         return [{"video_id": path.stem, "error": str(exc)} for _ in kinds], [type(exc)] * len(kinds)
     rows, failures, fields = [], [], None

@@ -18,15 +18,19 @@ from pulse_tn import (
     SceneSpec,
     TnConfig,
     bandpass,
+    diff_normalized,
+    frame_diff,
     parse_noise_string,
     read_clip,
     render_noisy,
     run_extractor,
     synth_pulse,
+    tn,
     video_hr,
     welch_psd,
     write_clip,
 )
+from pulse_tn import clipio
 from pulse_tn.cli import build_parser, main
 from pulse_tn.harness import scene_from_sidecar
 
@@ -172,6 +176,40 @@ class TestTransform:
         with pytest.raises(SystemExit) as exc:
             main(["transform", "--in", "x", "--out", "y", "--method", "fft"])
         assert exc.value.code == 2
+
+
+class TestClipDecode:
+    """evaluate, compare and estimate decode only the green channel, the one
+    every extractor reads; transform decodes every channel."""
+
+    @pytest.fixture
+    def green_only_calls(self, monkeypatch):
+        calls = []
+        full_read = clipio.read_clip
+
+        def spy(path, green_only=False):
+            calls.append(green_only)
+            return full_read(path, green_only=green_only)
+
+        monkeypatch.setattr(clipio, "read_clip", spy)
+        return calls
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_manifest_commands_read_green_only(self, small_manifest, tmp_path, green_only_calls, command):
+        assert main([command, "--manifest", str(small_manifest), "--out", str(tmp_path / "r.json")]) == 0
+        assert green_only_calls == [True, True]
+
+    def test_estimate_reads_green_only(self, small_manifest, green_only_calls, capsys):
+        assert main(["estimate", "--in", str(small_manifest / "v000.rpgc")]) == 0
+        assert green_only_calls == [True]
+
+    @pytest.mark.parametrize("method, transform", [("tn", tn), ("diff", frame_diff), ("diffnorm", diff_normalized)])
+    def test_transform_reads_every_channel(self, small_manifest, tmp_path, green_only_calls, method, transform):
+        src, out, expected = small_manifest / "v000.rpgc", tmp_path / "out.rpgc", tmp_path / "expected.rpgc"
+        assert main(["transform", "--in", str(src), "--out", str(out), "--method", method]) == 0
+        assert green_only_calls == [False]
+        write_clip(transform(read_clip(src)), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestEstimate:

@@ -2,7 +2,10 @@ import csv
 import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +187,23 @@ class TestStreamingRead:
         with pytest.raises(TruncatedClipError):
             read_clip(path)
 
+    @pytest.mark.parametrize("channels", [3, 1])
+    @pytest.mark.parametrize("dtype", ["f32", "u8"])
+    def test_green_only_is_the_green_slice_of_the_full_read(self, tmp_path, monkeypatch, dtype, channels):
+        # whole pixels per chunk: 100 samples hold 33 three-channel pixels and one left over
+        if dtype == "u8":
+            monkeypatch.setattr(clipio, "_CHUNK_BYTES", 100)
+        path = tmp_path / "clip.rpgc"
+        data = np.random.default_rng(26).random(self.SHAPE[:3] + (channels,))
+        write_clip(FrameClip(data, 30.0), path, dtype=dtype)
+        green = 1 if channels == 3 else 0
+        expected = read_clip(path).data[..., green : green + 1]
+        clip = read_clip(path, green_only=True)
+        assert clip.data.shape == expected.shape
+        assert clip.data.flags.c_contiguous
+        assert clip.data.tobytes() == expected.tobytes()
+        assert clip.fps == 30.0
+
 
 def test_read_and_extract_peak_memory(tmp_path):
     # the decoded float64 clip itself is the floor; the file bytes and the
@@ -211,6 +231,126 @@ def test_write_clip_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * payload_bytes
+
+
+def test_green_only_read_and_extract_peak_memory(tmp_path):
+    # only the green channel is widened to float64, a third of the full clip;
+    # tn_pooled's trace-major copy and its output add about one green channel each
+    path = tmp_path / "clip.rpgc"
+    write_clip(FrameClip(np.random.default_rng(22).random((300, 32, 32, 3)), 30.0), path)
+    clip_bytes = 300 * 32 * 32 * 3 * 8
+    tracemalloc.start()
+    try:
+        extract_tn_pooled(read_clip(path, green_only=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * clip_bytes
+
+
+def read_error(path, **kwargs):
+    """The class and message of the ClipFormatError that read_clip raises."""
+    with pytest.raises(ClipFormatError) as exc:
+        read_clip(path, **kwargs)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("channel", [0, 1, 2])
+def test_green_only_rejects_non_finite_in_every_channel(tmp_path, channel, value):
+    path = tmp_path / "clip.rpgc"
+    write_clip(random_clip(), path)
+    buf = bytearray(path.read_bytes())
+    # the last pixel of the 12x3x4x3 clip, so every chunk before it was clean
+    offset = len(buf) - 4 * (3 - channel)
+    buf[offset : offset + 4] = struct.pack("<f", value)
+    path.write_bytes(buf)
+    error = read_error(path, green_only=True)
+    assert error == read_error(path)
+    assert error[1] == f"{path}: clip data must not contain NaN or Inf"
+
+
+def clip_header(t=7, h=3, w=4, c=3, code=clipio.DTYPE_F32, magic=clipio.MAGIC, version=clipio.VERSION):
+    return clipio._HEADER.pack(magic, version, t, h, w, c, code, 30.0)
+
+
+PAYLOAD = bytes(7 * 3 * 4 * 3 * 4)  # float32 zeros for the default header dims
+
+MALFORMED_CLIPS = {
+    "bad_magic": (BadMagicError, clip_header(magic=b"XXXX") + PAYLOAD),
+    "bad_version": (BadVersionError, clip_header(version=9) + PAYLOAD),
+    "bad_dtype": (UnsupportedDtypeError, clip_header(code=7) + PAYLOAD),
+    "short_payload": (TruncatedClipError, clip_header() + PAYLOAD[:-1]),
+    "long_payload": (TruncatedClipError, clip_header() + PAYLOAD + b"\0"),
+    "header_only": (TruncatedClipError, clip_header()),
+    "short_header": (TruncatedClipError, clip_header()[:5]),
+    "two_channels": (ClipFormatError, clip_header(c=2) + bytes(7 * 3 * 4 * 2 * 4)),
+    "one_frame": (ClipFormatError, clip_header(t=1) + bytes(3 * 4 * 3 * 4)),
+    "zero_fps": (ClipFormatError, clip_header()[:-4] + struct.pack("<f", 0.0) + PAYLOAD),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CLIPS))
+def test_green_only_rejects_what_the_full_read_rejects(tmp_path, case):
+    cls, contents = MALFORMED_CLIPS[case]
+    path = tmp_path / "clip.rpgc"
+    path.write_bytes(contents)
+    error = read_error(path, green_only=True)
+    assert error == read_error(path)
+    assert error[0] is cls
+
+
+def test_green_only_checks_the_shape_before_the_samples(tmp_path):
+    # a 2-channel header has no green channel: its shape is the error, not its NaN
+    path = tmp_path / "clip.rpgc"
+    path.write_bytes(clip_header(c=2) + struct.pack("<f", float("nan")) * (7 * 3 * 4 * 2))
+    assert read_error(path, green_only=True)[1] == f"{path}: clip channel count must be 1 or 3, got 2"
+
+
+def test_green_only_rejects_a_directory(tmp_path):
+    assert read_error(tmp_path, green_only=True) == read_error(tmp_path) == (ClipFormatError, f"{tmp_path}: not a regular file")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_green_only_rejects_a_fifo_without_opening(tmp_path):
+    path = tmp_path / "clip.rpgc"
+    os.mkfifo(path)
+    # a writer, so that a read_clip that opened the FIFO would not block forever
+    guard = os.open(path, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        assert read_error(path, green_only=True) == read_error(path) == (ClipFormatError, f"{path}: not a regular file")
+    finally:
+        os.close(guard)
+
+
+def test_write_clip_u8_peak_memory(tmp_path, monkeypatch):
+    # quantized through one 64 KiB float64 buffer, not a float64 copy of the clip
+    monkeypatch.setattr(clipio, "_CHUNK_BYTES", 64 * 1024)
+    clip = FrameClip(np.random.default_rng(27).random((300, 32, 32, 3)), 30.0)
+    payload_bytes = 300 * 32 * 32 * 3
+    tracemalloc.start()
+    try:
+        write_clip(clip, tmp_path / "clip.rpgc", dtype="u8")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * payload_bytes
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_write_clip_u8_bytes(tmp_path, monkeypatch, order):
+    # 100 float64 samples per chunk: four 24-sample frames, and a ragged last chunk
+    monkeypatch.setattr(clipio, "_CHUNK_BYTES", 100 * 8)
+    k = np.arange(255)
+    edges = [-1e3, -1.0, -0.5 / 255, -1e-12, 0.0, 1.0, 1 + 1e-12, 1 + 0.5 / 255, 2.0, 1e3]
+    values = np.concatenate([(k + 0.5) / 255, k / 255, edges])
+    rng = np.random.default_rng(28)
+    shape = (23, 2, 4, 3)
+    data = np.concatenate([rng.permutation(values), rng.random(np.prod(shape) - values.size)]).reshape(shape)
+    path = tmp_path / "clip.rpgc"
+    write_clip(FrameClip(np.asarray(data, order=order), 30.0), path, dtype="u8")
+    expected = np.round(np.clip(data, 0.0, 1.0) * 255.0).astype("u1")
+    assert path.read_bytes() == clip_header(*shape, code=clipio.DTYPE_U8) + expected.tobytes()
 
 
 class TestLabels:
@@ -261,6 +401,44 @@ class TestLabels:
         path.write_text("id,rate\nv0,72\n")
         with pytest.raises(ValueError):
             read_labels(path)
+
+
+@pytest.mark.parametrize("header, rows", [
+    ("video_id,hr_bpm", ["v0,72.0", "v1,66.5"]),
+    ("video_id,t_s,bvp", [f"{vid},{k / 20!r},{float(np.sin(k))!r}" for vid in ("v0", "v1") for k in range(40)]),
+], ids=["hr", "series"])
+def test_labels_with_a_byte_order_mark(tmp_path, header, rows):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    text = "\n".join([header, *rows]) + "\n"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    expected, got = read_labels(plain), read_labels(marked)
+    assert list(got) == list(expected) == ["v0", "v1"]
+    for vid, label in expected.items():
+        if isinstance(label, Waveform):
+            assert got[vid].samples.tobytes() == label.samples.tobytes()
+            assert got[vid].fps == label.fps
+        else:
+            assert got[vid] == label
+
+
+def test_upsert_label_writes_utf8_in_any_locale(tmp_path):
+    # a C locale with UTF-8 mode off makes ASCII the default text encoding
+    path = tmp_path / "labels.csv"
+    code = (
+        "import sys; from pulse_tn import read_labels, upsert_label; "
+        "upsert_label(sys.argv[1], 'vid\\xe9o-\\u03b1', 72.0); upsert_label(sys.argv[1], 'v0', 60.0); "
+        "print(ascii(read_labels(sys.argv[1])))"
+    )
+    src = str(Path(clipio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "{'v0': 60.0, 'vid\\xe9o-\\u03b1': 72.0}\n"
+    assert path.read_bytes() == "video_id,hr_bpm\r\nv0,60.0\r\nvid\u00e9o-\u03b1,72.0\r\n".encode("utf-8")
+    assert read_labels(path) == {"v0": 60.0, "vid\u00e9o-\u03b1": 72.0}
 
 
 def assert_rejected(label, pattern):

@@ -142,7 +142,7 @@ class TestOneWalk:
         (tmp_path / "labels.csv").write_text("video_id,hr_bpm\nv0,60.0\nv1,72.0\nv2,84.0\n")
         reads, labels = [], []
         read_clip, label_hr = clipio.read_clip, harness._label_hr
-        monkeypatch.setattr(clipio, "read_clip", lambda path: reads.append(path.stem) or read_clip(path))
+        monkeypatch.setattr(clipio, "read_clip", lambda path, **kw: reads.append(path.stem) or read_clip(path, **kw))
         monkeypatch.setattr(harness, "_label_hr", lambda label, cfg: labels.append(label) or label_hr(label, cfg))
         doc = compare_manifest(tmp_path, ALL_KINDS)
         assert sorted(reads) == ["v0", "v1", "v2"]
