@@ -20,7 +20,7 @@ from .simulate import (
 )
 from .tn import (
     DEFAULT_BACKEND,
-    TnConfig,
+    EPSILON,
     TrendFit,
     detrend,
     fit_trend,

@@ -15,8 +15,8 @@ import numpy as np
 _BLOCK_BYTES = 256 * 1024
 
 
-def tn_traces(data: np.ndarray, eps: float) -> np.ndarray:
-    """Detrend each column against its index, then divide by sqrt(mean square + eps)."""
+def tn_traces(data: np.ndarray, epsilon: float) -> np.ndarray:
+    """Detrend each column against its index, then divide by sqrt(mean square + epsilon)."""
     t_len, n = data.shape
     if t_len < 3:
         raise ValueError("traces must have at least 3 samples")
@@ -34,5 +34,5 @@ def tn_traces(data: np.ndarray, eps: float) -> np.ndarray:
         block = resid[start : start + rows]
         block -= tc[start : start + rows, None] * slope
         sumsq += np.einsum("tj,tj->j", block, block)
-    resid /= np.sqrt(sumsq / t_len + eps)
+    resid /= np.sqrt(sumsq / t_len + epsilon)
     return resid

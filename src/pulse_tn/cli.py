@@ -13,8 +13,8 @@ from .diff import diff_normalized, frame_diff
 from .extract import ExtractorKind, run_extractor
 from .harness import compare_manifest, evaluate_manifest, scene_from_sidecar, write_report
 from .hr import BandpassSpec, PipelineConfig, bandpass, video_hr, welch_psd
-from .simulate import render_noisy
-from .tn import TnConfig, tn
+from .simulate import PULSE_SHAPES, PulseSpec, SceneSpec, render_noisy
+from .tn import EPSILON, _check_epsilon, tn
 
 EXTRACTOR_NAMES = [k.value for k in ExtractorKind]
 
@@ -36,7 +36,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-len", type=int, default=d.window_len, help="Welch window length")
     p.add_argument("--overlap", type=float, default=d.overlap, help="Welch window overlap fraction")
     p.add_argument("--nfft", type=int, default=d.nfft, help="zero-padded FFT length")
-    p.add_argument("--epsilon", type=float, default=d.tn.epsilon, help="normalization guard epsilon")
+    p.add_argument("--epsilon", type=float, default=d.epsilon, help="normalization guard epsilon")
 
 
 def _pipeline(args) -> PipelineConfig:
@@ -47,7 +47,7 @@ def _pipeline(args) -> PipelineConfig:
         window_len=args.window_len,
         overlap=args.overlap,
         nfft=args.nfft,
-        tn=TnConfig(epsilon=args.epsilon),
+        epsilon=args.epsilon,
     )
 
 
@@ -84,10 +84,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    cfg = TnConfig(epsilon=args.epsilon)
+    _check_epsilon(args.epsilon)
     clip = clipio.read_clip(args.infile)
     if args.method == "tn":
-        result = tn(clip, cfg)
+        result = tn(clip, args.epsilon)
     elif args.method == "diff":
         result = frame_diff(clip)
     else:
@@ -102,7 +102,7 @@ def cmd_transform(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = _pipeline(args)
     clip = clipio.read_clip(args.infile, green_only=True)
-    waveform = run_extractor(ExtractorKind(args.extractor), clip, cfg.tn)
+    waveform = run_extractor(ExtractorKind(args.extractor), clip, cfg.epsilon)
     hr = video_hr(waveform, cfg)
     if args.dump_waveform:
         t_s = np.arange(len(waveform)) / waveform.fps
@@ -159,24 +159,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--size", type=_parse_size, default=(8, 8), help="HxW, e.g. 8x8")
     p.add_argument("--noise", default="none", help='e.g. "linear:0.1+vs/sin:0.5:0.02"')
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SceneSpec.jitter_seed)
     p.add_argument("--out", required=True, help="output .rpgc path")
     p.add_argument("--labels", default=None, help="labels.csv path (default: beside --out)")
-    p.add_argument("--amplitude", type=float, default=0.005)
-    p.add_argument("--jitter", type=float, default=0.05)
-    p.add_argument("--pulse-shape", choices=["sinusoid", "harmonic"], default="sinusoid")
-    p.add_argument("--harmonic-ratio", type=float, default=0.3)
-    p.add_argument("--illumination", type=float, default=1.0)
-    p.add_argument("--specular", type=float, default=0.2)
-    p.add_argument("--diffuse", type=float, default=0.5)
-    p.add_argument("--dtype", choices=["f32", "u8"], default="f32")
+    p.add_argument("--amplitude", type=float, default=PulseSpec.amplitude)
+    p.add_argument("--jitter", type=float, default=SceneSpec.pixel_jitter)
+    p.add_argument("--pulse-shape", choices=PULSE_SHAPES, default=PulseSpec.shape)
+    p.add_argument("--harmonic-ratio", type=float, default=PulseSpec.harmonic_ratio)
+    p.add_argument("--illumination", type=float, default=SceneSpec.illumination)
+    p.add_argument("--specular", type=float, default=SceneSpec.specular)
+    p.add_argument("--diffuse", type=float, default=SceneSpec.diffuse)
+    p.add_argument("--dtype", choices=list(clipio.DTYPE_CODES), default="f32")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("transform", help="apply a feature transform to a clip file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=["tn", "diff", "diffnorm"], required=True)
-    p.add_argument("--epsilon", type=float, default=TnConfig().epsilon)
+    p.add_argument("--epsilon", type=float, default=EPSILON)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("estimate", help="estimate the heart rate of one clip")

@@ -32,6 +32,8 @@ MAGIC = b"RPGC"
 VERSION = 1
 DTYPE_F32 = 0
 DTYPE_U8 = 1
+# write_clip's dtype names and the codes they are stored as
+DTYPE_CODES = {"f32": DTYPE_F32, "u8": DTYPE_U8}
 _HEADER = struct.Struct("<4sIIIIIIf")
 _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype("u1")}
 # Payload bytes read, or float64 bytes quantized, per chunk by read_clip and write_clip.
@@ -63,17 +65,19 @@ class TruncatedClipError(ClipFormatError):
 def write_clip(clip: FrameClip, path, dtype: str = "f32") -> None:
     """Serialize a clip; dtype "f32" is lossless, "u8" quantizes [0,1] to 255 steps."""
     t, h, w, c = clip.data.shape
+    if dtype not in DTYPE_CODES:
+        raise ValueError(f"dtype must be {' or '.join(map(repr, DTYPE_CODES))}, got {dtype!r}")
     if dtype == "f32":
-        code = DTYPE_F32
-    elif dtype == "u8":
-        code = DTYPE_U8
-    else:
-        raise ValueError(f"dtype must be 'f32' or 'u8', got {dtype!r}")
+        # the C-ordered array itself is written, not a bytes copy of it
+        with np.errstate(over="ignore"):
+            payload = clip.data.astype("<f4", order="C")
+        # read_clip would reject the inf a sample beyond float32 casts to, so refuse before opening
+        if not np.all(np.isfinite(payload)):
+            raise ValueError("clip data must lie within the float32 range to be written as f32")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, t, h, w, c, code, clip.fps))
-        if code == DTYPE_F32:
-            # the C-ordered array itself, not a bytes copy of it
-            fh.write(clip.data.astype("<f4", order="C"))
+        fh.write(_HEADER.pack(MAGIC, VERSION, t, h, w, c, DTYPE_CODES[dtype], clip.fps))
+        if dtype == "f32":
+            fh.write(payload)
         else:
             _write_u8(fh, clip.data)
 

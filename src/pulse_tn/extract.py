@@ -6,7 +6,7 @@ from enum import Enum
 
 from .core import FrameClip, Waveform, green_channel, pool_spatial
 from .diff import diff_normalized
-from .tn import TnConfig, tn
+from .tn import EPSILON, tn
 
 
 class ExtractorKind(Enum):
@@ -25,7 +25,7 @@ def extract_green(clip: FrameClip) -> Waveform:
     return pool_spatial(_green(clip), 0)
 
 
-def extract_tn_pooled(clip: FrameClip, cfg: TnConfig = TnConfig()) -> Waveform:
+def extract_tn_pooled(clip: FrameClip, epsilon: float = EPSILON) -> Waveform:
     """Temporally normalize the green channel, then pool it.
 
     Pooling happens after normalization so every pixel contributes at equal
@@ -33,7 +33,7 @@ def extract_tn_pooled(clip: FrameClip, cfg: TnConfig = TnConfig()) -> Waveform:
     TN treats each trace on its own, so only the pooled channel is
     normalized. The output is zero-mean.
     """
-    return pool_spatial(tn(_green(clip), cfg), 0)
+    return pool_spatial(tn(_green(clip), epsilon), 0)
 
 
 def extract_diff_pooled(clip: FrameClip) -> Waveform:
@@ -41,14 +41,12 @@ def extract_diff_pooled(clip: FrameClip) -> Waveform:
     return pool_spatial(diff_normalized(_green(clip)), 0)
 
 
-def run_extractor(
-    kind: ExtractorKind, clip: FrameClip, cfg: TnConfig = TnConfig()
-) -> Waveform:
+def run_extractor(kind: ExtractorKind, clip: FrameClip, epsilon: float = EPSILON) -> Waveform:
     """Uniform dispatch used by the evaluation harness."""
     if kind is ExtractorKind.GREEN_RAW:
         return extract_green(clip)
     if kind is ExtractorKind.TN_POOLED:
-        return extract_tn_pooled(clip, cfg)
+        return extract_tn_pooled(clip, epsilon)
     if kind is ExtractorKind.DIFF_POOLED:
         return extract_diff_pooled(clip)
     raise ValueError(f"unknown extractor kind {kind!r}")

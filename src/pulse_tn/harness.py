@@ -36,7 +36,7 @@ from .simulate import (
     render_noisy,
     synth_pulse,
 )
-from .tn import TnConfig, tn
+from .tn import EPSILON, tn
 
 THREADS_ENV = "PULSE_TN_THREADS"
 
@@ -60,7 +60,7 @@ def noise_feature_ratios(
     noise: NoiseSpec,
     height: int,
     width: int,
-    cfg: TnConfig = TnConfig(),
+    epsilon: float = EPSILON,
 ) -> tuple[float, float]:
     """Noise-residual RMS over pulse-signal RMS, in each feature space.
 
@@ -79,7 +79,7 @@ def noise_feature_ratios(
     ideal = render_ideal(scene, pulse, height, width)
     noisy = render_noisy(scene, pulse, noise, height, width)
     # each pair of feature arrays is freed when its ratio returns
-    ratio_tn = _residual_ratio(tn(ideal, cfg).data, tn(noisy, cfg).data)
+    ratio_tn = _residual_ratio(tn(ideal, epsilon).data, tn(noisy, epsilon).data)
     ratio_diff = _residual_ratio(frame_diff(ideal).data, frame_diff(noisy).data)
     return ratio_tn, ratio_diff
 
@@ -117,21 +117,22 @@ def _label_hr(label, cfg: PipelineConfig) -> float:
     return video_hr(label, cfg) if isinstance(label, Waveform) else float(label)
 
 
-def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfig) -> tuple[list, list]:
+def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfig) -> tuple[list, list, tuple | None]:
     """One row per extractor from one read of the clip's green channel (the
     only channel the extractors read), each scored against the label HR,
     which is computed once. Also returned are the classes of the errors that
-    flagged rows. The clip is freed on return."""
+    flagged rows, and the clip's frames, height and width, or None when it
+    could not be read. The clip is freed on return."""
     try:
         clip = clipio.read_clip(path, green_only=True)
     except (OSError, clipio.ClipFormatError) as exc:
-        return [{"video_id": path.stem, "error": str(exc)} for _ in kinds], [type(exc)] * len(kinds)
+        return [{"video_id": path.stem, "error": str(exc)} for _ in kinds], [type(exc)] * len(kinds), None
     rows, failures, fields = [], [], None
     for kind in kinds:
         row: dict = {"video_id": path.stem}
         rows.append(row)
         try:
-            rates, dropped = segment_heart_rates(run_extractor(kind, clip, cfg.tn), cfg)
+            rates, dropped = segment_heart_rates(run_extractor(kind, clip, cfg.epsilon), cfg)
         except ValueError as exc:
             # degenerate spectra, clips shorter than one segment, etc.: flag the row
             row["error"] = str(exc)
@@ -153,19 +154,26 @@ def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfi
         row.update(fields)
         if row.get("hr_label") is not None:
             row["abs_err"] = abs(row["hr_pred"] - row["hr_label"])
-    return rows, failures
+    return rows, failures, clip.data.shape[:3]
 
 
-def _noise_ratio_row(path: Path, cfg: TnConfig) -> dict | None:
-    """Noise ratios of a clip with a simulator sidecar; a sidecar that cannot
-    be read, is not JSON, lacks a field or holds a bad value gives the row an
-    `error` instead. A dangling sidecar link counts as a sidecar."""
+def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | None:
+    """Noise ratios of a clip with a simulator sidecar. A clip that was not read
+    (`dims` None), a sidecar whose frames, height or width differ from `dims`, or one
+    that cannot be read, is not JSON, lacks a field or holds a bad value gives the
+    row an `error` instead, and nothing is rendered. A dangling link counts as a sidecar."""
     sidecar = path.with_suffix(path.suffix + ".sim.json")
     if not os.path.lexists(sidecar):
         return None
     row: dict = {"video_id": path.stem}
     try:
-        ratio_tn, ratio_diff = noise_feature_ratios(*scene_from_sidecar(json.loads(sidecar.read_text())), cfg)
+        if dims is None:
+            raise ValueError("its clip could not be read, so the sidecar cannot be checked against it")
+        meta = json.loads(sidecar.read_text())
+        for key, size in zip(("frames", "height", "width"), dims):
+            if meta[key] != size:
+                raise ValueError(f"{key} {meta[key]!r} does not match the clip's {size}")
+        ratio_tn, ratio_diff = noise_feature_ratios(*scene_from_sidecar(meta), epsilon)
     except KeyError as exc:
         row["error"] = f"{sidecar}: missing field {exc}"
     except (OSError, TypeError, ValueError) as exc:
@@ -190,8 +198,8 @@ def _walk(manifest_dir, kinds, cfg, noise_ratios) -> tuple[list, list]:
     labels = clipio.read_labels(labels_path) if os.path.lexists(labels_path) else {}
 
     def task(path: Path) -> tuple[list[dict], list, dict | None]:
-        rows, failures = _clip_rows(path, kinds, labels.get(path.stem), cfg)
-        return rows, failures, _noise_ratio_row(path, cfg.tn) if noise_ratios else None
+        rows, failures, dims = _clip_rows(path, kinds, labels.get(path.stem), cfg)
+        return rows, failures, _noise_ratio_row(path, dims, cfg.epsilon) if noise_ratios else None
 
     with ThreadPoolExecutor(max_workers=worker_count(len(clip_paths))) as pool:
         results = list(pool.map(task, clip_paths))
@@ -235,9 +243,12 @@ def compare_manifest(manifest_dir, kinds: list[ExtractorKind], cfg: PipelineConf
     """Side-by-side metrics per extractor, plus noise ratios where sidecars exist.
 
     Each extractor's block holds the rows and metrics `evaluate_manifest`
-    gives it; each clip is read once for all of them. A repeated extractor is
-    a ValueError. The mean ratios leave out rows with an `error`.
+    gives it; each clip is read once for all of them. An empty or repeated
+    extractor list is a ValueError. The mean ratios leave out rows with an
+    `error`.
     """
+    if not kinds:
+        raise ValueError("compare needs at least one extractor")
     names = [kind.value for kind in kinds]
     repeated = [name for name in names if names.count(name) > 1]
     if repeated:

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Waveform, _check_segment_s, _require_finite, _segment_rows
-from .tn import TnConfig
+from .tn import EPSILON, _check_epsilon
 
 HR_LOW_HZ = 0.5
 HR_HIGH_HZ = 3.0
@@ -57,8 +57,8 @@ class PipelineConfig:
     A waveform is cut into `segment_s`-second segments. Each segment is
     filtered by `band`, and its Welch spectrum (Hann windows of `window_len`
     samples overlapping by the fraction `overlap`, zero-padded to `nfft`)
-    gives one rate. `tn` is the guard of the temporal-normalization
-    extractor. `band` and `tn` validate themselves when they are built.
+    gives one rate. `epsilon` is the guard of the temporal-normalization
+    extractor. `band` validates itself when it is built.
     """
 
     segment_s: float = 15.0
@@ -66,9 +66,10 @@ class PipelineConfig:
     window_len: int = WELCH_WINDOW_LEN
     overlap: float = WELCH_OVERLAP
     nfft: int = WELCH_NFFT
-    tn: TnConfig = TnConfig()
+    epsilon: float = EPSILON
 
     def __post_init__(self):
+        _check_epsilon(self.epsilon)
         _check_segment_s(self.segment_s)
         if self.nfft < 1:
             raise ValueError(f"nfft must be >= 1, got {self.nfft}")
@@ -93,7 +94,7 @@ class PipelineConfig:
             "window_len": self.window_len,
             "overlap": self.overlap,
             "nfft": self.nfft,
-            "epsilon": self.tn.epsilon,
+            "epsilon": self.epsilon,
         }
 
 

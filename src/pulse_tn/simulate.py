@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FrameClip, Waveform
+from .core import FrameClip, Waveform, _require_fps
 
 PULSE_SHAPES = ("sinusoid", "harmonic")
 
@@ -157,6 +157,7 @@ def noise_profile(terms: tuple[NoiseTerm, ...], frames: int, fps: float) -> np.n
 
 def synth_pulse(spec: PulseSpec, fps: float, frames: int) -> Waveform:
     """Sample the pulse model at `fps` for `frames` samples."""
+    fps = _require_fps(fps)
     if frames < 2:
         raise ValueError(f"need at least 2 frames, got {frames}")
     t_s = np.arange(frames, dtype=np.float64) / fps

@@ -31,25 +31,16 @@ def available_backends() -> tuple[str, ...]:
     return (DEFAULT_BACKEND,)
 
 
-def _check_epsilon(eps: float) -> float:
-    if not (eps > 0 and np.isfinite(eps)):
-        raise ValueError(f"epsilon must be finite and > 0, got {eps}")
-    return float(eps)
+# The guard of x / sqrt(mean(x^2) + EPSILON). It suits raw clips scaled to [0, 1]:
+# it sits well below the typical detrended mean square of a pulse-bearing trace, so
+# live traces normalize to unit RMS while dead (constant) traces stay bounded near 0.
+EPSILON = 1e-8
 
 
-@dataclass(frozen=True)
-class TnConfig:
-    """Normalization guard: output = x / sqrt(mean(x^2) + epsilon).
-
-    The default suits raw clips scaled to [0, 1]: it sits well below the
-    typical detrended mean square of a pulse-bearing trace, so live traces
-    normalize to unit RMS while dead (constant) traces stay bounded near 0.
-    """
-
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
+def _check_epsilon(epsilon: float) -> float:
+    if not (epsilon > 0 and np.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    return float(epsilon)
 
 
 @dataclass(frozen=True)
@@ -97,27 +88,27 @@ def detrend(values) -> np.ndarray:
     return y - (fit.slope * t + fit.intercept)
 
 
-def rms_normalize(values, cfg: TnConfig = TnConfig()) -> np.ndarray:
+def rms_normalize(values, epsilon: float = EPSILON) -> np.ndarray:
     """Divide a trace by the square root of its mean square plus epsilon."""
     y = _as_trace(values)
-    return y / np.sqrt(np.mean(y * y) + cfg.epsilon)
+    return y / np.sqrt(np.mean(y * y) + _check_epsilon(epsilon))
 
 
-def tn_trace(values, cfg: TnConfig = TnConfig()) -> np.ndarray:
+def tn_trace(values, epsilon: float = EPSILON) -> np.ndarray:
     """Detrend then RMS-normalize a single trace (needs T >= 3)."""
     y = _as_trace(values)
     if y.size < 3:
         raise ValueError("temporal normalization needs at least 3 samples")
-    return rms_normalize(detrend(y), cfg)
+    return rms_normalize(detrend(y), epsilon)
 
 
 # Trace-major (n, T) entry point of the public API; perfbench/spans.py also wraps it by name.
-def tn_traces(traces: np.ndarray, eps: float) -> np.ndarray:
+def tn_traces(traces: np.ndarray, epsilon: float) -> np.ndarray:
     """Apply the kernel to an (n, T) stack of traces, one trace per row."""
-    return _kernels_np.tn_traces(np.asarray(traces, dtype=np.float64).T, _check_epsilon(eps)).T
+    return _kernels_np.tn_traces(np.asarray(traces, dtype=np.float64).T, _check_epsilon(epsilon)).T
 
 
-def tn(clip: FrameClip, cfg: TnConfig = TnConfig()) -> FrameClip:
+def tn(clip: FrameClip, epsilon: float = EPSILON) -> FrameClip:
     """Temporally normalize every pixel/channel trace of a clip.
 
     A 2-frame trace is fitted exactly by its own trend line, which would make
@@ -128,5 +119,5 @@ def tn(clip: FrameClip, cfg: TnConfig = TnConfig()) -> FrameClip:
     if t_len < 3:
         raise ValueError(f"temporal normalization needs at least 3 frames, got {t_len}")
     # Called in its own module so that perfbench/spans.py times it as the tn.kernel span.
-    out = _kernels_np.tn_traces(clip.data.reshape(t_len, -1), cfg.epsilon)
+    out = _kernels_np.tn_traces(clip.data.reshape(t_len, -1), _check_epsilon(epsilon))
     return FrameClip(out.reshape(clip.data.shape), clip.fps)

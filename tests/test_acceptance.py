@@ -28,7 +28,6 @@ from pulse_tn import (
     SceneSpec,
     SinusoidNoise,
     StepNoise,
-    TnConfig,
     Waveform,
     analytic_noise_residual,
     bandpass,
@@ -85,8 +84,7 @@ def test_criterion_2_tn_invariance_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     # scale-free limit: epsilon far below every detrended mean square in play
-    limit_cfg = TnConfig(epsilon=1e-16)
-    default_cfg = TnConfig()
+    limit_eps = 1e-16
     worst_affine = 0.0
     worst_idem = 0.0
     checked = 0
@@ -101,11 +99,11 @@ def test_criterion_2_tn_invariance_suite():
         t = np.arange(x.size, dtype=float)
         worst_affine = max(
             worst_affine,
-            float(np.max(np.abs(tn_trace(a * x + b + c * t, limit_cfg) - tn_trace(x, limit_cfg)))),
+            float(np.max(np.abs(tn_trace(a * x + b + c * t, limit_eps) - tn_trace(x, limit_eps)))),
         )
-        assert np.array_equal(tn_trace(-x, default_cfg), -tn_trace(x, default_cfg))
-        once = tn_trace(x, default_cfg)
-        worst_idem = max(worst_idem, float(np.max(np.abs(tn_trace(once, default_cfg) - once))))
+        assert np.array_equal(tn_trace(-x), -tn_trace(x))
+        once = tn_trace(x)
+        worst_idem = max(worst_idem, float(np.max(np.abs(tn_trace(once) - once))))
     elapsed = time.perf_counter() - start
     ok = worst_affine < 1e-6 and worst_idem < 1e-4 and elapsed < 5.0
     report(

@@ -13,10 +13,10 @@ import pulse_tn
 from pulse_tn import (
     BandpassSpec,
     ExtractorKind,
+    FrameClip,
     PipelineConfig,
     PulseSpec,
     SceneSpec,
-    TnConfig,
     bandpass,
     diff_normalized,
     frame_diff,
@@ -47,7 +47,7 @@ OTHER_CONFIG = PipelineConfig(
     window_len=128,
     overlap=0.25,
     nfft=512,
-    tn=TnConfig(epsilon=1e-10),
+    epsilon=1e-10,
 )
 
 
@@ -133,6 +133,15 @@ class TestSimulate:
         assert capsys.readouterr().err == f"pulse-tn: error: {labels}: non-increasing t_s for x\n"
         assert sorted(tmp_path.iterdir()) == [labels]
 
+    @pytest.mark.parametrize("fps", ["0", "nan"])
+    def test_bad_frame_rate_names_the_frame_rate(self, tmp_path, capsys, fps):
+        out = tmp_path / "x.rpgc"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--hr", "72", "--frames", "300", "--fps", fps, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"pulse-tn: error: fps must be finite and > 0, got {float(fps)}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_noise_spec_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -171,6 +180,20 @@ class TestTransform:
             main([*argv, "--method", method, "--epsilon", "0"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "pulse-tn: error: epsilon must be finite and > 0, got 0.0\n"
+
+    def test_output_beyond_float32_fails_before_the_file_is_opened(self, tmp_path, capsys):
+        # valid f32 samples whose frame differences overflow float32
+        src = tmp_path / "src.rpgc"
+        data = np.where(np.arange(4)[:, None, None, None] % 2, 3e38, -3e38) * np.ones((4, 2, 2, 1))
+        write_clip(FrameClip(data, 30.0), src)
+        out = tmp_path / "d.rpgc"
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--in", str(src), "--out", str(out), "--method", "diff"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "pulse-tn: error: clip data must lie within the float32 range to be written as f32\n"
+        )
+        assert not out.exists()
 
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -262,7 +285,7 @@ class TestEstimate:
         simulate(src)
         capsys.readouterr()
         assert main(["estimate", "--in", str(src), *OTHER_SETTINGS]) == 0
-        waveform = run_extractor(ExtractorKind.TN_POOLED, read_clip(src), OTHER_CONFIG.tn)
+        waveform = run_extractor(ExtractorKind.TN_POOLED, read_clip(src), OTHER_CONFIG.epsilon)
         assert capsys.readouterr().out == f"{video_hr(waveform, OTHER_CONFIG):.3f}\n"
 
 
@@ -345,7 +368,7 @@ class TestEvaluate:
         }
         for row in doc["per_video"]:
             clip = read_clip(manifest / f"{row['video_id']}.rpgc")
-            waveform = run_extractor(ExtractorKind.TN_POOLED, clip, OTHER_CONFIG.tn)
+            waveform = run_extractor(ExtractorKind.TN_POOLED, clip, OTHER_CONFIG.epsilon)
             assert row["hr_pred"] == video_hr(waveform, OTHER_CONFIG)
 
     def test_bad_series_label_flags_its_row_only(self, tmp_path):
@@ -538,15 +561,41 @@ class TestCompare:
         assert capsys.readouterr().err == "pulse-tn: error: extractor green_raw is listed more than once\n"
         assert not report_path.exists()
 
-    @pytest.mark.parametrize("case", ["missing_field", "malformed_json", "zero_pulse", "directory", "dangling_link"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "missing_field", "malformed_json", "zero_pulse", "directory", "dangling_link",
+            "zero_fps", "huge_frame", "frames_off_by_one", "unreadable_clip",
+        ],
+    )
     def test_bad_sidecar_spoils_only_its_ratio_row(self, tmp_path, case):
         manifest = tmp_path / "m"
         manifest.mkdir()
         simulate(manifest / "good.rpgc", frames=480, extra=["--noise", "linear:0.1"])
         simulate(manifest / "spoilt.rpgc", frames=480)
+        report_path = tmp_path / "cmp.json"
+        argv = ["compare", "--manifest", str(manifest), "--extractors", "green_raw", "--out", str(report_path)]
+        assert main(argv) == 0
+        intact = json.loads(report_path.read_text())
         sidecar = manifest / "spoilt.rpgc.sim.json"
         meta = json.loads(sidecar.read_text())
-        if case == "missing_field":
+        if case == "zero_fps":
+            meta["fps"] = 0
+            sidecar.write_text(json.dumps(meta))
+            message = "fps must be finite and > 0, got 0.0"
+        elif case == "huge_frame":
+            # rendering a scene this large would exhaust memory
+            meta["height"] = meta["width"] = 100000
+            sidecar.write_text(json.dumps(meta))
+            message = "height 100000 does not match the clip's 8"
+        elif case == "frames_off_by_one":
+            meta["frames"] = 481
+            sidecar.write_text(json.dumps(meta))
+            message = "frames 481 does not match the clip's 480"
+        elif case == "unreadable_clip":
+            (manifest / "spoilt.rpgc").write_bytes(b"RPGC")
+            message = "its clip could not be read"
+        elif case == "missing_field":
             del meta["seed"]
             sidecar.write_text(json.dumps(meta))
             message = "missing field 'seed'"
@@ -565,8 +614,6 @@ class TestCompare:
         else:
             sidecar.write_text(json.dumps(meta).replace(":", "=", 1))
             message = "Expecting ':' delimiter"
-        report_path = tmp_path / "cmp.json"
-        argv = ["compare", "--manifest", str(manifest), "--extractors", "green_raw", "--out", str(report_path)]
         assert main(argv) == 0
         doc = json.loads(report_path.read_text())
         ratios = {row["video_id"]: row for row in doc["noise_ratios"]["per_video"]}
@@ -576,6 +623,10 @@ class TestCompare:
         assert doc["noise_ratios"]["mean_tn_ratio"] == ratios["good"]["tn_residual_ratio"]
         assert doc["noise_ratios"]["mean_diff_ratio"] == ratios["good"]["diff_residual_ratio"]
         assert doc["extractors"]["green_raw"]["mae"] is not None
+        # the good clip's rows are those of the intact manifest
+        assert ratios["good"] == intact["noise_ratios"]["per_video"][0]
+        if case != "unreadable_clip":
+            assert doc["extractors"] == intact["extractors"]
 
 
 def test_cold_start_imports_no_scipy():

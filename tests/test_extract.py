@@ -8,7 +8,6 @@ from pulse_tn import (
     NoiseSpec,
     PulseSpec,
     SceneSpec,
-    TnConfig,
     Waveform,
     bandpass,
     diff_normalized,
@@ -83,9 +82,8 @@ class TestExtractTnPooled:
         clip, _, _ = ideal_clip(frames=300)
         t = np.arange(300, dtype=float)[:, None, None, None]
         shifted = FrameClip(2.0 * clip.data + 0.1 + 0.0001 * t, 30.0)
-        cfg = TnConfig(epsilon=1e-12)
-        a = extract_tn_pooled(clip, cfg).samples
-        b = extract_tn_pooled(shifted, cfg).samples
+        a = extract_tn_pooled(clip, 1e-12).samples
+        b = extract_tn_pooled(shifted, 1e-12).samples
         assert np.max(np.abs(a - b)) < 1e-6
 
     def test_green_raw_is_not_invariant(self):

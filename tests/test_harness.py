@@ -150,6 +150,12 @@ class TestOneWalk:
         for block in doc["extractors"].values():
             assert [row["hr_label"] for row in block["per_video"]] == [60.0, 72.0, 84.0]
 
+    def test_compare_rejects_an_empty_extractor_list_before_any_clip_is_read(self, tmp_path, monkeypatch):
+        write_manifest_clip(tmp_path / "v0.rpgc", hr=72.0)
+        monkeypatch.setattr(clipio, "read_clip", lambda path, **kw: pytest.fail(f"{path} was read"))
+        with pytest.raises(ValueError, match="compare needs at least one extractor"):
+            compare_manifest(tmp_path, [])
+
 
 class TestSamplingRate:
     # a 20 Hz band edge needs more than 40 frames per second

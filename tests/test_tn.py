@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulse_tn import (
+    EPSILON,
     FrameClip,
-    TnConfig,
+    PipelineConfig,
     detrend,
     fit_trend,
     rms_normalize,
@@ -89,20 +90,19 @@ class TestRmsNormalize:
         assert np.array_equal(out, np.zeros(8))
 
     def test_frozen_values(self):
-        out = rms_normalize([-0.2, 0.6, -0.6, 0.2], TnConfig(epsilon=1e-15))
+        out = rms_normalize([-0.2, 0.6, -0.6, 0.2], 1e-15)
         assert np.allclose(out, TN_0101, atol=1e-6)
 
     def test_scale_invariance_small_epsilon(self):
         rng = np.random.default_rng(2)
         y = rng.normal(size=32)
-        cfg = TnConfig(epsilon=1e-16)
         for a in (0.5, 3.0, 117.0):
-            assert np.max(np.abs(rms_normalize(a * y, cfg) - rms_normalize(y, cfg))) < 1e-9
+            assert np.max(np.abs(rms_normalize(a * y, 1e-16) - rms_normalize(y, 1e-16))) < 1e-9
 
 
 class TestTnTrace:
     def test_single_pixel_composition(self):
-        out = tn_trace([0.0, 1.0, 0.0, 1.0], TnConfig(epsilon=1e-12))
+        out = tn_trace([0.0, 1.0, 0.0, 1.0], 1e-12)
         assert np.allclose(out, TN_0101, atol=1e-6)
 
     def test_needs_three_samples(self):
@@ -124,9 +124,8 @@ class TestTnTrace:
         x = rng.uniform(-1.0, 1.0, n)
         if np.sqrt(np.mean(detrend(x) ** 2)) < 1e-3:
             return
-        cfg = TnConfig(epsilon=1e-16)
         t = np.arange(n, dtype=float)
-        delta = np.abs(tn_trace(a * x + b + c * t, cfg) - tn_trace(x, cfg))
+        delta = np.abs(tn_trace(a * x + b + c * t, 1e-16) - tn_trace(x, 1e-16))
         assert delta.max() < 1e-6
 
     def test_sign_equivariance_is_exact(self):
@@ -137,15 +136,14 @@ class TestTnTrace:
 
     def test_output_statistics(self):
         rng = np.random.default_rng(4)
-        cfg = TnConfig()
         for _ in range(30):
             x = rng.uniform(-1.0, 1.0, 96)
-            out = tn_trace(x, cfg)
+            out = tn_trace(x)
             ms = float(np.mean(detrend(x) ** 2))
             assert abs(out.mean()) <= 1e-9
-            expected_rms = np.sqrt(ms / (ms + cfg.epsilon))
+            expected_rms = np.sqrt(ms / (ms + EPSILON))
             assert np.sqrt(np.mean(out**2)) == pytest.approx(expected_rms, abs=1e-9)
-            if ms >= 1e4 * cfg.epsilon:
+            if ms >= 1e4 * EPSILON:
                 assert np.sqrt(np.mean(out**2)) == pytest.approx(1.0, abs=1e-4)
 
     def test_idempotence(self):
@@ -242,8 +240,15 @@ class TestTnClip:
     def test_trace_stack_rejects_bad_epsilon(self, eps):
         with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
             tn_traces(np.ones((2, 10)), eps)
-        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
-            TnConfig(epsilon=eps)
+        # every public entry that takes the guard checks it, with one message
+        for call in (
+            lambda: tn(FrameClip(np.ones((4, 2, 2, 1)), 30.0), eps),
+            lambda: tn_trace(np.arange(4.0), eps),
+            lambda: rms_normalize(np.arange(4.0), eps),
+            lambda: PipelineConfig(epsilon=eps),
+        ):
+            with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+                call()
 
 
 class TestBlockwiseKernel:
