@@ -209,8 +209,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
-        # a bad setting, manifest or file: one line, no report
+    except (OSError, ValueError, MemoryError) as exc:
+        # a bad setting, manifest or file, or a size beyond memory: one line, no report
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

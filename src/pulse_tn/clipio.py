@@ -21,6 +21,7 @@ import os
 import stat
 import struct
 from array import array
+from collections import defaultdict
 from operator import itemgetter
 from pathlib import Path
 
@@ -40,6 +41,13 @@ _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype("u1")}
 _CHUNK_BYTES = 1024 * 1024
 # Largest allowed |step - mean step| of a time-series label, relative to the mean step.
 _SPACING_TOLERANCE = 0.01
+# Characters of time-series label lines handed to numpy's reader at a time.
+_LABEL_BLOCK_CHARS = 64 * 1024
+# csv's default dialect in numpy's reader: comma-separated, double-quoted, no comment lines.
+_CSV_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
+# The lines csv reads as empty rows. numpy's reader skips them too, but they are
+# dropped before it runs, so that each line left is one row it must return.
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 
 
 class ClipFormatError(ValueError):
@@ -182,11 +190,19 @@ def read_labels(path) -> dict[str, object]:
     evenly spaced in time: every step may differ from the mean step by at
     most 1% of it. A video whose label breaks one of these rules maps to the
     ValueError that says why, so that it flags only its own video. A
-    malformed file (unknown header, short row, unparsable number) raises.
+    malformed file (not a regular file, unknown header, short row,
+    unparsable number) raises.
+
+    The time-series rows are parsed by numpy's C reader, a block of lines at
+    a time. A file it refuses is read again, row by row, with csv: that read
+    names the bad line, or returns the labels when Python's float accepts
+    what the C reader did not (`1_000`, non-ASCII digits).
     """
     path = Path(path)
-    # utf-8-sig: a byte order mark, as spreadsheet programs write, is not part of the header
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    # checked before open: opening a FIFO would block until a writer appears
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"{path}: not a regular file")
+    with _open_labels(path) as fh:
         reader = csv.reader(fh)
         col = {name: i for i, name in enumerate(next(reader, []))}
         if "video_id" in col and "hr_bpm" in col:
@@ -200,18 +216,63 @@ def read_labels(path) -> dict[str, object]:
                 else:
                     labels[vid] = hr
             return labels
-        if "video_id" in col and "t_s" in col and "bvp" in col:
-            # one pair of growing float arrays per video, in first-appearance order
-            series: dict[str, tuple[array, array]] = {}
-            rows = _label_rows(path, reader, col["video_id"], col["t_s"], col["bvp"])
-            for vid, t_s, bvp in rows:
-                columns = series.get(vid)
-                if columns is None:
-                    columns = series[vid] = (array("d"), array("d"))
-                columns[0].append(_parse_float(path, reader, t_s))
-                columns[1].append(_parse_float(path, reader, bvp))
-            return {vid: _series_label(path, vid, *columns) for vid, columns in series.items()}
-        raise ValueError(f"{path}: expected columns video_id,hr_bpm or video_id,t_s,bvp")
+        if not ("video_id" in col and "t_s" in col and "bvp" in col):
+            raise ValueError(f"{path}: expected columns video_id,hr_bpm or video_id,t_s,bvp")
+        columns = col["video_id"], col["t_s"], col["bvp"]
+        try:
+            series = _series_blocks(fh, *columns)
+        except ValueError:
+            series = None
+    if series is None:
+        # the C reader refused a line: csv reads the file again, and names the bad line
+        with _open_labels(path) as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            series = _series_rows(path, reader, *columns)
+    return {vid: _series_label(path, vid, *pair) for vid, pair in series.items()}
+
+
+def _open_labels(path: Path):
+    # utf-8-sig: a byte order mark, as spreadsheet programs write, is not part of the header
+    return path.open(newline="", encoding="utf-8-sig")
+
+
+def _series_rows(path, reader, *columns: int) -> dict[str, tuple[array, array]]:
+    """The t_s and bvp values of each video's rows, in first-appearance order of
+    the videos, read row by row; an error names the file and the line."""
+    series = defaultdict(lambda: (array("d"), array("d")))
+    for vid, t_s, bvp in _label_rows(path, reader, *columns):
+        pair = series[vid]
+        pair[0].append(_parse_float(path, reader, t_s))
+        pair[1].append(_parse_float(path, reader, bvp))
+    return series
+
+
+def _series_blocks(fh, vid_col: int, t_col: int, bvp_col: int) -> dict[str, tuple[array, array]]:
+    """_series_rows's result for the rest of fh, parsed by numpy's C reader a
+    block of lines at a time. A line the reader refuses raises ValueError, and
+    so does a quoted field holding a line end, which is left to csv: a block
+    gets one numpy row per line it holds."""
+    series = defaultdict(lambda: (array("d"), array("d")))
+    # a quoted field that the block's last line leaves open swallows this row of zeros
+    sentinel = ",".join("0" * (max(vid_col, t_col, bvp_col) + 1)) + "\n"
+    while block := fh.readlines(_LABEL_BLOCK_CHARS):
+        lines = [line for line in block if line not in _BLANK_LINES]
+        if not lines:
+            continue
+        lines.append(sentinel)
+        ids = np.loadtxt(lines, usecols=vid_col, dtype=object, ndmin=1, **_CSV_DIALECT)
+        if len(ids) != len(lines):
+            raise ValueError("a quoted field holds a line end")
+        values = np.loadtxt(lines, usecols=(t_col, bvp_col), ndmin=2, **_CSV_DIALECT)
+        ids, values = ids[:-1], values[:-1]
+        # one run per stretch of consecutive rows of one video
+        edges = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1), len(ids)]
+        for start, stop in zip(edges, edges[1:]):
+            pair = series[ids[start]]
+            pair[0].frombytes(values[start:stop, 0].tobytes())
+            pair[1].frombytes(values[start:stop, 1].tobytes())
+    return series
 
 
 def _label_rows(path, reader, *columns: int):

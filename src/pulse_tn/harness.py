@@ -121,8 +121,8 @@ def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfi
     """One row per extractor from one read of the clip's green channel (the
     only channel the extractors read), each scored against the label HR,
     which is computed once. Also returned are the classes of the errors that
-    flagged rows, and the clip's frames, height and width, or None when it
-    could not be read. The clip is freed on return."""
+    flagged rows, and the clip's frames, height, width and fps, or None when
+    it could not be read. The clip is freed on return."""
     try:
         clip = clipio.read_clip(path, green_only=True)
     except (OSError, clipio.ClipFormatError) as exc:
@@ -154,14 +154,15 @@ def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfi
         row.update(fields)
         if row.get("hr_label") is not None:
             row["abs_err"] = abs(row["hr_pred"] - row["hr_label"])
-    return rows, failures, clip.data.shape[:3]
+    return rows, failures, (*clip.data.shape[:3], clip.fps)
 
 
 def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | None:
     """Noise ratios of a clip with a simulator sidecar. A clip that was not read
-    (`dims` None), a sidecar whose frames, height or width differ from `dims`, or one
-    that cannot be read, is not JSON, lacks a field or holds a bad value gives the
-    row an `error` instead, and nothing is rendered. A dangling link counts as a sidecar."""
+    (`dims` None), a sidecar whose frames, height, width or fps differ from `dims`,
+    or one that cannot be read, is not JSON, lacks a field or holds a bad value gives
+    the row an `error` instead, and nothing is rendered. A dangling link counts as a
+    sidecar."""
     sidecar = path.with_suffix(path.suffix + ".sim.json")
     if not os.path.lexists(sidecar):
         return None
@@ -170,10 +171,16 @@ def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | N
         if dims is None:
             raise ValueError("its clip could not be read, so the sidecar cannot be checked against it")
         meta = json.loads(sidecar.read_text())
-        for key, size in zip(("frames", "height", "width"), dims):
+        *sizes, fps = dims
+        for key, size in zip(("frames", "height", "width"), sizes):
             if meta[key] != size:
                 raise ValueError(f"{key} {meta[key]!r} does not match the clip's {size}")
-        ratio_tn, ratio_diff = noise_feature_ratios(*scene_from_sidecar(meta), epsilon)
+        scene = scene_from_sidecar(meta)
+        # after scene_from_sidecar, so a non-positive fps keeps its own message; the header
+        # stores fps as float32, so a sidecar's 29.97 matches it once rounded alike
+        if np.float32(meta["fps"]) != fps:
+            raise ValueError(f"fps {meta['fps']!r} does not match the clip's {fps}")
+        ratio_tn, ratio_diff = noise_feature_ratios(*scene, epsilon)
     except KeyError as exc:
         row["error"] = f"{sidecar}: missing field {exc}"
     except (OSError, TypeError, ValueError) as exc:

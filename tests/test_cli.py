@@ -133,6 +133,21 @@ class TestSimulate:
         assert capsys.readouterr().err == f"pulse-tn: error: {labels}: non-increasing t_s for x\n"
         assert sorted(tmp_path.iterdir()) == [labels]
 
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 224. TiB for an array with shape (2, 100000, 100000, 3)")
+
+        # stands in for the render, so no huge array is asked for
+        monkeypatch.setattr("pulse_tn.cli.render_noisy", exhausted)
+        out = tmp_path / "v.rpgc"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--hr", "72", "--frames", "2", "--size", "100000x100000", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "pulse-tn: error: Unable to allocate 224. TiB for an array with shape (2, 100000, 100000, 3)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("fps", ["0", "nan"])
     def test_bad_frame_rate_names_the_frame_rate(self, tmp_path, capsys, fps):
         out = tmp_path / "x.rpgc"
@@ -418,6 +433,26 @@ class TestEvaluate:
         assert str(labels) in err
         assert not report_path.exists()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_labels_file_fails_the_command(self, tmp_path, capsys):
+        manifest = build_manifest(tmp_path / "m", [60.0])
+        labels = manifest / "labels.csv"
+        labels.unlink()
+        os.mkfifo(labels)
+        # a writer holding a header of no known schema: an evaluate that opened
+        # the FIFO would fail on it rather than hang
+        guard = os.open(labels, os.O_RDWR | os.O_NONBLOCK)
+        report_path = tmp_path / "report.json"
+        try:
+            os.write(guard, b"id\n")
+            with pytest.raises(SystemExit) as exc:
+                main(["evaluate", "--manifest", str(manifest), "--out", str(report_path)])
+        finally:
+            os.close(guard)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"pulse-tn: error: {labels}: not a regular file\n"
+        assert not report_path.exists()
+
 
 @pytest.fixture(scope="module")
 def small_manifest(tmp_path_factory):
@@ -565,7 +600,7 @@ class TestCompare:
         "case",
         [
             "missing_field", "malformed_json", "zero_pulse", "directory", "dangling_link",
-            "zero_fps", "huge_frame", "frames_off_by_one", "unreadable_clip",
+            "zero_fps", "huge_frame", "frames_off_by_one", "fps_mismatch", "unreadable_clip",
         ],
     )
     def test_bad_sidecar_spoils_only_its_ratio_row(self, tmp_path, case):
@@ -592,6 +627,10 @@ class TestCompare:
             meta["frames"] = 481
             sidecar.write_text(json.dumps(meta))
             message = "frames 481 does not match the clip's 480"
+        elif case == "fps_mismatch":
+            meta["fps"] = 15.0
+            sidecar.write_text(json.dumps(meta))
+            message = "fps 15.0 does not match the clip's 30.0"
         elif case == "unreadable_clip":
             (manifest / "spoilt.rpgc").write_bytes(b"RPGC")
             message = "its clip could not be read"
@@ -627,6 +666,18 @@ class TestCompare:
         assert ratios["good"] == intact["noise_ratios"]["per_video"][0]
         if case != "unreadable_clip":
             assert doc["extractors"] == intact["extractors"]
+
+    def test_sidecar_fps_matches_the_float32_header(self, tmp_path):
+        # the header holds 29.97 as float32, 29.969999313354492
+        manifest = tmp_path / "m"
+        manifest.mkdir()
+        simulate(manifest / "ntsc.rpgc", frames=480, extra=["--fps", "29.97"])
+        assert json.loads((manifest / "ntsc.rpgc.sim.json").read_text())["fps"] == 29.97
+        report_path = tmp_path / "cmp.json"
+        argv = ["compare", "--manifest", str(manifest), "--extractors", "green_raw", "--out", str(report_path)]
+        assert main(argv) == 0
+        (row,) = json.loads(report_path.read_text())["noise_ratios"]["per_video"]
+        assert sorted(row) == ["diff_residual_ratio", "tn_residual_ratio", "video_id"]
 
 
 def test_cold_start_imports_no_scipy():

@@ -1,5 +1,6 @@
 import csv
 import os
+import random
 import re
 import struct
 import subprocess
@@ -614,3 +615,129 @@ def test_fifo_rejected_without_opening(tmp_path):
             read_clip(path)
     finally:
         os.close(guard)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_labels_fifo_rejected_without_opening(tmp_path):
+    path = tmp_path / "labels.csv"
+    os.mkfifo(path)
+    # a read-write descriptor counts as a writer; the header it holds has no
+    # known schema, so a read_labels that opened the FIFO would fail on it at
+    # once rather than block forever waiting for more lines
+    guard = os.open(path, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        os.write(guard, b"id\n")
+        with pytest.raises(ValueError, match=r"labels\.csv: not a regular file"):
+            read_labels(path)
+    finally:
+        os.close(guard)
+
+
+# Characters of the random lines among the rows of a fuzzed labels file.
+FUZZ_ALPHABET = [*'0123456789.,"\r\n #e-_', "nan"]
+
+
+def fuzz_series_text(rnd):
+    """A time-series labels file of multi-row videos, in runs or interleaved,
+    with lines of random FUZZ_ALPHABET characters among the rows."""
+    names = rnd.choice([("video_id", "t_s", "bvp"), ("bvp", "video_id", "t_s"), ("t_s", "bvp", "video_id", "note")])
+    vids = rnd.sample(["v0", "v1", "#2", '"a,b"', '"c\nd"', '""'], 2)
+    rows = [(vid, k) for vid in vids for k in range(rnd.randint(2, 6))]
+    if rnd.random() < 0.5:
+        rnd.shuffle(rows)
+    lines = [",".join(names)]
+    for vid, k in rows:
+        fields = {"video_id": vid, "t_s": repr(k / 30), "bvp": repr(rnd.random()), "note": ""}
+        lines.append(",".join(fields[name] for name in names))
+    while rnd.random() < 0.6:
+        junk = "".join(rnd.choices(FUZZ_ALPHABET, k=rnd.randint(0, 8)))
+        lines.insert(rnd.randint(1, len(lines)), junk)
+    newline = rnd.choice(["\n", "\r\n", "\r"])
+    return newline.join(lines) + rnd.choice(["", newline])
+
+
+def label_outcome(path):
+    """read_labels' labels in comparable form, or the class and message of its error."""
+    try:
+        labels = read_labels(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [
+        (vid, (label.samples.tobytes(), label.fps) if isinstance(label, Waveform) else (type(label), str(label)))
+        for vid, label in labels.items()
+    ]
+
+
+def refuse(*args):
+    raise ValueError("refused")
+
+
+@pytest.mark.parametrize("block_chars", [clipio._LABEL_BLOCK_CHARS, 40], ids=["default_block", "few_lines"])
+def test_series_fast_parse_matches_the_row_loop(tmp_path, monkeypatch, block_chars):
+    """Whatever numpy's reader accepts, it reads as csv's row loop does; what it
+    refuses, the row loop reads, and names the line of any error."""
+    monkeypatch.setattr(clipio, "_LABEL_BLOCK_CHARS", block_chars)
+    fast_parses = []
+    series_blocks = clipio._series_blocks
+
+    def counted(*args):
+        series = series_blocks(*args)
+        fast_parses.append(args)
+        return series
+
+    rnd = random.Random(26)
+    path = tmp_path / "labels.csv"
+    outcomes = set()
+    for _ in range(400):
+        path.write_bytes(fuzz_series_text(rnd).encode())
+        with monkeypatch.context() as patch:
+            patch.setattr(clipio, "_series_blocks", refuse)
+            expected = label_outcome(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(clipio, "_series_blocks", counted)
+            before = len(fast_parses)
+            assert label_outcome(path) == expected
+        outcomes.add((isinstance(expected, list), len(fast_parses) > before))
+    # numpy's reader parsed files, and refused others, which were read again;
+    # some of the files read again parsed, some raised
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("block_chars", [clipio._LABEL_BLOCK_CHARS, 1], ids=["default_block", "line_per_block"])
+@pytest.mark.parametrize("text, vids", [
+    # a note whose quoted line end is followed by a row-shaped line
+    ('video_id,t_s,bvp,note\nv0,0.0,0.5,"x\nv1,0.1,0.6,y"\nv0,0.1,0.7,\n', ["v0"]),
+    # an id left open by the last line, with blank lines after it
+    ('t_s,bvp,video_id\n0.0,0.5,v0\n0.1,0.6,"v0\n\n\r\n', ["v0", "v0\n\n\r\n"]),
+], ids=["row_in_a_note", "open_at_the_end"])
+def test_quoted_line_ends_read_as_csv_reads_them(tmp_path, monkeypatch, block_chars, text, vids):
+    monkeypatch.setattr(clipio, "_LABEL_BLOCK_CHARS", block_chars)
+    path = tmp_path / "labels.csv"
+    path.write_bytes(text.encode())
+    with monkeypatch.context() as patch:
+        patch.setattr(clipio, "_series_blocks", refuse)
+        expected = label_outcome(path)
+    assert label_outcome(path) == expected
+    assert [vid for vid, _ in expected] == vids
+
+
+def row_loop_must_not_run(*args):
+    raise AssertionError("csv's row loop read a file that numpy's reader should parse")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_bench_shaped_series_parse_needs_no_row_loop(tmp_path, monkeypatch, newline):
+    rng = np.random.default_rng(27)
+    vids = [f"v{i:03d}" for i in range(16)]
+    bvp = rng.normal(size=(16, 3600))
+    lines = ["video_id,t_s,bvp"]
+    lines += [f"{vid},{k / 30.0!r},{float(b)!r}" for vid, row in zip(vids, bvp) for k, b in enumerate(row)]
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (newline.join(lines) + newline).encode())
+    monkeypatch.setattr(clipio, "_series_rows", row_loop_must_not_run)
+    labels = read_labels(path)
+    assert list(labels) == vids
+    fps = 1.0 / float(np.mean(np.diff(np.arange(3600) / 30.0)))
+    for vid, row in zip(vids, bvp):
+        assert labels[vid].samples.tobytes() == row.tobytes()
+        assert labels[vid].fps == fps
