@@ -113,7 +113,7 @@ def read_clip(path, green_only: bool = False) -> FrameClip:
     header dims, and the dims against FrameClip's shape rules, before anything
     is allocated. The payload is then streamed whole pixels at a time through
     one reused buffer, so the file bytes are never held whole, and every
-    sample of every channel is checked finite on the way.
+    sample of every channel is checked finite on the way, and only there.
 
     By default every channel is widened into the float64 clip. With
     green_only, only the green channel is (channel 1 of 3, channel 0 of 1),
@@ -143,13 +143,13 @@ def read_clip(path, green_only: bool = False) -> FrameClip:
                 f"{path}: payload of {actual} bytes does not match dims "
                 f"{t}x{h}x{w}x{c} ({expected} bytes expected)"
             )
-        # FrameClip's checks in its order: shape, then finiteness, then fps
+        # FrameClip's checks in its order: shape, then finiteness, each done once, then fps
         try:
             _require_clip_shape((t, h, w, c))
             g = green_channel(c)
             keep = slice(g, g + 1) if green_only else slice(0, c)
             data = _read_payload(fh, dtype, t * h * w, c, keep, path)
-            return FrameClip(data.reshape(t, h, w, -1), fps)
+            return FrameClip._checked(data.reshape(t, h, w, -1), fps)
         except ClipFormatError:
             raise
         except ValueError as exc:
@@ -204,7 +204,7 @@ def read_labels(path) -> dict[str, object]:
         raise ValueError(f"{path}: not a regular file")
     with _open_labels(path) as fh:
         reader = csv.reader(fh)
-        col = {name: i for i, name in enumerate(next(reader, []))}
+        col = {name: i for i, name in enumerate(next(_csv_rows(path, reader), []))}
         if "video_id" in col and "hr_bpm" in col:
             labels: dict[str, object] = {}
             for vid, text in _label_rows(path, reader, col["video_id"], col["hr_bpm"]):
@@ -275,11 +275,20 @@ def _series_blocks(fh, vid_col: int, t_col: int, bvp_col: int) -> dict[str, tupl
     return series
 
 
+def _csv_rows(path, reader):
+    """The reader's rows; a line csv refuses (a field over its size limit) is a
+    ValueError that names it, as the other errors of a labels file are."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _label_rows(path, reader, *columns: int):
     """The given columns of each non-blank row; a row too short for them is a ValueError."""
     width = max(columns) + 1
     pick = itemgetter(*columns)
-    for row in reader:
+    for row in _csv_rows(path, reader):
         if len(row) >= width:
             yield pick(row)
         elif row:

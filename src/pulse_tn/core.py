@@ -61,16 +61,14 @@ class FrameClip:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "fps", _require_fps(self.fps))
 
-    def _channel(self, c: int) -> FrameClip:
-        """Channel c as a one-channel clip that views this clip's data.
-
-        The view is not validated again: this clip's construction already
-        checked every sample and the shape, and one channel keeps both valid.
-        """
-        view = object.__new__(FrameClip)
-        object.__setattr__(view, "data", self.data[..., c : c + 1])
-        object.__setattr__(view, "fps", self.fps)
-        return view
+    @classmethod
+    def _checked(cls, data: np.ndarray, fps: float) -> FrameClip:
+        """A clip of float64 data whose shape and samples the caller has
+        already checked, so they are not scanned again; fps still is."""
+        clip = object.__new__(cls)
+        object.__setattr__(clip, "data", data)
+        object.__setattr__(clip, "fps", _require_fps(fps))
+        return clip
 
     @property
     def frames(self) -> int:
@@ -135,9 +133,8 @@ def _segment_rows(w: Waveform, seconds: float) -> np.ndarray:
     return w.samples[: n * seg_len].reshape(n, seg_len)
 
 
-def pool_spatial(clip: FrameClip, channel: int) -> Waveform:
-    """Average one channel of a FrameClip over all pixels, frame by frame."""
-    data = clip.data
-    if not 0 <= channel < data.shape[3]:
-        raise ValueError(f"channel {channel} out of range for {data.shape[3]} channels")
-    return Waveform(data[:, :, :, channel].mean(axis=(1, 2)), clip.fps)
+def pool_spatial(clip: FrameClip) -> Waveform:
+    """Average a one-channel FrameClip over all pixels, frame by frame."""
+    if clip.channels != 1:
+        raise ValueError(f"pool_spatial needs a one-channel clip, got {clip.channels} channels")
+    return Waveform(clip.data[:, :, :, 0].mean(axis=(1, 2)), clip.fps)

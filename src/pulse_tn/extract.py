@@ -16,13 +16,14 @@ class ExtractorKind(Enum):
 
 
 def _green(clip: FrameClip) -> FrameClip:
-    """The green channel as a one-channel view."""
-    return clip._channel(green_channel(clip.channels))
+    """The green channel as a one-channel view, which needs no second check."""
+    g = green_channel(clip.channels)
+    return FrameClip._checked(clip.data[..., g : g + 1], clip.fps)
 
 
 def extract_green(clip: FrameClip) -> Waveform:
     """Classical baseline: spatial mean of the green channel, frame by frame."""
-    return pool_spatial(_green(clip), 0)
+    return pool_spatial(_green(clip))
 
 
 def extract_tn_pooled(clip: FrameClip, epsilon: float = EPSILON) -> Waveform:
@@ -33,12 +34,12 @@ def extract_tn_pooled(clip: FrameClip, epsilon: float = EPSILON) -> Waveform:
     TN treats each trace on its own, so only the pooled channel is
     normalized. The output is zero-mean.
     """
-    return pool_spatial(tn(_green(clip), epsilon), 0)
+    return pool_spatial(tn(_green(clip), epsilon))
 
 
 def extract_diff_pooled(clip: FrameClip) -> Waveform:
     """Sum-normalized frame differences of the green channel, pooled (length T-1)."""
-    return pool_spatial(diff_normalized(_green(clip)), 0)
+    return pool_spatial(diff_normalized(_green(clip)))
 
 
 def run_extractor(kind: ExtractorKind, clip: FrameClip, epsilon: float = EPSILON) -> Waveform:

@@ -81,6 +81,10 @@ class SceneSpec:
             raise ValueError("specular and diffuse must be >= 0 per channel")
         if self.pixel_jitter < 0:
             raise ValueError(f"pixel_jitter must be >= 0, got {self.pixel_jitter}")
+        # numpy would take None as "seed from the OS", so every render would differ
+        seed = self.jitter_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"jitter_seed must be an integer >= 0, got {seed!r}")
         object.__setattr__(self, "illumination", ill)
         object.__setattr__(self, "specular", spec)
         object.__setattr__(self, "diffuse", diff)
@@ -223,6 +227,8 @@ def parse_noise_string(text: str) -> NoiseSpec:
     A "vs/" prefix routes the term to the specular perturbation instead of
     the illumination one, e.g. "linear:0.1+vs/sin:0.5:0.02".
     """
+    if not isinstance(text, str):
+        raise ValueError(f"noise must be a string, got {text!r}")
     d_ill: list[NoiseTerm] = []
     d_spec: list[NoiseTerm] = []
     for raw in text.split("+"):

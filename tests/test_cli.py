@@ -157,6 +157,22 @@ class TestSimulate:
         assert capsys.readouterr().err == f"pulse-tn: error: fps must be finite and > 0, got {float(fps)}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_label_file_with_a_field_over_the_csv_limit_leaves_no_clip(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"video_id,hr_bpm\nv0,60\n{'x' * 200_000},70\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--hr", "72", "--frames", "300", "--out", str(tmp_path / "x.rpgc")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"pulse-tn: error: {labels}: line 3: field larger than field limit (131072)\n"
+        assert sorted(tmp_path.iterdir()) == [labels]
+
+    def test_negative_seed_gets_the_package_message(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--hr", "72", "--frames", "300", "--seed", "-1", "--out", str(tmp_path / "x.rpgc")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "pulse-tn: error: jitter_seed must be an integer >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_noise_spec_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -412,6 +428,29 @@ class TestEvaluate:
             main(["evaluate", "--manifest", str(manifest), "--out", str(report_path)])
         assert exc.value.code == 2
         assert "labels.csv: line 2: could not convert" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize(
+        "command, header, first",
+        [
+            ("evaluate", "video_id,hr_bpm", "v000,60"),
+            # "1_0" makes numpy's reader refuse the file, so csv reads it again
+            ("evaluate", "video_id,t_s,bvp", "v000,1_0,0.5"),
+            ("compare", "video_id,t_s,bvp", "v000,1_0,0.5"),
+        ],
+    )
+    def test_field_over_the_csv_limit_fails_the_command(self, small_manifest, tmp_path, capsys, command, header, first):
+        manifest = tmp_path / "m"
+        manifest.mkdir()
+        (manifest / "v000.rpgc").symlink_to(small_manifest / "v000.rpgc")
+        labels = manifest / "labels.csv"
+        # 200,000 characters, where csv reads at most 131072 in one field
+        labels.write_text(f"{header}\n{first}\n{'x' * 200_000},{first.split(',', 1)[1]}\n")
+        report_path = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", str(manifest), "--out", str(report_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"pulse-tn: error: {labels}: line 3: field larger than field limit (131072)\n"
         assert not report_path.exists()
 
 

@@ -308,6 +308,33 @@ def test_green_only_checks_the_shape_before_the_samples(tmp_path):
     assert read_error(path, green_only=True)[1] == f"{path}: clip channel count must be 1 or 3, got 2"
 
 
+@pytest.mark.parametrize("green_only", [False, True])
+def test_zero_fps_is_checked_after_every_sample(tmp_path, green_only):
+    path = tmp_path / "clip.rpgc"
+    path.write_bytes(MALFORMED_CLIPS["zero_fps"][1])
+    assert read_error(path, green_only=green_only)[1] == f"{path}: fps must be finite and > 0, got 0.0"
+    # a NaN in the red channel of the last pixel is still reported before the fps
+    path.write_bytes(MALFORMED_CLIPS["zero_fps"][1][:-12] + struct.pack("<f", float("nan")) + bytes(8))
+    assert read_error(path, green_only=green_only)[1] == f"{path}: clip data must not contain NaN or Inf"
+
+
+@pytest.mark.parametrize("green_only", [False, True])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("dtype", ["f32", "u8"])
+def test_read_clip_does_not_validate_its_clip_again(tmp_path, monkeypatch, dtype, channels, green_only):
+    # every f32 sample was checked as its chunk was read, and a u8 sample is finite by construction
+    path = tmp_path / "clip.rpgc"
+    write_clip(random_clip(c=channels), path, dtype=dtype)
+    calls = []
+    check = FrameClip.__post_init__
+    monkeypatch.setattr(FrameClip, "__post_init__", lambda self: calls.append(self) or check(self))
+    clip = read_clip(path, green_only=green_only)
+    assert calls == []
+    assert clip.data.dtype == np.float64
+    assert clip.data.shape == (12, 3, 4, 1 if green_only else channels)
+    assert clip.fps == 30.0
+
+
 def test_green_only_rejects_a_directory(tmp_path):
     assert read_error(tmp_path, green_only=True) == read_error(tmp_path) == (ClipFormatError, f"{tmp_path}: not a regular file")
 
@@ -498,6 +525,33 @@ class TestLabelRows:
         path = tmp_path / "labels.csv"
         write_series(path, rows)
         assert_rejected(read_labels(path)["v3"], r"labels\.csv: non-finite t_s or bvp for v3")
+
+
+# longer than the 131072 characters csv reads in one field by default
+HUGE_ID = "x" * 200_000
+# "1_0" is a float to Python but not to numpy's reader, so csv reads the series file again
+OVERSIZED_FIELD_FILES = {
+    "hr_row": ("video_id,hr_bpm", "v0,72", f"{HUGE_ID},70"),
+    "hr_header": (f"{HUGE_ID},hr_bpm", "v0,72"),
+    "series_row": ("video_id,t_s,bvp", "v0,1_0,0.5", f"{HUGE_ID},0.0,0.5"),
+}
+
+
+@pytest.mark.parametrize("case, line", [("hr_row", 3), ("hr_header", 1), ("series_row", 3)])
+def test_field_over_the_csv_limit_names_its_line(tmp_path, case, line):
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join(OVERSIZED_FIELD_FILES[case]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_labels(path)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{path}: line {line}: field larger than field limit (131072)"
+
+
+def test_upsert_label_refuses_a_file_with_a_field_over_the_csv_limit(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join(OVERSIZED_FIELD_FILES["hr_row"]) + "\n")
+    with pytest.raises(ValueError, match=r"labels\.csv: line 3: field larger than field limit"):
+        upsert_label(path, "v1", 60.0)
 
 
 def write_lines(path, lines, newline):

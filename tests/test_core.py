@@ -87,38 +87,36 @@ class TestSegmentWaveform:
 
 class TestPoolSpatial:
     def test_constant_frame(self):
-        clip = make_clip(t=5, h=2, w=2, fill=0.5)
-        assert np.allclose(pool_spatial(clip, 0).samples, 0.5)
+        clip = make_clip(t=5, h=2, w=2, c=1, fill=0.5)
+        assert np.allclose(pool_spatial(clip).samples, 0.5)
 
     def test_symmetric_mean(self):
         data = np.zeros((2, 2, 2, 1))
         data[:, :, :, 0] = np.array([[0.0, 1.0], [1.0, 0.0]])
-        w = pool_spatial(FrameClip(data, 30.0), 0)
+        w = pool_spatial(FrameClip(data, 30.0))
         assert np.allclose(w.samples, 0.5)
 
     def test_matches_bruteforce_sum(self):
         rng = np.random.default_rng(11)
-        data = rng.random((6, 4, 4, 3))
+        data = rng.random((6, 4, 4, 3))[..., 2:]
         clip = FrameClip(data, 30.0)
-        w = pool_spatial(clip, 2)
+        w = pool_spatial(clip)
         for t in range(6):
             total = 0.0
             for i in range(4):
                 for j in range(4):
-                    total += data[t, i, j, 2]
+                    total += data[t, i, j, 0]
             assert w.samples[t] == pytest.approx(total / 16, abs=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
-        x = rng.random((8, 3, 5, 3))
-        y = rng.random((8, 3, 5, 3))
+        x = rng.random((8, 3, 5, 3))[..., 1:2]
+        y = rng.random((8, 3, 5, 3))[..., 1:2]
         a, b = 2.25, -0.75
-        lhs = pool_spatial(FrameClip(a * x + b * y, 30.0), 1).samples
-        rhs = a * pool_spatial(FrameClip(x, 30.0), 1).samples + b * pool_spatial(
-            FrameClip(y, 30.0), 1
-        ).samples
+        lhs = pool_spatial(FrameClip(a * x + b * y, 30.0)).samples
+        rhs = a * pool_spatial(FrameClip(x, 30.0)).samples + b * pool_spatial(FrameClip(y, 30.0)).samples
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_channel_out_of_range(self):
-        with pytest.raises(ValueError):
-            pool_spatial(make_clip(c=1), 1)
+    def test_three_channel_clip_refused(self):
+        with pytest.raises(ValueError, match="one-channel clip, got 3 channels"):
+            pool_spatial(make_clip(c=3))

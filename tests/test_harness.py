@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from pulse_tn import (
     synth_pulse,
     write_clip,
 )
+from pulse_tn.cli import main as cli_main
 from pulse_tn.harness import compare_manifest, evaluate_manifest, noise_feature_ratios, worker_count, write_report
 from pulse_tn.simulate import LinearNoise, NoiseSpec
 
@@ -155,6 +157,43 @@ class TestOneWalk:
         monkeypatch.setattr(clipio, "read_clip", lambda path, **kw: pytest.fail(f"{path} was read"))
         with pytest.raises(ValueError, match="compare needs at least one extractor"):
             compare_manifest(tmp_path, [])
+
+
+@pytest.fixture(scope="module")
+def sidecar_manifest(tmp_path_factory):
+    """One simulated clip with its sidecar and label, and the compare report of it."""
+    root = tmp_path_factory.mktemp("sidecar")
+    # 480 frames, so that the one-frame-shorter diff waveform still fills a segment
+    argv = ["simulate", "--hr", "72", "--frames", "480", "--size", "4x4", "--noise", "linear:0.1"]
+    assert cli_main([*argv, "--out", str(root / "v0.rpgc")]) == 0
+    return root, compare_manifest(root, ALL_KINDS)
+
+
+SIDECAR_KEYS = [
+    "amplitude", "diffuse", "fps", "frames", "harmonic_ratio", "height", "hr_bpm",
+    "illumination", "noise", "pixel_jitter", "seed", "shape", "specular", "width",
+]
+
+
+def test_sidecar_names_every_key(sidecar_manifest):
+    root, _ = sidecar_manifest
+    assert sorted(json.loads((root / "v0.rpgc.sim.json").read_text())) == SIDECAR_KEYS
+
+
+@pytest.mark.parametrize("value", [None, "x", True, [1], {}, -1, 1.5])
+@pytest.mark.parametrize("key", SIDECAR_KEYS)
+def test_bad_sidecar_value_spoils_only_its_ratio_row(sidecar_manifest, tmp_path, key, value):
+    root, clean = sidecar_manifest
+    for name in ("v0.rpgc", "labels.csv"):
+        (tmp_path / name).symlink_to(root / name)
+    meta = json.loads((root / "v0.rpgc.sim.json").read_text())
+    (tmp_path / "v0.rpgc.sim.json").write_text(json.dumps({**meta, key: value}))
+    first, second = compare_manifest(tmp_path, ALL_KINDS), compare_manifest(tmp_path, ALL_KINDS)
+    assert first["extractors"] == clean["extractors"]
+    # reruns give the same bytes: the report is strict JSON and draws nothing at random
+    assert json.dumps(first, sort_keys=True, allow_nan=False) == json.dumps(second, sort_keys=True, allow_nan=False)
+    (row,) = first["noise_ratios"]["per_video"]
+    assert "error" in row or sorted(row) == ["diff_residual_ratio", "tn_residual_ratio", "video_id"]
 
 
 class TestSamplingRate:

@@ -30,6 +30,19 @@ class TestPulseSpec:
             PulseSpec(hr_bpm=60, amplitude=-0.1)
 
 
+class TestSceneSpec:
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, 2.0, True, False, [1], "7", {}])
+    def test_rejects_a_seed_that_is_not_an_integer_at_least_zero(self, seed):
+        # None would seed numpy from the OS: every render of the scene would differ
+        with pytest.raises(ValueError) as exc:
+            SceneSpec(jitter_seed=seed)
+        assert str(exc.value) == f"jitter_seed must be an integer >= 0, got {seed!r}"
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, np.int64(3)])
+    def test_accepts_integer_seeds(self, seed):
+        assert SceneSpec(jitter_seed=seed).jitter_seed == seed
+
+
 class TestSynthPulse:
     def test_sinusoid_definition(self):
         w = synth_pulse(PulseSpec(hr_bpm=60.0, amplitude=0.005), 30.0, 60)
@@ -231,3 +244,9 @@ class TestParseNoiseString:
         with pytest.raises(ValueError) as exc:
             parse_noise_string(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [None, True, -1, 1.5, [1], {}])
+    def test_rejects_a_value_that_is_not_a_string(self, value):
+        with pytest.raises(ValueError) as exc:
+            parse_noise_string(value)
+        assert str(exc.value) == f"noise must be a string, got {value!r}"
