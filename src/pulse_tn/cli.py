@@ -12,7 +12,7 @@ from . import clipio
 from .diff import diff_normalized, frame_diff
 from .extract import ExtractorKind, run_extractor
 from .harness import compare_manifest, evaluate_manifest, scene_from_sidecar, write_report
-from .hr import BandpassSpec, PipelineConfig, bandpass, video_hr, welch_psd
+from .hr import BandpassSpec, PipelineConfig, _spectra, video_hr
 from .simulate import PULSE_SHAPES, PulseSpec, SceneSpec, render_noisy
 from .tn import EPSILON, _check_epsilon, tn
 
@@ -111,12 +111,8 @@ def cmd_estimate(args) -> int:
         ]
         Path(args.dump_waveform).write_text("\n".join(lines) + "\n")
     if args.dump_psd:
-        filtered = bandpass(waveform, cfg.band)
-        window_len, nfft = cfg.welch_lengths(len(filtered))
-        spectrum = welch_psd(filtered, window_len, cfg.overlap, nfft)
-        lines = ["freq_hz,power"] + [
-            f"{float(f)!r},{float(p)!r}" for f, p in zip(spectrum.freqs, spectrum.power)
-        ]
+        freqs, power = _spectra(waveform.samples, waveform.fps, cfg)
+        lines = ["freq_hz,power"] + [f"{float(f)!r},{float(p)!r}" for f, p in zip(freqs, power)]
         Path(args.dump_psd).write_text("\n".join(lines) + "\n")
     print(f"{hr:.3f}")
     return 0

@@ -19,14 +19,7 @@ from . import clipio
 from .core import Waveform
 from .diff import frame_diff
 from .extract import ExtractorKind, run_extractor
-from .hr import (
-    DegenerateSignalError,
-    PipelineConfig,
-    SamplingRateError,
-    compute_metrics,
-    segment_heart_rates,
-    video_hr,
-)
+from .hr import PipelineConfig, SamplingRateError, _rate, compute_metrics, video_hr
 from .simulate import (
     NoiseSpec,
     PulseSpec,
@@ -99,8 +92,16 @@ def _residual_ratio(ideal: np.ndarray, noisy: np.ndarray) -> float:
 
 def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, Waveform, NoiseSpec, int, int]:
     """`render_noisy`'s arguments for the clip a simulator sidecar records; its keys
-    are the spec field names, but `seed`, plus `fps`, `frames`, `height` and `width`."""
+    are the spec field names, but `seed`, plus `fps`, `frames`, `height` and `width`.
+    A number field takes no boolean or string, and `frames`, `height` and `width` take
+    integers; `illumination`, `specular` and `diffuse` may hold one number per channel."""
     scene_keys = ("illumination", "specular", "diffuse", "pixel_jitter")
+    for key in (*scene_keys, "hr_bpm", "amplitude", "harmonic_ratio", "fps", "frames", "height", "width"):
+        value = meta.get(key, 0)  # a missing field raises its KeyError where it is read
+        kind = int if key in ("frames", "height", "width") else (int, float)
+        items = value if key in scene_keys[:3] and isinstance(value, list) else [value]
+        if not all(isinstance(item, kind) and not isinstance(item, bool) for item in items):
+            raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     scene = SceneSpec(jitter_seed=meta["seed"], **{key: meta[key] for key in scene_keys})
     pulse = PulseSpec(**{key: meta[key] for key in ("hr_bpm", "amplitude", "shape", "harmonic_ratio")})
     noise = parse_noise_string(meta["noise"])
@@ -132,17 +133,13 @@ def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfi
         row: dict = {"video_id": path.stem}
         rows.append(row)
         try:
-            rates, dropped = segment_heart_rates(run_extractor(kind, clip, cfg.epsilon), cfg)
+            hr_pred, dropped = _rate(run_extractor(kind, clip, cfg.epsilon), cfg)
         except ValueError as exc:
             # degenerate spectra, clips shorter than one segment, etc.: flag the row
             row["error"] = str(exc)
             failures.append(type(exc))
             continue
-        if not rates:
-            row["error"] = f"{path.stem}: all {dropped} segments degenerate"
-            failures.append(DegenerateSignalError)
-            continue
-        row.update(hr_pred=float(np.mean(rates)), segments_dropped=dropped)
+        row.update(hr_pred=hr_pred, segments_dropped=dropped)
         if fields is None:
             fields = {"hr_label": None, "label_missing": True}
             if label is not None:

@@ -110,6 +110,8 @@ class PowerSpectrum:
         power = np.asarray(self.power, dtype=np.float64)
         if freqs.shape != power.shape or freqs.ndim != 1:
             raise ValueError("freqs and power must be 1-D and equally long")
+        _require_finite(freqs, "freqs")
+        _require_finite(power, "power")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("freqs must be strictly increasing")
         if np.any(power < 0):
@@ -306,6 +308,16 @@ def _check_welch(window_len: int, overlap: float, nfft: int) -> None:
         raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
 
 
+def _in_band_peak(freqs: np.ndarray, power: np.ndarray, low_hz: float, high_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency and power of the highest bin inside [low_hz, high_hz] along the
+    last axis of `power`; ties break toward the lower frequency."""
+    in_band = (freqs >= low_hz) & (freqs <= high_hz)
+    if not np.any(in_band):
+        raise ValueError(f"spectrum has no bins inside [{low_hz}, {high_hz}] Hz")
+    power = power[..., in_band]
+    return freqs[in_band][power.argmax(axis=-1)], power.max(axis=-1)
+
+
 def hr_from_psd(
     spectrum: PowerSpectrum, low_hz: float = HR_LOW_HZ, high_hz: float = HR_HIGH_HZ
 ) -> float:
@@ -313,12 +325,17 @@ def hr_from_psd(
 
     Ties break toward the lower frequency.
     """
-    mask = (spectrum.freqs >= low_hz) & (spectrum.freqs <= high_hz)
-    if not np.any(mask):
-        raise ValueError(f"spectrum has no bins inside [{low_hz}, {high_hz}] Hz")
-    freqs = spectrum.freqs[mask]
-    power = spectrum.power[mask]
-    return 60.0 * float(freqs[int(np.argmax(power))])
+    return 60.0 * float(_in_band_peak(spectrum.freqs, spectrum.power, low_hz, high_hz)[0])
+
+
+def _spectra(x: np.ndarray, fps: float, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """`cfg`'s bandpass, then Welch spectrum, of each row of `x`: the frequencies and
+    one power row per row. A row shorter than the Welch window is one Welch segment."""
+    filtered = _bandpass_rows(x, fps, cfg.band)
+    # samples near the float64 limit overflow in the filter; reject them as bandpass() does
+    _require_finite(filtered, "waveform samples")
+    window_len, nfft = cfg.welch_lengths(x.shape[-1])
+    return _welch_rows(filtered, fps, window_len, cfg.overlap, nfft)
 
 
 def segment_heart_rates(
@@ -327,37 +344,33 @@ def segment_heart_rates(
     """Per-segment heart rates plus the count of degenerate segments dropped.
 
     The full segments are bandpassed and run through the Welch estimator
-    as one batch, each segment on its own; segments shorter than the Welch
-    window use the whole segment as a single Welch segment. Segments whose in-band peak power falls below
-    DEGENERATE_POWER carry no usable pulse and are dropped.
+    as one batch, each segment on its own. Segments whose in-band peak power
+    falls below DEGENERATE_POWER carry no usable pulse and are dropped.
     """
     segments = _segment_rows(w, cfg.segment_s)
     if not len(segments):
         raise ValueError(
             f"waveform of {w.duration_s:.2f} s has no full {cfg.segment_s} s segment"
         )
-    filtered = _bandpass_rows(segments, w.fps, cfg.band)
-    # samples near the float64 limit overflow in the filter; reject them as bandpass() does
-    _require_finite(filtered, "waveform samples")
-    window_len, nfft = cfg.welch_lengths(segments.shape[1])
-    freqs, power = _welch_rows(filtered, w.fps, window_len, cfg.overlap, nfft)
-    in_band = (freqs >= cfg.band.low_hz) & (freqs <= cfg.band.high_hz)
-    freqs, power = freqs[in_band], power[:, in_band]
-    dead = power.max(axis=1, initial=0.0) < DEGENERATE_POWER
-    live = power[~dead]
-    # ties break toward the lower frequency, as in hr_from_psd
-    rates = 60.0 * freqs[live.argmax(axis=1)] if live.size else np.empty(0)
-    return rates.tolist(), int(np.count_nonzero(dead))
+    freqs, power = _spectra(segments, w.fps, cfg)
+    peak_hz, peak_power = _in_band_peak(freqs, power, cfg.band.low_hz, cfg.band.high_hz)
+    dead = peak_power < DEGENERATE_POWER
+    return (60.0 * peak_hz[~dead]).tolist(), int(np.count_nonzero(dead))
 
 
-def video_hr(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> float:
-    """Mean of the per-segment heart rates of a waveform, in BPM."""
+def _rate(w: Waveform, cfg: PipelineConfig) -> tuple[float, int]:
+    """`video_hr` and the count of degenerate segments left out of its mean."""
     rates, dropped = segment_heart_rates(w, cfg)
     if not rates:
         raise DegenerateSignalError(
             f"all {dropped} segments are spectrally degenerate (in-band power < {DEGENERATE_POWER})"
         )
-    return float(np.mean(rates))
+    return float(np.mean(rates)), dropped
+
+
+def video_hr(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> float:
+    """Mean of the per-segment heart rates of a waveform, in BPM."""
+    return _rate(w, cfg)[0]
 
 
 def compute_metrics(preds, labels) -> MetricsReport:

@@ -528,6 +528,20 @@ def test_bad_pipeline_setting_fails_the_command(small_manifest, tmp_path, capsys
     assert capsys.readouterr().err == err
 
 
+def test_grid_with_no_bin_in_band_reads_alike_everywhere(small_manifest, tmp_path, capsys):
+    # an 8-point grid at 30 fps has bins at 0 and 3.75 Hz but none inside 0.5-3 Hz
+    flags = ["--window-len", "8", "--nfft", "8"]
+    message = "spectrum has no bins inside [0.5, 3.0] Hz"
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--in", str(small_manifest / "v000.rpgc"), *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"pulse-tn: error: {message}\n"
+    report_path = tmp_path / "report.json"
+    assert main(["evaluate", "--manifest", str(small_manifest), "--out", str(report_path), *flags]) == 0
+    rows = json.loads(report_path.read_text())["per_video"]
+    assert rows == [{"video_id": "v000", "error": message}, {"video_id": "v001", "error": message}]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
 def test_dangling_clip_link_flags_its_row_only(tmp_path, capsys, command):
     manifest = build_manifest(tmp_path / "m", [60.0, 72.0])

@@ -7,12 +7,14 @@ import pytest
 from pulse_tn import (
     BandpassSpec,
     ExtractorKind,
+    FrameClip,
     PipelineConfig,
     PulseSpec,
     SamplingRateError,
     SceneSpec,
     clipio,
     harness,
+    hr,
     render_ideal,
     synth_pulse,
     write_clip,
@@ -159,6 +161,37 @@ class TestOneWalk:
             compare_manifest(tmp_path, [])
 
 
+DEGENERATE = "all 1 segments are spectrally degenerate (in-band power < 1e-12)"
+
+
+class TestOneRateRule:
+    """Every BPM, of a clip or of a label, comes from `hr`'s one rate rule."""
+
+    def test_constant_clip_row_carries_the_label_message(self, tmp_path):
+        write_clip(FrameClip(np.full((600, 4, 4, 3), 0.5), 30.0), tmp_path / "flat.rpgc")
+        (tmp_path / "labels.csv").write_text("video_id,hr_bpm\nflat,72.0\n")
+        doc = compare_manifest(tmp_path, ALL_KINDS)
+        rows = [{"video_id": "flat", "error": DEGENERATE}]
+        for kind in ALL_KINDS:
+            assert evaluate_manifest(tmp_path, kind)["per_video"] == rows
+            assert doc["extractors"][kind.value]["per_video"] == rows
+
+    def test_one_segment_rate_call_per_waveform_and_label(self, tmp_path, monkeypatch):
+        # perfbench counts the segments of a run by wrapping this module global, so a
+        # rate that reached the segments another way would go uncounted
+        for i, bpm in enumerate([60.0, 72.0, 84.0]):
+            write_manifest_clip(tmp_path / f"v{i}.rpgc", hr=bpm, seed=i)
+        t = np.arange(600) / 30.0
+        write_series_labels(tmp_path / "labels.csv", {f"v{i}": np.sin(2 * np.pi * f * t) for i, f in enumerate([1.0, 1.2, 1.4])})
+        lengths = []
+        segment_heart_rates = hr.segment_heart_rates
+        monkeypatch.setattr(hr, "segment_heart_rates", lambda w, cfg: lengths.append(len(w)) or segment_heart_rates(w, cfg))
+        doc = evaluate_manifest(tmp_path, ExtractorKind.DIFF_POOLED)
+        assert doc["n_evaluated"] == 3
+        # the differenced waveforms are one sample shorter than the labels
+        assert sorted(lengths) == [599] * 3 + [600] * 3
+
+
 @pytest.fixture(scope="module")
 def sidecar_manifest(tmp_path_factory):
     """One simulated clip with its sidecar and label, and the compare report of it."""
@@ -180,20 +213,46 @@ def test_sidecar_names_every_key(sidecar_manifest):
     assert sorted(json.loads((root / "v0.rpgc.sim.json").read_text())) == SIDECAR_KEYS
 
 
-@pytest.mark.parametrize("value", [None, "x", True, [1], {}, -1, 1.5])
-@pytest.mark.parametrize("key", SIDECAR_KEYS)
-def test_bad_sidecar_value_spoils_only_its_ratio_row(sidecar_manifest, tmp_path, key, value):
+def compare_with_sidecar_value(sidecar_manifest, tmp_path, key, value):
+    """The compare report of the clip of `sidecar_manifest` with one sidecar field
+    changed, after checking that its extractor blocks equal the clean run's."""
     root, clean = sidecar_manifest
     for name in ("v0.rpgc", "labels.csv"):
         (tmp_path / name).symlink_to(root / name)
     meta = json.loads((root / "v0.rpgc.sim.json").read_text())
     (tmp_path / "v0.rpgc.sim.json").write_text(json.dumps({**meta, key: value}))
-    first, second = compare_manifest(tmp_path, ALL_KINDS), compare_manifest(tmp_path, ALL_KINDS)
-    assert first["extractors"] == clean["extractors"]
+    doc = compare_manifest(tmp_path, ALL_KINDS)
+    assert doc["extractors"] == clean["extractors"]
+    return doc
+
+
+@pytest.mark.parametrize("value", [None, "x", True, [1], {}, -1, 1.5])
+@pytest.mark.parametrize("key", SIDECAR_KEYS)
+def test_bad_sidecar_value_spoils_only_its_ratio_row(sidecar_manifest, tmp_path, key, value):
+    first = compare_with_sidecar_value(sidecar_manifest, tmp_path, key, value)
+    second = compare_manifest(tmp_path, ALL_KINDS)
     # reruns give the same bytes: the report is strict JSON and draws nothing at random
     assert json.dumps(first, sort_keys=True, allow_nan=False) == json.dumps(second, sort_keys=True, allow_nan=False)
     (row,) = first["noise_ratios"]["per_video"]
     assert "error" in row or sorted(row) == ["diff_residual_ratio", "tn_residual_ratio", "video_id"]
+
+
+NUMBER_KEYS = [
+    "amplitude", "diffuse", "fps", "frames", "harmonic_ratio", "height", "hr_bpm",
+    "illumination", "pixel_jitter", "specular", "width",
+]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key in NUMBER_KEYS for value in (True, "1.0")]
+    + [(key, [True] * 3) for key in ("illumination", "specular", "diffuse")]
+    + [("frames", 480.0), ("height", 4.0), ("width", 4.0)],
+)
+def test_sidecar_number_field_takes_only_numbers(sidecar_manifest, tmp_path, key, value):
+    doc = compare_with_sidecar_value(sidecar_manifest, tmp_path, key, value)
+    (row,) = doc["noise_ratios"]["per_video"]
+    assert row["error"].startswith(f"{tmp_path / 'v0.rpgc.sim.json'}: {key} ")
 
 
 class TestSamplingRate:
