@@ -31,7 +31,6 @@ from .tn import (
 )
 from .diff import diff_normalized, frame_diff
 from .hr import (
-    BandpassSpec,
     DegenerateSignalError,
     MetricsReport,
     PipelineConfig,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from . import clipio
 from .diff import diff_normalized, frame_diff
 from .extract import ExtractorKind, run_extractor
 from .harness import compare_manifest, evaluate_manifest, scene_from_sidecar, write_report
-from .hr import BandpassSpec, PipelineConfig, _spectra, video_hr
+from .hr import PipelineConfig, _spectra, video_hr
 from .simulate import PULSE_SHAPES, PulseSpec, SceneSpec, render_noisy
 from .tn import EPSILON, _check_epsilon, tn
 
@@ -30,9 +31,9 @@ def _parse_size(text: str) -> tuple[int, int]:
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     d = PipelineConfig()
     p.add_argument("--segment-s", type=float, default=d.segment_s, help="segment length in seconds")
-    p.add_argument("--band-low", type=float, default=d.band.low_hz, help="bandpass low edge in Hz")
-    p.add_argument("--band-high", type=float, default=d.band.high_hz, help="bandpass high edge in Hz")
-    p.add_argument("--order", type=int, default=d.band.order, help="Butterworth filter order (even)")
+    p.add_argument("--band-low", dest="band_low_hz", type=float, default=d.band_low_hz, help="bandpass low edge in Hz")
+    p.add_argument("--band-high", dest="band_high_hz", type=float, default=d.band_high_hz, help="bandpass high edge in Hz")
+    p.add_argument("--order", dest="band_order", type=int, default=d.band_order, help="Butterworth filter order (even)")
     p.add_argument("--window-len", type=int, default=d.window_len, help="Welch window length")
     p.add_argument("--overlap", type=float, default=d.overlap, help="Welch window overlap fraction")
     p.add_argument("--nfft", type=int, default=d.nfft, help="zero-padded FFT length")
@@ -40,15 +41,9 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
 
 
 def _pipeline(args) -> PipelineConfig:
-    """The pipeline settings of the flags; a bad value raises ValueError, which exits 2."""
-    return PipelineConfig(
-        segment_s=args.segment_s,
-        band=BandpassSpec(low_hz=args.band_low, high_hz=args.band_high, order=args.order),
-        window_len=args.window_len,
-        overlap=args.overlap,
-        nfft=args.nfft,
-        epsilon=args.epsilon,
-    )
+    """The pipeline settings of the flags, each stored under its field's name; a bad
+    value raises ValueError, which exits 2."""
+    return PipelineConfig(**{field.name: getattr(args, field.name) for field in fields(PipelineConfig)})
 
 
 def cmd_simulate(args) -> int:

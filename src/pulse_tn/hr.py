@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -28,26 +28,13 @@ class SamplingRateError(ValueError):
     """Raised when the frame rate is too low to carry the passband."""
 
 
-@dataclass(frozen=True)
-class BandpassSpec:
-    """Butterworth bandpass, applied forward and backward (zero phase).
-
-    `order` is the overall filter order (even; order 4 realizes two
-    second-order sections). Zero-phase filtering squares the magnitude
-    response and removes phase distortion.
-    """
-
-    low_hz: float = HR_LOW_HZ
-    high_hz: float = HR_HIGH_HZ
-    order: int = 4
-
-    def __post_init__(self):
-        if not (np.isfinite(self.low_hz) and np.isfinite(self.high_hz)):
-            raise ValueError(f"band edges must be finite, got {self.low_hz}, {self.high_hz}")
-        if not 0 < self.low_hz < self.high_hz:
-            raise ValueError(f"need 0 < low_hz < high_hz, got {self.low_hz}, {self.high_hz}")
-        if self.order < 2 or self.order % 2:
-            raise ValueError(f"order must be even and >= 2, got {self.order}")
+def _check_welch(window_len: int, overlap: float, nfft: int) -> None:
+    if window_len < 2:
+        raise ValueError(f"window_len must be >= 2, got {window_len}")
+    if nfft < window_len:
+        raise ValueError(f"nfft {nfft} must be >= window_len {window_len}")
+    if not 0 <= overlap < 1:
+        raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
 
 
 @dataclass(frozen=True)
@@ -55,20 +42,37 @@ class PipelineConfig:
     """Every setting of the heart-rate back end, validated once when built.
 
     A waveform is cut into `segment_s`-second segments. Each segment is
-    filtered by `band`, and its Welch spectrum (Hann windows of `window_len`
-    samples overlapping by the fraction `overlap`, zero-padded to `nfft`)
-    gives one rate. `epsilon` is the guard of the temporal-normalization
-    extractor. `band` validates itself when it is built.
+    filtered by a Butterworth bandpass from `band_low_hz` to `band_high_hz` of
+    overall order `band_order` (even; order 4 realizes two second-order
+    sections), applied forward and backward: zero phase, with the magnitude
+    response squared. Its Welch spectrum (Hann windows of `window_len` samples
+    overlapping by the fraction `overlap`, zero-padded to `nfft`) gives one
+    rate. `epsilon` is the guard of the temporal-normalization extractor.
+    The field names are the keys of a report's `config` block.
     """
 
     segment_s: float = 15.0
-    band: BandpassSpec = BandpassSpec()
+    band_low_hz: float = HR_LOW_HZ
+    band_high_hz: float = HR_HIGH_HZ
+    band_order: int = 4
     window_len: int = WELCH_WINDOW_LEN
     overlap: float = WELCH_OVERLAP
     nfft: int = WELCH_NFFT
     epsilon: float = EPSILON
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kind = int if field.type == "int" else (int, float)  # annotations are strings here
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{field.name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        low, high = self.band_low_hz, self.band_high_hz
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError(f"band edges must be finite, got {low}, {high}")
+        if not 0 < low < high:
+            raise ValueError(f"need 0 < low_hz < high_hz, got {low}, {high}")
+        if self.band_order < 2 or self.band_order % 2:
+            raise ValueError(f"order must be even and >= 2, got {self.band_order}")
         _check_epsilon(self.epsilon)
         _check_segment_s(self.segment_s)
         if self.nfft < 1:
@@ -84,18 +88,8 @@ class PipelineConfig:
 
     def to_json(self, extractors: list[str]) -> dict:
         """The `config` block of a report made with these settings."""
-        return {
-            "extractors": extractors,
-            "segment_s": self.segment_s,
-            "band_low_hz": self.band.low_hz,
-            "band_high_hz": self.band.high_hz,
-            "band_order": self.band.order,
-            "zero_phase": True,  # the filter is always zero phase; the report format keeps the key
-            "window_len": self.window_len,
-            "overlap": self.overlap,
-            "nfft": self.nfft,
-            "epsilon": self.epsilon,
-        }
+        # the filter is always zero phase; the report format keeps the key
+        return {"extractors": extractors, "zero_phase": True, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -135,24 +129,24 @@ class MetricsReport:
     pearson_defined: bool
 
 
-def bandpass(w: Waveform, spec: BandpassSpec = BandpassSpec()) -> Waveform:
-    """Apply the Butterworth bandpass to a waveform, preserving its length."""
-    return Waveform(_bandpass_rows(w.samples, w.fps, spec), w.fps)
+def bandpass(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> Waveform:
+    """Apply `cfg`'s Butterworth bandpass to a waveform, preserving its length."""
+    return Waveform(_bandpass_rows(w.samples, w.fps, cfg.band_low_hz, cfg.band_high_hz, cfg.band_order), w.fps)
 
 
-def _bandpass_rows(x: np.ndarray, fps: float, spec: BandpassSpec) -> np.ndarray:
+def _bandpass_rows(x: np.ndarray, fps: float, low_hz: float, high_hz: float, order: int) -> np.ndarray:
     """`bandpass` along the last axis of `x`, each row filtered on its own."""
     n = x.shape[-1]
-    if fps <= 2.0 * spec.high_hz:
-        raise SamplingRateError(f"sampling rate {fps} Hz too low for a {spec.high_hz} Hz passband edge")
-    if n < 3 * spec.order:
-        raise ValueError(f"waveform too short to filter: {n} < {3 * spec.order}")
-    rows = _sosfiltfilt(x.reshape(-1, n), fps, spec, min(3 * spec.order, n - 1))
+    if fps <= 2.0 * high_hz:
+        raise SamplingRateError(f"sampling rate {fps} Hz too low for a {high_hz} Hz passband edge")
+    if n < 3 * order:
+        raise ValueError(f"waveform too short to filter: {n} < {3 * order}")
+    rows = _sosfiltfilt(x.reshape(-1, n), fps, low_hz, high_hz, order, min(3 * order, n - 1))
     return rows.reshape(x.shape)
 
 
 @lru_cache
-def _butter_sos(fps: float, spec: BandpassSpec) -> np.ndarray:
+def _butter_sos(fps: float, low_hz: float, high_hz: float, order: int) -> np.ndarray:
     """Second-order sections (b0, b1, b2, 1, a1, a2) of the digital Butterworth
     bandpass, designed as scipy.signal.butter designs it: band edges prewarped,
     the analog prototype's poles moved to the band, then the bilinear transform.
@@ -161,8 +155,8 @@ def _butter_sos(fps: float, spec: BandpassSpec) -> np.ndarray:
     +1 and -1; the section whose poles lie nearest the unit circle comes last,
     and the overall gain sits on the first. The array is shared, so read-only.
     """
-    n = spec.order // 2
-    wn = 2 * np.array([spec.low_hz, spec.high_hz]) / fps
+    n = order // 2
+    wn = 2 * np.array([low_hz, high_hz]) / fps
     warped = 4.0 * np.tan(np.pi * wn / 2.0)
     bw = warped[1] - warped[0]
     wo = np.sqrt(warped[0] * warped[1])
@@ -186,7 +180,7 @@ def _butter_sos(fps: float, spec: BandpassSpec) -> np.ndarray:
 
 
 @lru_cache
-def _cascade(fps: float, spec: BandpassSpec) -> tuple[np.ndarray, np.ndarray]:
+def _cascade(fps: float, low_hz: float, high_hz: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """The `_butter_sos` cascade as a block recursion on the rows of a matrix.
 
     The cascade's state is the two transposed-direct-form-II delays of each
@@ -197,7 +191,7 @@ def _cascade(fps: float, spec: BandpassSpec) -> tuple[np.ndarray, np.ndarray]:
     after a unit step has run forever, so a constant input starts settled.
     Both arrays are shared, so read-only.
     """
-    sections = _butter_sos(fps, spec).tolist()
+    sections = _butter_sos(fps, low_hz, high_hz, order).tolist()
     k = 2 * len(sections)
     units = np.eye(_BLOCK + k)  # symmetric: row j is unit vector j and its column
     # the two delays of every section, each a vector over the B + k runs
@@ -224,12 +218,14 @@ def _cascade(fps: float, spec: BandpassSpec) -> tuple[np.ndarray, np.ndarray]:
     return block, zi
 
 
-def _sosfiltfilt(x: np.ndarray, fps: float, spec: BandpassSpec, padlen: int) -> np.ndarray:
+def _sosfiltfilt(
+    x: np.ndarray, fps: float, low_hz: float, high_hz: float, order: int, padlen: int
+) -> np.ndarray:
     """Zero-phase `_butter_sos` filtering of the rows of x, as
     scipy.signal.sosfiltfilt does it: odd extension by `padlen` samples at each
     end, a forward and a backward pass each started from the settled state
     scaled by its first sample, and the extension cut off again."""
-    block, zi = _cascade(fps, spec)
+    block, zi = _cascade(fps, low_hz, high_hz, order)
     ext = np.concatenate(
         [2 * x[:, :1] - x[:, padlen:0:-1], x, 2 * x[:, -1:] - x[:, -2 : -padlen - 2 : -1]], axis=1
     )
@@ -299,15 +295,6 @@ def _welch_rows(
     return np.fft.rfftfreq(nfft, 1 / fps), power.mean(axis=-2)
 
 
-def _check_welch(window_len: int, overlap: float, nfft: int) -> None:
-    if window_len < 2:
-        raise ValueError(f"window_len must be >= 2, got {window_len}")
-    if nfft < window_len:
-        raise ValueError(f"nfft {nfft} must be >= window_len {window_len}")
-    if not 0 <= overlap < 1:
-        raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
-
-
 def _in_band_peak(freqs: np.ndarray, power: np.ndarray, low_hz: float, high_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """Frequency and power of the highest bin inside [low_hz, high_hz] along the
     last axis of `power`; ties break toward the lower frequency."""
@@ -331,7 +318,7 @@ def hr_from_psd(
 def _spectra(x: np.ndarray, fps: float, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """`cfg`'s bandpass, then Welch spectrum, of each row of `x`: the frequencies and
     one power row per row. A row shorter than the Welch window is one Welch segment."""
-    filtered = _bandpass_rows(x, fps, cfg.band)
+    filtered = _bandpass_rows(x, fps, cfg.band_low_hz, cfg.band_high_hz, cfg.band_order)
     # samples near the float64 limit overflow in the filter; reject them as bandpass() does
     _require_finite(filtered, "waveform samples")
     window_len, nfft = cfg.welch_lengths(x.shape[-1])
@@ -353,7 +340,7 @@ def segment_heart_rates(
             f"waveform of {w.duration_s:.2f} s has no full {cfg.segment_s} s segment"
         )
     freqs, power = _spectra(segments, w.fps, cfg)
-    peak_hz, peak_power = _in_band_peak(freqs, power, cfg.band.low_hz, cfg.band.high_hz)
+    peak_hz, peak_power = _in_band_peak(freqs, power, cfg.band_low_hz, cfg.band_high_hz)
     dead = peak_power < DEGENERATE_POWER
     return (60.0 * peak_hz[~dead]).tolist(), int(np.count_nonzero(dead))
 

@@ -46,6 +46,8 @@ class PulseSpec:
     def __post_init__(self):
         if not 30.0 <= self.hr_bpm <= 180.0:
             raise ValueError(f"hr_bpm must lie in [30, 180], got {self.hr_bpm}")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.shape not in PULSE_SHAPES:
@@ -79,6 +81,8 @@ class SceneSpec:
             raise ValueError("illumination must be > 0 per channel")
         if np.any(spec < 0) or np.any(diff < 0):
             raise ValueError("specular and diffuse must be >= 0 per channel")
+        if not np.isfinite(self.pixel_jitter):
+            raise ValueError(f"pixel_jitter must be finite, got {self.pixel_jitter}")
         if self.pixel_jitter < 0:
             raise ValueError(f"pixel_jitter must be >= 0, got {self.pixel_jitter}")
         # numpy would take None as "seed from the OS", so every render would differ
@@ -243,7 +247,11 @@ def parse_noise_string(text: str) -> NoiseSpec:
         if term is None or len(args) != len(fields(term)):
             raise ValueError(f"bad noise term {token!r} (expected none, step:t0:gain, linear:total or sin:hz:amp)")
         try:
-            target.append(term(*map(float, args)))
+            values = [float(arg) for arg in args]
         except ValueError as exc:
             raise ValueError(f"bad noise term {token!r}: {exc}") from None
+        for field, value in zip(fields(term), values):
+            if not np.isfinite(value):
+                raise ValueError(f"bad noise term {token!r}: {field.name} must be finite, got {value}")
+        target.append(term(*values))
     return NoiseSpec(delta_illumination=tuple(d_ill), delta_specular=tuple(d_spec))

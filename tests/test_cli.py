@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,6 @@ import pytest
 
 import pulse_tn
 from pulse_tn import (
-    BandpassSpec,
     ExtractorKind,
     FrameClip,
     PipelineConfig,
@@ -31,7 +31,7 @@ from pulse_tn import (
     write_clip,
 )
 from pulse_tn import clipio
-from pulse_tn.cli import build_parser, main
+from pulse_tn.cli import _pipeline, build_parser, main
 from pulse_tn.harness import scene_from_sidecar
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,7 +43,9 @@ OTHER_SETTINGS = [
 ]
 OTHER_CONFIG = PipelineConfig(
     segment_s=10.0,
-    band=BandpassSpec(0.7, 2.5, order=6),
+    band_low_hz=0.7,
+    band_high_hz=2.5,
+    band_order=6,
     window_len=128,
     overlap=0.25,
     nfft=512,
@@ -171,6 +173,22 @@ class TestSimulate:
             main(["simulate", "--hr", "72", "--frames", "300", "--seed", "-1", "--out", str(tmp_path / "x.rpgc")])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "pulse-tn: error: jitter_seed must be an integer >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--amplitude", "nan"], "amplitude must be finite, got nan"),
+            (["--jitter", "inf"], "pixel_jitter must be finite, got inf"),
+            (["--noise", "sin:0.5:nan"], "bad noise term 'sin:0.5:nan': amplitude must be finite, got nan"),
+            (["--noise", "linear:inf"], "bad noise term 'linear:inf': total must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_number_names_its_field(self, tmp_path, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--hr", "72", "--frames", "300", *flags, "--out", str(tmp_path / "x.rpgc")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"pulse-tn: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_noise_spec_is_a_usage_error(self, tmp_path, capsys):
@@ -509,6 +527,11 @@ def small_manifest(tmp_path_factory):
         ("--nfft", "0", "nfft must be >= 1, got 0"),
         ("--nfft", "-5", "nfft must be >= 1, got -5"),
         ("--band-high", "inf", "band edges must be finite, got 0.5, inf"),
+        ("--band-low", "nan", "band edges must be finite, got nan, 3.0"),
+        ("--band-low", "3", "need 0 < low_hz < high_hz, got 3.0, 3.0"),
+        ("--band-low", "-1", "need 0 < low_hz < high_hz, got -1.0, 3.0"),
+        ("--order", "3", "order must be even and >= 2, got 3"),
+        ("--order", "0", "order must be even and >= 2, got 0"),
         ("--band-high", "20", "sampling rate 30.0 Hz too low for a 20.0 Hz passband edge"),
     ],
 )
@@ -526,6 +549,51 @@ def test_bad_pipeline_setting_fails_the_command(small_manifest, tmp_path, capsys
         main(["estimate", "--in", str(small_manifest / "v000.rpgc"), flag, value])
     assert exc.value.code == 2
     assert capsys.readouterr().err == err
+
+
+def pipeline_of(*flags) -> PipelineConfig:
+    """The pipeline config the CLI builds from `flags`."""
+    return _pipeline(build_parser().parse_args(["estimate", "--in", "clip.rpgc", *flags]))
+
+
+def test_band_checks_run_before_the_other_settings(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--in", "clip.rpgc", "--nfft", "0", "--epsilon", "0", "--order", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "pulse-tn: error: order must be even and >= 2, got 3\n"
+
+
+DEFAULT_REPORT_CONFIG = {
+    "extractors": ["tn_pooled"], "segment_s": 15.0, "band_low_hz": 0.5, "band_high_hz": 3.0,
+    "band_order": 4, "zero_phase": True, "window_len": 256, "overlap": 0.5, "nfft": 3300, "epsilon": 1e-8,
+}
+OTHER_REPORT_CONFIG = {
+    "extractors": ["tn_pooled"], "segment_s": 10.0, "band_low_hz": 0.7, "band_high_hz": 2.5,
+    "band_order": 6, "zero_phase": True, "window_len": 128, "overlap": 0.25, "nfft": 512, "epsilon": 1e-10,
+}
+
+
+@pytest.mark.parametrize(
+    "flags, expected", [((), DEFAULT_REPORT_CONFIG), (OTHER_SETTINGS, OTHER_REPORT_CONFIG)], ids=["default", "other"]
+)
+def test_report_config_values_and_types(flags, expected):
+    doc = pipeline_of(*flags).to_json(["tn_pooled"])
+    assert doc == expected
+    # 6 == 6.0 in Python, so the types are compared on their own
+    assert {key: type(value) for key, value in doc.items()} == {key: type(value) for key, value in expected.items()}
+
+
+def test_config_fields_are_the_report_keys_and_the_flags(small_manifest, tmp_path):
+    # one list of settings: the PipelineConfig fields, the report config keys and the flags
+    names = [field.name for field in dataclasses.fields(PipelineConfig)]
+    for command in ("evaluate", "compare"):
+        report_path = tmp_path / f"{command}.json"
+        assert main([command, "--manifest", str(small_manifest), "--out", str(report_path)]) == 0
+        keys = set(json.loads(report_path.read_text())["config"]) - {"extractors", "zero_phase"}
+        assert keys == set(names)
+    assert len(names) == 8
+    assert pipeline_of() == PipelineConfig()
+    assert pipeline_of(*OTHER_SETTINGS) == OTHER_CONFIG
 
 
 def test_grid_with_no_bin_in_band_reads_alike_everywhere(small_manifest, tmp_path, capsys):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pulse_tn import (
-    BandpassSpec,
     ExtractorKind,
     FrameClip,
     PipelineConfig,
@@ -255,9 +254,27 @@ def test_sidecar_number_field_takes_only_numbers(sidecar_manifest, tmp_path, key
     assert row["error"].startswith(f"{tmp_path / 'v0.rpgc.sim.json'}: {key} ")
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("amplitude", float("nan"), "amplitude must be finite, got nan"),
+        ("amplitude", float("inf"), "amplitude must be finite, got inf"),
+        ("pixel_jitter", float("nan"), "pixel_jitter must be finite, got nan"),
+        ("pixel_jitter", float("inf"), "pixel_jitter must be finite, got inf"),
+        ("noise", "sin:0.5:nan", "bad noise term 'sin:0.5:nan': amplitude must be finite, got nan"),
+        ("noise", "linear:inf", "bad noise term 'linear:inf': total must be finite, got inf"),
+    ],
+)
+def test_non_finite_sidecar_number_names_its_field(sidecar_manifest, tmp_path, key, value, message):
+    # json reads NaN and Infinity; the row names the field instead of the rendered clip
+    doc = compare_with_sidecar_value(sidecar_manifest, tmp_path, key, value)
+    (row,) = doc["noise_ratios"]["per_video"]
+    assert row["error"] == f"{tmp_path / 'v0.rpgc.sim.json'}: {message}"
+
+
 class TestSamplingRate:
     # a 20 Hz band edge needs more than 40 frames per second
-    CFG = PipelineConfig(band=BandpassSpec(0.5, 20.0))
+    CFG = PipelineConfig(band_high_hz=20.0)
     MESSAGE = "^sampling rate 30.0 Hz too low for a 20.0 Hz passband edge$"
 
     def test_band_no_clip_can_carry_fails_the_walk(self, tmp_path):

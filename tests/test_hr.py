@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 from pulse_tn import (
-    BandpassSpec,
     DegenerateSignalError,
     ExtractorKind,
     PipelineConfig,
@@ -37,13 +36,18 @@ def sinusoid(freq_hz, seconds, fps=30.0, amp=1.0):
     return Waveform(amp * np.sin(2 * np.pi * freq_hz * t), fps)
 
 
-def scipy_sos(fps, spec=BandpassSpec()):
-    return sps.butter(spec.order // 2, [spec.low_hz, spec.high_hz], btype="bandpass", fs=fps, output="sos")
+def band_of(cfg=PipelineConfig()):
+    """The (low_hz, high_hz, order) that the private filter functions take."""
+    return cfg.band_low_hz, cfg.band_high_hz, cfg.band_order
 
 
-def butter_gain_sq(freq_hz, spec=BandpassSpec(), fps=30.0):
+def scipy_sos(fps, low_hz=0.5, high_hz=3.0, order=4):
+    return sps.butter(order // 2, [low_hz, high_hz], btype="bandpass", fs=fps, output="sos")
+
+
+def butter_gain_sq(freq_hz, fps=30.0):
     """Oracle: squared magnitude response of the designed filter."""
-    _, h = sps.sosfreqz(scipy_sos(fps, spec), worN=[freq_hz], fs=fps)
+    _, h = sps.sosfreqz(scipy_sos(fps), worN=[freq_hz], fs=fps)
     return float(np.abs(h[0]) ** 2)
 
 
@@ -78,9 +82,9 @@ class TestBandpass:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            BandpassSpec(low_hz=3.0, high_hz=0.5)
+            PipelineConfig(band_low_hz=3.0, band_high_hz=0.5)
         with pytest.raises(ValueError):
-            BandpassSpec(order=3)
+            PipelineConfig(band_order=3)
 
 
 class TestWelchPsd:
@@ -197,16 +201,15 @@ class TestVideoHr:
 
 def per_segment_oracle(w, cfg=PipelineConfig()):
     """segment_heart_rates one segment at a time through the public 1-D calls."""
-    band = cfg.band
     rates, dropped = [], 0
     for seg in segment_waveform(w, cfg.segment_s):
         win = min(cfg.window_len, len(seg))
-        spectrum = welch_psd(bandpass(seg, band), window_len=win, overlap=cfg.overlap, nfft=max(cfg.nfft, win))
-        in_band = (spectrum.freqs >= band.low_hz) & (spectrum.freqs <= band.high_hz)
+        spectrum = welch_psd(bandpass(seg, cfg), window_len=win, overlap=cfg.overlap, nfft=max(cfg.nfft, win))
+        in_band = (spectrum.freqs >= cfg.band_low_hz) & (spectrum.freqs <= cfg.band_high_hz)
         if spectrum.power[in_band].max(initial=0.0) < hr.DEGENERATE_POWER:
             dropped += 1
         else:
-            rates.append(hr_from_psd(spectrum, band.low_hz, band.high_hz))
+            rates.append(hr_from_psd(spectrum, cfg.band_low_hz, cfg.band_high_hz))
     return rates, dropped
 
 
@@ -248,14 +251,14 @@ class TestBatchedSegments:
     def test_other_pipeline_settings(self):
         w = Waveform(noisy_pulse(40.0, fps=25.0, seed=5), 25.0)
         cfg = PipelineConfig(
-            segment_s=8.0, band=BandpassSpec(0.7, 2.5, order=6), window_len=128, overlap=0.25, nfft=512
+            segment_s=8.0, band_low_hz=0.7, band_high_hz=2.5, band_order=6, window_len=128, overlap=0.25, nfft=512
         )
         self.check(w, cfg)
 
     def test_rows_equal_one_dimensional_calls(self):
         w = Waveform(noisy_pulse(60.0, seed=6), 30.0)
         rows = w.samples.reshape(4, 450)
-        filtered = hr._bandpass_rows(rows, 30.0, BandpassSpec())
+        filtered = hr._bandpass_rows(rows, 30.0, *band_of())
         freqs, power = hr._welch_rows(filtered, 30.0, 256, 0.5, 3300)
         for row, f_row, p_row in zip(rows, filtered, power):
             one = bandpass(Waveform(row, 30.0))
@@ -290,13 +293,13 @@ def scipy_segment_heart_rates(w, cfg=PipelineConfig()):
     """Oracle: segment_heart_rates with the filter and spectrum from scipy.signal."""
     segments = _segment_rows(w, cfg.segment_s)
     n = segments.shape[1]
-    filtered = sps.sosfiltfilt(scipy_sos(w.fps, cfg.band), segments, padlen=min(3 * cfg.band.order, n - 1))
+    filtered = sps.sosfiltfilt(scipy_sos(w.fps, *band_of(cfg)), segments, padlen=min(3 * cfg.band_order, n - 1))
     window_len, nfft = cfg.welch_lengths(n)
     freqs, power = sps.welch(
         filtered, fs=w.fps, window="hann", nperseg=window_len, noverlap=int(window_len * cfg.overlap),
         nfft=nfft, detrend=False, scaling="density",
     )
-    in_band = (freqs >= cfg.band.low_hz) & (freqs <= cfg.band.high_hz)
+    in_band = (freqs >= cfg.band_low_hz) & (freqs <= cfg.band_high_hz)
     freqs, power = freqs[in_band], power[:, in_band]
     dead = power.max(axis=1, initial=0.0) < hr.DEGENERATE_POWER
     return (60.0 * freqs[power[~dead].argmax(axis=1)]).tolist(), int(dead.sum())
@@ -318,19 +321,17 @@ class TestScipyOracle:
     def test_settled_state(self, fps, order, band):
         # the closed-form lfilter_zi of each section; solving for the state against the
         # block matrix instead misses by ~3e-4 at 1000 fps, order 8, 0.05-3.2 Hz
-        spec = BandpassSpec(*band, order=order)
-        _, zi = hr._cascade(fps, spec)
-        expected = sps.sosfilt_zi(hr._butter_sos(fps, spec).copy()).ravel()
+        _, zi = hr._cascade(fps, *band, order)
+        expected = sps.sosfilt_zi(hr._butter_sos(fps, *band, order).copy()).ravel()
         assert np.max(np.abs(zi - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("fps", [25.0, 30.0, 60.0])
     @pytest.mark.parametrize("order", [2, 4, 6, 8])
     def test_filter_response(self, fps, order):
-        spec = BandpassSpec(order=order)
-        sos = hr._butter_sos(fps, spec)
+        sos = hr._butter_sos(fps, 0.5, 3.0, order)
         assert sos.shape == (order // 2, 6)
         _, h = sps.sosfreqz(sos.copy(), worN=512, fs=fps)
-        _, expected = sps.sosfreqz(scipy_sos(fps, spec), worN=512, fs=fps)
+        _, expected = sps.sosfreqz(scipy_sos(fps, order=order), worN=512, fs=fps)
         assert np.max(np.abs(h - expected)) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -338,11 +339,10 @@ class TestScipyOracle:
     )
     def test_zero_phase_filter(self, order, n):
         # n = 3 * order pads by n - 1 samples, the longest odd extension there is
-        spec = BandpassSpec(order=order)
         rng = np.random.default_rng(order * n)
         x = rng.normal(size=(3, n)) + np.array([[0.0], [1e3], [-1e3]])
-        out = hr._bandpass_rows(x, 30.0, spec)
-        expected = sps.sosfiltfilt(scipy_sos(30.0, spec), x, padlen=min(3 * order, n - 1))
+        out = hr._bandpass_rows(x, 30.0, 0.5, 3.0, order)
+        expected = sps.sosfiltfilt(scipy_sos(30.0, order=order), x, padlen=min(3 * order, n - 1))
         # rounding grows with the DC offset the filter removes
         assert np.all(np.abs(out - expected) <= 1e-13 * np.abs(x).max(axis=1, keepdims=True))
 
@@ -366,10 +366,17 @@ class TestScipyOracle:
         for w in [pulse] + [run_extractor(kind, clip) for kind in ExtractorKind]:
             assert segment_heart_rates(w) == scipy_segment_heart_rates(w)
 
+    def test_configs_differing_only_in_welch_settings_share_one_filter(self):
+        w = Waveform(noisy_pulse(30.0, fps=29.0, seed=8), 29.0)
+        before = hr._cascade.cache_info().misses
+        for window_len, nfft in [(256, 3300), (128, 512), (64, 64)]:
+            segment_heart_rates(w, PipelineConfig(window_len=window_len, nfft=nfft, epsilon=1e-6))
+        assert hr._cascade.cache_info().misses - before <= 1
+
     def test_shared_filter_arrays_are_read_only(self):
         # the cached arrays are shared by every thread that filters at this rate
-        block, zi = hr._cascade(30.0, BandpassSpec())
-        for array in (hr._butter_sos(30.0, BandpassSpec()), block, zi):
+        block, zi = hr._cascade(30.0, *band_of())
+        for array in (hr._butter_sos(30.0, *band_of()), block, zi):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
@@ -398,6 +405,29 @@ class TestPipelineConfig:
         # an nfft below the window is raised to it, not rejected
         assert PipelineConfig(nfft=100).welch_lengths(1000) == (256, 256)
         assert PipelineConfig(nfft=100).welch_lengths(180) == (180, 180)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("nfft", 3300.0, "nfft must be an integer, got 3300.0"),
+            ("window_len", 256.0, "window_len must be an integer, got 256.0"),
+            ("band_order", 4.0, "band_order must be an integer, got 4.0"),
+            ("band_order", True, "band_order must be an integer, got True"),
+            ("nfft", "3300", "nfft must be an integer, got '3300'"),
+            ("segment_s", True, "segment_s must be a number, got True"),
+            ("band_low_hz", False, "band_low_hz must be a number, got False"),
+            ("overlap", "0.5", "overlap must be a number, got '0.5'"),
+            ("epsilon", None, "epsilon must be a number, got None"),
+        ],
+    )
+    def test_setting_of_the_wrong_type_fails_when_built(self, field, value, message):
+        # a float reaching numpy raises a TypeError, which no per-row ValueError handler catches
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**{field: value})
+
+    def test_number_fields_take_ints(self):
+        cfg = PipelineConfig(segment_s=10, band_low_hz=1, band_high_hz=2, overlap=0, epsilon=1)
+        assert (cfg.segment_s, cfg.band_low_hz, cfg.band_high_hz, cfg.overlap, cfg.epsilon) == (10, 1, 2, 0, 1)
 
 
 class TestComputeMetrics:

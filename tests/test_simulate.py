@@ -29,8 +29,18 @@ class TestPulseSpec:
         with pytest.raises(ValueError):
             PulseSpec(hr_bpm=60, amplitude=-0.1)
 
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ValueError, match=f"^amplitude must be finite, got {amplitude}$"):
+            PulseSpec(hr_bpm=60, amplitude=amplitude)
+
 
 class TestSceneSpec:
+    @pytest.mark.parametrize("jitter", [np.nan, np.inf])
+    def test_rejects_a_non_finite_pixel_jitter(self, jitter):
+        with pytest.raises(ValueError, match=f"^pixel_jitter must be finite, got {jitter}$"):
+            SceneSpec(pixel_jitter=jitter)
+
     @pytest.mark.parametrize("seed", [None, -1, 1.5, 2.0, True, False, [1], "7", {}])
     def test_rejects_a_seed_that_is_not_an_integer_at_least_zero(self, seed):
         # None would seed numpy from the OS: every render of the scene would differ
@@ -238,6 +248,10 @@ class TestParseNoiseString:
             ("step:1:2:3", "bad noise term 'step:1:2:3' (expected none, step:t0:gain, linear:total or sin:hz:amp)"),
             ("linear:x", "bad noise term 'linear:x': could not convert string to float: 'x'"),
             ("linear:0.1+", "empty noise term in 'linear:0.1+'"),
+            ("sin:0.5:nan", "bad noise term 'sin:0.5:nan': amplitude must be finite, got nan"),
+            ("linear:inf", "bad noise term 'linear:inf': total must be finite, got inf"),
+            ("vs/step:-inf:1", "bad noise term 'vs/step:-inf:1': t0_s must be finite, got -inf"),
+            ("sin:NaN:0.1", "bad noise term 'sin:NaN:0.1': freq_hz must be finite, got nan"),
         ],
     )
     def test_exact_messages(self, text, message):
