@@ -9,6 +9,12 @@ from .diff import diff_normalized
 from .tn import EPSILON, tn
 
 
+# Bytes of float64 feature samples per band of image rows, like the kernel's
+# _BLOCK_BYTES: small enough that a band's transform stays near the cache, so
+# a large clip never gets a second full-size array.
+_BAND_BYTES = 2 * 1024 * 1024
+
+
 class ExtractorKind(Enum):
     GREEN_RAW = "green_raw"
     TN_POOLED = "tn_pooled"
@@ -19,6 +25,26 @@ def _green(clip: FrameClip) -> FrameClip:
     """The green channel as a one-channel view, which needs no second check."""
     g = green_channel(clip.channels)
     return FrameClip._checked(clip.data[..., g : g + 1], clip.fps)
+
+
+def _banded_pool(transform, green: FrameClip) -> Waveform:
+    """pool_spatial(transform(green)) for a transform that treats each pixel
+    trace on its own, taken over bands of whole image rows.
+
+    Each band is pooled on its own and the band means are combined, weighted
+    by their row counts. A clip that fits one band takes exactly the
+    single call.
+    """
+    frames, height, width, _ = green.data.shape
+    rows = max(1, _BAND_BYTES // (8 * frames * width))
+    if rows >= height:
+        return pool_spatial(transform(green))
+    total = 0.0
+    for start in range(0, height, rows):
+        band = green.data[:, start : start + rows]
+        pooled = pool_spatial(transform(FrameClip._checked(band, green.fps))).samples
+        total = total + band.shape[1] * pooled
+    return Waveform(total / height, green.fps)
 
 
 def extract_green(clip: FrameClip) -> Waveform:
@@ -34,12 +60,12 @@ def extract_tn_pooled(clip: FrameClip, epsilon: float = EPSILON) -> Waveform:
     TN treats each trace on its own, so only the pooled channel is
     normalized. The output is zero-mean.
     """
-    return pool_spatial(tn(_green(clip), epsilon))
+    return _banded_pool(lambda band: tn(band, epsilon), _green(clip))
 
 
 def extract_diff_pooled(clip: FrameClip) -> Waveform:
     """Sum-normalized frame differences of the green channel, pooled (length T-1)."""
-    return pool_spatial(diff_normalized(_green(clip)))
+    return _banded_pool(diff_normalized, _green(clip))
 
 
 def run_extractor(kind: ExtractorKind, clip: FrameClip, epsilon: float = EPSILON) -> Waveform:

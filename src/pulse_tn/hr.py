@@ -29,6 +29,9 @@ class SamplingRateError(ValueError):
 
 
 def _check_welch(window_len: int, overlap: float, nfft: int) -> None:
+    for name, value in (("window_len", window_len), ("nfft", nfft)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if window_len < 2:
         raise ValueError(f"window_len must be >= 2, got {window_len}")
     if nfft < window_len:

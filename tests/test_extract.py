@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pulse_tn import (
     extract_diff_pooled,
     extract_green,
     extract_tn_pooled,
+    pool_spatial,
     render_ideal,
     render_noisy,
     run_extractor,
@@ -155,6 +158,78 @@ class TestExtractDiffPooled:
             rmss.append(float(np.sqrt(np.mean(extract_diff_pooled(clip).samples ** 2))))
         assert rmss[0] > 0
         assert rmss[1] / rmss[0] == pytest.approx(2.0, rel=0.05)
+
+
+def band_clip(kind, rng):
+    """A one-channel clip of the named kind, as decoded green clips are."""
+    if kind == "random":
+        data = rng.random((40, 7, 5, 1))
+    elif kind == "dead":
+        data = rng.random((45, 7, 5, 1))
+        data[:, 2:5] = rng.random((1, 3, 5, 1))
+    elif kind == "u8":
+        data = rng.integers(0, 256, (60, 7, 5, 1)) / 255.0
+    elif kind == "dc_offset":
+        data = 1e3 + rng.random((40, 7, 5, 1))
+    elif kind == "min_t":
+        data = rng.random((3, 7, 5, 1))
+    else:  # "h_1": a clip one image row high
+        data = rng.random((40, 1, 5, 1))
+    return FrameClip(data, 30.0)
+
+
+def set_band_rows(monkeypatch, clip, rows):
+    """Size bands to `rows` image rows of `clip`."""
+    frames, _, width, _ = clip.data.shape
+    monkeypatch.setattr(extract_module, "_BAND_BYTES", rows * 8 * frames * width)
+
+
+BANDED = [extract_tn_pooled, extract_diff_pooled]
+
+
+class TestBands:
+    @pytest.mark.parametrize("extractor", BANDED)
+    @pytest.mark.parametrize("rows", [1, 3])  # 7 rows in bands of 3 leave a ragged last band
+    @pytest.mark.parametrize("kind", ["random", "dead", "u8", "dc_offset", "min_t", "h_1"])
+    def test_bands_match_one_band(self, monkeypatch, extractor, rows, kind):
+        clip = band_clip(kind, np.random.default_rng(23))
+        whole = extractor(clip).samples
+        set_band_rows(monkeypatch, clip, rows)
+        banded = extractor(clip).samples
+        assert np.max(np.abs(banded - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("extractor, transform", [(extract_tn_pooled, tn), (extract_diff_pooled, diff_normalized)])
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_one_band_is_the_single_call(self, extractor, transform, channels):
+        clip = FrameClip(np.random.default_rng(24).random((50, 6, 5, channels)), 30.0)
+        g = 1 if channels == 3 else 0
+        green = FrameClip(clip.data[..., g : g + 1], 30.0)
+        assert np.array_equal(extractor(clip).samples, pool_spatial(transform(green)).samples)
+
+    @pytest.mark.parametrize("extractor", BANDED)
+    def test_each_band_is_one_transform_of_a_view(self, monkeypatch, extractor):
+        clip = band_clip("random", np.random.default_rng(25))
+        set_band_rows(monkeypatch, clip, 3)
+        calls = []
+        check = FrameClip.__post_init__
+        monkeypatch.setattr(FrameClip, "__post_init__", lambda self: calls.append(self) or check(self))
+        extractor(clip)
+        assert len(calls) == 3  # the transform's output of each of the 3 bands; band views are not checked
+
+    @pytest.mark.parametrize("extractor", BANDED)
+    def test_peak_is_the_green_clip_plus_a_few_bands(self, monkeypatch, extractor):
+        tracemalloc.start()
+        try:
+            clip = FrameClip(np.random.default_rng(26).random((300, 32, 32, 1)), 30.0)
+            set_band_rows(monkeypatch, clip, 4)
+            band_bytes = clip.data.nbytes // 8  # 32 rows in 8 bands of 4
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            extractor(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 3 * band_bytes
 
 
 class TestRunExtractor:

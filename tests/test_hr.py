@@ -115,6 +115,19 @@ class TestWelchPsd:
         with pytest.raises(ValueError):
             welch_psd(Waveform(np.zeros(100), 30.0), window_len=256)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"window_len": 256.0}, "window_len must be an integer, got 256.0"),
+            ({"window_len": True}, "window_len must be an integer, got True"),
+            ({"nfft": 3300.0}, "nfft must be an integer, got 3300.0"),
+            ({"nfft": False}, "nfft must be an integer, got False"),
+        ],
+    )
+    def test_non_integer_lengths_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            welch_psd(sinusoid(1.2, 15.0), **kwargs)
+
     def test_zero_padding_refines_but_never_moves_peak(self):
         w = sinusoid(1.27, 15.0)
         coarse = welch_psd(w, nfft=256)

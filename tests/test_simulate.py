@@ -139,6 +139,32 @@ class TestRenderNoisy:
         noisy = render_noisy(scene, pulse, noise, 4, 4)
         assert np.allclose(noisy.data, ideal.data + 1.5 * 0.03, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "noise, scene, shape, frames, height, width",
+        [
+            ("none", {}, "sinusoid", 60, 4, 5),
+            ("step:0.5:0.05", {"illumination": (1.0, 0.8, 1.2)}, "sinusoid", 60, 1, 1),
+            ("linear:0.1", {"specular": (0.1, 0.2, 0.3), "diffuse": (0.4, 0.5, 0.6)}, "sinusoid", 60, 1, 7),
+            ("sin:0.3:0.05+vs/linear:0.02", {}, "harmonic", 2, 3, 3),
+            ("vs/step:0.0:0.03+vs/sin:0.5:0.02", {"pixel_jitter": 0.2}, "sinusoid", 2, 1, 1),
+            (
+                "linear:0.1+step:1.0:0.05+vs/sin:0.5:0.02",
+                {"illumination": (0.9, 1.1, 1.3), "specular": (0.3, 0.2, 0.1), "diffuse": (0.5, 0.7, 0.6)},
+                "harmonic", 90, 6, 9,
+            ),
+        ],
+    )
+    def test_bit_identical_to_one_broadcast_expression(self, noise, scene, shape, frames, height, width):
+        scene = SceneSpec(jitter_seed=5, **scene)
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0, shape=shape), 30.0, frames)
+        noise = parse_noise_string(noise)
+        vd = scene.diffuse_field(height, width)
+        vp = pulse.samples[:, None, None, None]
+        gi = noise_profile(noise.delta_illumination, frames, 30.0)[:, None, None, None]
+        gs = noise_profile(noise.delta_specular, frames, 30.0)[:, None, None, None]
+        expected = (scene.illumination + gi * scene.illumination) * (scene.specular + gs + vd * (1.0 + vp))
+        assert np.array_equal(render_noisy(scene, pulse, noise, height, width).data, expected)
+
 
 NOISES = [
     NO_NOISE,
