@@ -21,6 +21,7 @@ from .diff import frame_diff
 from .extract import ExtractorKind, run_extractor
 from .hr import PipelineConfig, SamplingRateError, _rate, compute_metrics, video_hr
 from .simulate import (
+    NO_NOISE,
     NoiseSpec,
     PulseSpec,
     SceneSpec,
@@ -35,16 +36,14 @@ THREADS_ENV = "PULSE_TN_THREADS"
 
 
 def worker_count(n_tasks: int) -> int:
-    """Bounded pool size; the PULSE_TN_THREADS env var caps it."""
-    workers = min(os.cpu_count() or 1, max(n_tasks, 1))
+    """Bounded pool size: the CPUs this process may run on (all of the host's where
+    the platform cannot tell), at most one per task; the PULSE_TN_THREADS env var caps it."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, max(n_tasks, 1))
     cap = os.environ.get(THREADS_ENV, "").strip()
     if cap and not (cap.isdecimal() and int(cap) >= 1):
         raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {cap!r}")
     return min(workers, int(cap)) if cap else workers
-
-
-def _rms(a: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(a))))
 
 
 def noise_feature_ratios(
@@ -68,26 +67,46 @@ def noise_feature_ratios(
     survives detrending and is renormalized to unit scale whenever it
     exceeds the pulse amplitude, which caps the achievable contrast in this
     metric; the waveform-correlation comparison stays meaningful there.
+
+    At most three clip-sized arrays are alive at once, and each ratio is the
+    float that the two whole clips and their whole feature arrays give. A
+    noise-free scene is rendered once: its noisy clip would be the same
+    clip, so both residuals are exactly 0. A noisy scene renders both clips
+    first (so the first error is the one transforming each whole would
+    meet), frees the ideal clip once its TN features exist, and renders it
+    again for the frame differences, which costs less than a fourth array.
     """
     ideal = render_ideal(scene, pulse, height, width)
+    if noise == NO_NOISE:
+        ratio_tn = _residual_ratio(tn(ideal, epsilon).data, None)
+        return ratio_tn, _residual_ratio(frame_diff(ideal).data, None)
     noisy = render_noisy(scene, pulse, noise, height, width)
-    # each pair of feature arrays is freed when its ratio returns
-    ratio_tn = _residual_ratio(tn(ideal, epsilon).data, tn(noisy, epsilon).data)
-    ratio_diff = _residual_ratio(frame_diff(ideal).data, frame_diff(noisy).data)
-    return ratio_tn, ratio_diff
+    ideal_tn = tn(ideal, epsilon).data
+    del ideal
+    ratio_tn = _residual_ratio(ideal_tn, tn(noisy, epsilon).data)
+    del ideal_tn
+    noisy_diff = frame_diff(noisy).data
+    del noisy
+    ideal_diff = frame_diff(render_ideal(scene, pulse, height, width)).data
+    return ratio_tn, _residual_ratio(ideal_diff, noisy_diff)
 
 
-def _residual_ratio(ideal: np.ndarray, noisy: np.ndarray) -> float:
-    """rms(noisy - ideal) / rms(ideal), with the residual written over `noisy`.
+def _residual_ratio(ideal: np.ndarray, noisy: np.ndarray | None) -> float:
+    """rms(noisy - ideal) / rms(ideal), with the residual written over `noisy` and
+    both arrays squared in place. `noisy` None stands for `ideal` itself, whose
+    residual is 0.
 
     A pulse-free scene has all-zero ideal features, so its ratio is undefined
     and raises a ValueError.
     """
-    scale = _rms(ideal)
+    residual = 0.0
+    if noisy is not None:
+        noisy -= ideal
+        residual = np.mean(np.square(noisy, out=noisy))
+    scale = float(np.sqrt(np.mean(np.square(ideal, out=ideal))))
     if scale == 0.0:
         raise ValueError("the ideal features have zero RMS: a pulse-free scene has no noise ratio")
-    noisy -= ideal
-    return _rms(noisy) / scale
+    return float(np.sqrt(residual)) / scale
 
 
 def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, Waveform, NoiseSpec, int, int]:

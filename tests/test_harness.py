@@ -19,8 +19,10 @@ from pulse_tn import (
     write_clip,
 )
 from pulse_tn.cli import main as cli_main
+from pulse_tn.diff import frame_diff
 from pulse_tn.harness import compare_manifest, evaluate_manifest, noise_feature_ratios, worker_count, write_report
-from pulse_tn.simulate import LinearNoise, NoiseSpec
+from pulse_tn.simulate import NO_NOISE, LinearNoise, NoiseSpec, parse_noise_string, render_noisy
+from pulse_tn.tn import EPSILON, tn
 
 
 def write_manifest_clip(path, hr, frames=600, seed=0, fps=30.0):
@@ -51,6 +53,20 @@ class TestWorkerCount:
         monkeypatch.setenv("PULSE_TN_THREADS", value)
         with pytest.raises(ValueError, match=f"^PULSE_TN_THREADS must be an integer >= 1, got '{value}'$"):
             worker_count(4)
+
+    def test_counts_only_the_cpus_the_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("PULSE_TN_THREADS", raising=False)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        assert worker_count(16) == 1
+
+    def test_falls_back_to_the_host_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("PULSE_TN_THREADS", raising=False)
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        assert worker_count(16) == 8
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert worker_count(16) == 1
 
 
 class TestEvaluateManifest:
@@ -331,3 +347,98 @@ class TestNoiseFeatureRatios:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * (300 * 8 * 8 * 3 * 8)
+
+
+def rendered_ratios(scene, pulse, noise, height, width, epsilon=EPSILON):
+    """The noise ratios from both whole clips and both whole feature arrays of each family."""
+    ideal = render_ideal(scene, pulse, height, width)
+    noisy = render_noisy(scene, pulse, noise, height, width)
+
+    def rms(a):
+        return float(np.sqrt(np.mean(np.square(a))))
+
+    def ratio(features):
+        clean = features(ideal).data
+        return rms(features(noisy).data - clean) / rms(clean)
+
+    return ratio(lambda clip: tn(clip, epsilon)), ratio(frame_diff)
+
+
+NOISE_STRINGS = [
+    "none", "step:1.5:0.1", "linear:0.1", "sin:0.5:0.02",
+    "vs/step:1.5:0.05", "vs/linear:0.1", "vs/sin:0.5:0.02", "linear:0.1+vs/sin:0.5:0.02",
+]
+
+
+class TestNoiseRatioSchedule:
+    """The lean schedule gives exactly the floats of rendering and transforming both clips whole."""
+
+    @pytest.mark.parametrize("text", NOISE_STRINGS)
+    def test_every_noise_kind(self, text):
+        scene = SceneSpec(jitter_seed=3)
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 150)
+        noise = parse_noise_string(text)
+        assert noise_feature_ratios(scene, pulse, noise, 4, 5) == rendered_ratios(scene, pulse, noise, 4, 5)
+
+    @pytest.mark.parametrize("text", ["linear:0", "sin:1:0", "vs/step:0:0"])
+    def test_zero_valued_terms_take_the_noisy_path_and_give_zero(self, text):
+        scene = SceneSpec(jitter_seed=1)
+        pulse = synth_pulse(PulseSpec(hr_bpm=84.0), 30.0, 120)
+        noise = parse_noise_string(text)
+        assert noise != NO_NOISE
+        assert noise_feature_ratios(scene, pulse, noise, 3, 3) == rendered_ratios(scene, pulse, noise, 3, 3) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "scene, pulse_spec",
+        [
+            (SceneSpec(illumination=[1.0, 0.8, 0.6], specular=[0.1, 0.2, 0.3], diffuse=[0.4, 0.5, 0.7]), PulseSpec(72.0)),
+            (SceneSpec(pixel_jitter=0.0), PulseSpec(96.0, shape="harmonic")),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["none", "linear:0.1+vs/sin:0.5:0.02"])
+    def test_per_channel_scenes_and_harmonic_pulses(self, scene, pulse_spec, text):
+        pulse = synth_pulse(pulse_spec, 30.0, 150)
+        noise = parse_noise_string(text)
+        assert noise_feature_ratios(scene, pulse, noise, 4, 4) == rendered_ratios(scene, pulse, noise, 4, 4)
+
+    @pytest.mark.parametrize("frames", [3, 4, 90])
+    @pytest.mark.parametrize("height, width", [(1, 1), (1, 7)])
+    @pytest.mark.parametrize("text", ["none", "step:0.05:0.1+vs/linear:0.05"])
+    def test_small_frames_and_short_clips(self, frames, height, width, text):
+        scene = SceneSpec(jitter_seed=2)
+        pulse = synth_pulse(PulseSpec(hr_bpm=150.0), 30.0, frames)
+        noise = parse_noise_string(text)
+        expected = rendered_ratios(scene, pulse, noise, height, width)
+        assert noise_feature_ratios(scene, pulse, noise, height, width) == expected
+
+    @pytest.mark.parametrize("noise", [NO_NOISE, NoiseSpec(delta_illumination=(LinearNoise(0.1),))])
+    def test_pulse_free_scene_has_no_ratio(self, noise):
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0, amplitude=0.0), 30.0, 60)
+        with pytest.raises(ValueError, match=r"^the ideal features have zero RMS: a pulse-free scene has no noise ratio$"):
+            noise_feature_ratios(SceneSpec(), pulse, noise, 2, 2)
+
+    def test_a_noisy_render_that_overflows_fails_before_tn_of_two_frames(self):
+        # both the noisy render and TN would fail: the render is checked first, as when
+        # both clips are rendered before either is transformed
+        scene = SceneSpec(illumination=1e308)
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 2)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
+            noise_feature_ratios(scene, pulse, parse_noise_string("step:0:10"), 2, 2)
+        with pytest.raises(ValueError, match=r"^temporal normalization needs at least 3 frames, got 2$"):
+            noise_feature_ratios(scene, pulse, NO_NOISE, 2, 2)
+
+    @pytest.mark.parametrize("noise, clips", [(NoiseSpec(delta_illumination=(LinearNoise(0.1),)), 3.5), (NO_NOISE, 2.5)])
+    def test_peak_memory_in_clip_sized_arrays(self, noise, clips):
+        # a noisy scene holds at most three clip-sized float64 arrays at once (the
+        # noisy clip with both TN arrays, then the noisy differences with the ideal
+        # clip and its differences); a noise-free scene holds two
+        frames, size = 900, 16
+        scene = SceneSpec(jitter_seed=0)
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, frames)
+        tracemalloc.start()
+        try:
+            noise_feature_ratios(scene, pulse, noise, size, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= clips * (frames * size * size * 3 * 8)
