@@ -398,6 +398,23 @@ class TestEvaluate:
         assert main([command, "--manifest", str(manifest), "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_noisy_compare_is_deterministic_across_pool_sizes(self, tmp_path, monkeypatch):
+        # noisy sidecars give every worker a full render and TN per scene, so two workers overlap
+        manifest = tmp_path / "m"
+        manifest.mkdir()
+        noises = ["none", "linear:0.1", "sin:0.3:0.05", "linear:0.1+vs/sin:0.5:0.02"]
+        for i, noise in enumerate(noises):
+            simulate(manifest / f"v{i:03d}.rpgc", hr=60.0 + 8 * i, frames=450, extra=["--noise", noise])
+        reports = []
+        for threads in ("2", "1"):
+            monkeypatch.setenv("PULSE_TN_THREADS", threads)
+            out = tmp_path / f"threads{threads}.json"
+            assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        ratios = json.loads(reports[0])["noise_ratios"]["per_video"]
+        assert [row["tn_residual_ratio"] > 0 for row in ratios] == [False, True, True, True]
+
     def test_other_pipeline_settings(self, tmp_path):
         manifest = build_manifest(tmp_path / "m", [60.0, 84.0])
         report_path = tmp_path / "report.json"
