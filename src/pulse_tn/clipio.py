@@ -16,10 +16,12 @@ on read (value / 255).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import stat
 import struct
+import threading
 from array import array
 from collections import defaultdict
 from operator import itemgetter
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FrameClip, Waveform, _require_clip_shape, _require_finite, green_channel
+from .core import FrameClip, Waveform, _ordered_map, _require_clip_shape, _require_finite, green_channel
 
 MAGIC = b"RPGC"
 VERSION = 1
@@ -111,9 +113,10 @@ def read_clip(path, green_only: bool = False) -> FrameClip:
 
     The path must be a regular file. The payload size is checked against the
     header dims, and the dims against FrameClip's shape rules, before anything
-    is allocated. The payload is then streamed whole pixels at a time through
-    one reused buffer, so the file bytes are never held whole, and every
-    sample of every channel is checked finite on the way, and only there.
+    is allocated. The payload is then read in chunks of whole pixels on the
+    worker pool, through one reused buffer per thread, so the file bytes are
+    never held whole, and every sample of every channel is checked finite on
+    the way, and only there.
 
     By default every channel is widened into the float64 clip. With
     green_only, only the green channel is (channel 1 of 3, channel 0 of 1),
@@ -144,37 +147,59 @@ def read_clip(path, green_only: bool = False) -> FrameClip:
                 f"{t}x{h}x{w}x{c} ({expected} bytes expected)"
             )
         # FrameClip's checks in its order: shape, then finiteness, each done once, then fps
-        try:
+        with _names_file(path):
             _require_clip_shape((t, h, w, c))
-            g = green_channel(c)
-            keep = slice(g, g + 1) if green_only else slice(0, c)
-            data = _read_payload(fh, dtype, t * h * w, c, keep, path)
-            return FrameClip._checked(data.reshape(t, h, w, -1), fps)
-        except ClipFormatError:
-            raise
-        except ValueError as exc:
-            raise ClipFormatError(f"{path}: {exc}") from exc
+        g = green_channel(c)
+        keep = slice(g, g + 1) if green_only else slice(0, c)
+        # outside _names_file: a bad PULSE_TN_THREADS is the caller's error, not the file's
+        data = _read_payload(fh.fileno(), dtype, t * h * w, c, keep, path)
+    with _names_file(path):
+        return FrameClip._checked(data.reshape(t, h, w, -1), fps)
 
 
-def _read_payload(fh, dtype: np.dtype, pixels: int, channels: int, keep: slice, path) -> np.ndarray:
-    """Read `pixels` pixels of `channels` samples of `dtype` from `fh`, whole
-    pixels per chunk, and return the `keep` channels as a new float64
-    (pixels, kept) array, u8 samples divided by 255. Every f32 sample of
-    every channel is checked finite, kept or not."""
+@contextlib.contextmanager
+def _names_file(path):
+    """Re-raise a failed check's ValueError as a ClipFormatError naming the file."""
+    try:
+        yield
+    except ClipFormatError:
+        raise
+    except ValueError as exc:
+        raise ClipFormatError(f"{path}: {exc}") from exc
+
+
+def _read_payload(fd: int, dtype: np.dtype, pixels: int, channels: int, keep: slice, path) -> np.ndarray:
+    """Read `pixels` pixels of `channels` samples of `dtype` from the payload
+    of the open file `fd`, whole pixels per chunk, and return the `keep`
+    channels as a new float64 (pixels, kept) array, u8 samples divided by
+    255. Every f32 sample of every channel is checked finite, kept or not.
+
+    The chunks are decoded on the worker pool: each is read with a positional
+    read at its own offset, into a chunk buffer that each thread reuses. The
+    first failing chunk in file order gives the error.
+    """
     data = np.empty((pixels, keep.stop - keep.start), dtype=np.float64)
     u8 = dtype == _DTYPES[DTYPE_U8]
     step = max(1, _CHUNK_BYTES // (dtype.itemsize * channels))
-    buf = np.empty((min(step, pixels), channels), dtype=dtype)
-    for start in range(0, pixels, step):
-        chunk = buf[: min(step, pixels - start)]
-        if fh.readinto(chunk) != chunk.nbytes:
+    buffers = threading.local()
+
+    def decode(start: int) -> None:
+        if not hasattr(buffers, "chunk"):
+            buffers.chunk = np.empty((min(step, pixels), channels), dtype=dtype)
+        chunk = buffers.chunk[: min(step, pixels - start)]
+        # a regular file's positional read comes back short only at the file's end
+        if os.preadv(fd, [chunk], _HEADER.size + start * channels * dtype.itemsize) != chunk.nbytes:
             raise TruncatedClipError(f"{path}: file ended inside the payload")
         out = data[start : start + len(chunk)]
         if u8:
             np.divide(chunk[:, keep], 255.0, out=out)
         else:
-            _require_finite(chunk, "clip data")
+            with _names_file(path):
+                _require_finite(chunk, "clip data")
             out[...] = chunk[:, keep]
+
+    for _ in _ordered_map(decode, range(0, pixels, step)):
+        pass
     return data
 
 

@@ -1,14 +1,99 @@
 """Core value types: video clips, 1-D signals, segmentation and pooling.
 
 Everything here is an immutable value; the operations are pure functions,
-so clips and waveforms can be shared freely across threads.
+so clips and waveforms can be shared freely across threads. The package's
+one worker pool, `_ordered_map`, is here too.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+THREADS_ENV = "PULSE_TN_THREADS"
+
+
+def worker_count(n_tasks: int) -> int:
+    """Bounded pool size: the CPUs this process may run on (all of the host's where
+    the platform cannot tell), at most one per task; the PULSE_TN_THREADS env var caps it."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, max(n_tasks, 1))
+    cap = os.environ.get(THREADS_ENV, "").strip()
+    if cap and not (cap.isdecimal() and int(cap) >= 1):
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {cap!r}")
+    return min(workers, int(cap)) if cap else workers
+
+
+class _InMap(threading.local):
+    """Whether this thread is running an item of a parallel `_ordered_map`."""
+
+    active = False
+
+
+_in_map = _InMap()
+
+
+def _ordered_map(fn, items):
+    """An iterator over fn(item) for each item, in item order, computed on up
+    to worker_count(len(items)) threads, the calling thread among them.
+
+    Raises the worker count's ValueError at the call, not at the first result.
+    Iterating yields the results as the serial loop would, and raises the
+    exception of the first failing item in item order, once the results
+    before it are taken. At one worker, and inside an item of a parallel map
+    (so that there is one level of parallelism), it starts no thread and
+    runs each item as its result is asked for. A parallel map's threads stop
+    once it is exhausted, raises or is closed.
+    """
+    items = list(items)
+    workers = 1 if _in_map.active else worker_count(len(items))
+    return map(fn, items) if workers == 1 else _parallel_map(fn, items, workers)
+
+
+def _parallel_map(fn, items: list, workers: int):
+    """_ordered_map on a pool of workers - 1 threads, which take the queued
+    items in order, and this thread, which claims an item by cancelling its
+    queued task."""
+
+    def task(item):
+        _in_map.active = True
+        try:
+            return fn(item)
+        finally:
+            _in_map.active = False
+
+    def here(item) -> Future:
+        done = Future()
+        try:
+            done.set_result(task(item))
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
+
+    # looked up at each call, so a ThreadPoolExecutor swapped into this module is used
+    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    try:
+        # item 0 is never queued, so the calling thread runs at least one item; each item
+        # is its task's first argument, so a pool that names tasks can name them by it
+        slots = [None] + [pool.submit(task, item) for item in items[1:]]
+        slots[0] = here(items[0])
+        ahead = 1
+        for i in range(len(items)):
+            ahead = max(ahead, i)
+            # while a pool thread runs item i, this thread takes the next items none has started
+            while not slots[i].done() and ahead < len(items):
+                if slots[ahead].cancel():
+                    slots[ahead] = here(items[ahead])
+                ahead += 1
+            result = slots[i].result()
+            slots[i] = None  # the caller may fold each result in and drop it
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _require_finite(values: np.ndarray, name: str) -> None:

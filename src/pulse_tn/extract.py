@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import FrameClip, Waveform, green_channel, pool_spatial
+from .core import FrameClip, Waveform, _ordered_map, green_channel, pool_spatial
 from .diff import diff_normalized
 from .tn import EPSILON, tn
 
@@ -31,20 +31,20 @@ def _banded_pool(transform, green: FrameClip) -> Waveform:
     """pool_spatial(transform(green)) for a transform that treats each pixel
     trace on its own, taken over bands of whole image rows.
 
-    Each band is pooled on its own and the band means are combined, weighted
-    by their row counts. A clip that fits one band takes exactly the
-    single call.
+    Each band is pooled on its own, on the worker pool, and the band means
+    are summed in band order as each is ready, weighted by their row counts.
+    A clip that fits one band takes exactly the single call.
     """
     frames, height, width, _ = green.data.shape
     rows = max(1, _BAND_BYTES // (8 * frames * width))
     if rows >= height:
         return pool_spatial(transform(green))
-    total = 0.0
-    for start in range(0, height, rows):
+
+    def weighted_band(start: int):
         band = green.data[:, start : start + rows]
-        pooled = pool_spatial(transform(FrameClip._checked(band, green.fps))).samples
-        total = total + band.shape[1] * pooled
-    return Waveform(total / height, green.fps)
+        return band.shape[1] * pool_spatial(transform(FrameClip._checked(band, green.fps))).samples
+
+    return Waveform(sum(_ordered_map(weighted_band, range(0, height, rows))) / height, green.fps)
 
 
 def extract_green(clip: FrameClip) -> Waveform:

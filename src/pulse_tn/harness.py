@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import clipio
-from .core import Waveform
+from .core import Waveform, _ordered_map
 from .diff import frame_diff
 from .extract import ExtractorKind, run_extractor
 from .hr import PipelineConfig, SamplingRateError, _rate, compute_metrics, video_hr
@@ -31,20 +30,6 @@ from .simulate import (
     synth_pulse,
 )
 from .tn import EPSILON, tn
-
-THREADS_ENV = "PULSE_TN_THREADS"
-
-
-def worker_count(n_tasks: int) -> int:
-    """Bounded pool size: the CPUs this process may run on (all of the host's where
-    the platform cannot tell), at most one per task; the PULSE_TN_THREADS env var caps it."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, max(n_tasks, 1))
-    cap = os.environ.get(THREADS_ENV, "").strip()
-    if cap and not (cap.isdecimal() and int(cap) >= 1):
-        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {cap!r}")
-    return min(workers, int(cap)) if cap else workers
-
 
 def noise_feature_ratios(
     scene: SceneSpec,
@@ -207,7 +192,7 @@ def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | N
 
 
 def _walk(manifest_dir, kinds, cfg, noise_ratios) -> tuple[list, list]:
-    """One pool task per clip. Returns each extractor's rows and the
+    """One task of the worker pool per clip. Returns each extractor's rows and the
     noise-ratio rows, if asked for, all in video-id order.
 
     A band no clip's frame rate can carry is a bad setting, not a set of bad
@@ -224,8 +209,7 @@ def _walk(manifest_dir, kinds, cfg, noise_ratios) -> tuple[list, list]:
         rows, failures, dims = _clip_rows(path, kinds, labels.get(path.stem), cfg)
         return rows, failures, _noise_ratio_row(path, dims, cfg.epsilon) if noise_ratios else None
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(clip_paths))) as pool:
-        results = list(pool.map(task, clip_paths))
+    results = list(_ordered_map(task, clip_paths))
     per_kind = [[rows[k] for rows, _, _ in results] for k in range(len(kinds))]
     failures = [cls for _, classes, _ in results for cls in classes]
     if len(failures) == len(clip_paths) * len(kinds) and all(cls is SamplingRateError for cls in failures):

@@ -31,6 +31,7 @@ from pulse_tn import (
     write_clip,
 )
 from pulse_tn import clipio
+from pulse_tn import extract as extract_module
 from pulse_tn.cli import _pipeline, build_parser, main
 from pulse_tn.harness import scene_from_sidecar
 
@@ -659,6 +660,47 @@ def test_missing_input_is_one_line_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("pulse-tn: error: ") and "missing.rpgc" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("command", ["estimate", "transform", "evaluate", "compare"])
+def test_bad_thread_cap_fails_every_command_alike(small_manifest, tmp_path, capsys, monkeypatch, command, value):
+    # read_clip names the file in the errors of its checks; the cap is not the file's error
+    monkeypatch.setenv("PULSE_TN_THREADS", value)
+    out = tmp_path / "out"
+    if command in ("estimate", "transform"):
+        argv = [command, "--in", str(small_manifest / "v000.rpgc")]
+    else:
+        argv = [command, "--manifest", str(small_manifest)]
+    if command != "estimate":
+        argv += ["--out", str(out)] + (["--method", "tn"] if command == "transform" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"pulse-tn: error: PULSE_TN_THREADS must be an integer >= 1, got '{value}'\n"
+    assert not out.exists()
+
+
+def test_outputs_are_the_same_on_one_and_two_workers(tmp_path, capsys, monkeypatch):
+    # an 8x8 clip of 600 frames in 8 bands of one row, read in 39 chunks of up to 1000 pixels
+    src = tmp_path / "src.rpgc"
+    simulate(src, extra=["--noise", "linear:0.1"])
+    monkeypatch.setattr(extract_module, "_BAND_BYTES", 8 * 600 * 8)
+    monkeypatch.setattr(clipio, "_CHUNK_BYTES", 1000 * 3 * 4)
+    monkeypatch.setattr(clipio.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PULSE_TN_THREADS", threads)
+        capsys.readouterr()
+        for extractor in ("tn_pooled", "diff_pooled"):
+            wave = tmp_path / f"{extractor}-{threads}.csv"
+            assert main(["estimate", "--in", str(src), "--extractor", extractor, "--dump-waveform", str(wave)]) == 0
+            outputs[threads, extractor] = capsys.readouterr().out, wave.read_bytes()
+        out = tmp_path / f"tn-{threads}.rpgc"
+        assert main(["transform", "--in", str(src), "--out", str(out), "--method", "tn"]) == 0
+        outputs[threads, "transform"] = out.read_bytes()
+    for key in ("tn_pooled", "diff_pooled", "transform"):
+        assert outputs["1", key] == outputs["2", key]
 
 
 def _options():

@@ -206,6 +206,75 @@ class TestStreamingRead:
         assert clip.fps == 30.0
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+class TestParallelDecode:
+    """read_clip's chunks decoded on one and on two workers, in 9 chunks of 10
+    pixels of a 7x3x4 clip: eight full chunks and a ragged last one of 4."""
+
+    SHAPE = (7, 3, 4)
+
+    @pytest.fixture(autouse=True)
+    def workers(self, monkeypatch, threads):
+        monkeypatch.setattr(clipio.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("PULSE_TN_THREADS", threads)
+
+    def write(self, monkeypatch, tmp_path, dtype="f32", channels=3):
+        path = tmp_path / "clip.rpgc"
+        data = np.random.default_rng(29).random(self.SHAPE + (channels,))
+        write_clip(FrameClip(data, 30.0), path, dtype=dtype)
+        monkeypatch.setattr(clipio, "_CHUNK_BYTES", 10 * channels * clipio._DTYPES[clipio.DTYPE_CODES[dtype]].itemsize)
+        return path, bytearray(path.read_bytes())
+
+    def pixel_offset(self, pixel):
+        """The file offset of a pixel of the three-channel f32 clip."""
+        return clipio._HEADER.size + 4 * 3 * pixel
+
+    def cut_short(self, monkeypatch, path, buf, pixel):
+        """Keep the first `pixel` pixels and a byte of the next, while stat still
+        reports the whole file, as a file cut after read_clip checked its size."""
+        path.write_bytes(buf[: self.pixel_offset(pixel) + 1])
+        real_stat = os.stat
+
+        def stat(p, *args, **kwargs):
+            info = real_stat(p, *args, **kwargs)
+            return os.stat_result((*info[:6], len(buf), *info[7:])) if p == path else info
+
+        monkeypatch.setattr(clipio.os, "stat", stat)
+
+    @pytest.mark.parametrize("green_only", [False, True])
+    @pytest.mark.parametrize("channels", [3, 1])
+    @pytest.mark.parametrize("dtype", ["f32", "u8"])
+    def test_decodes_like_frombuffer(self, monkeypatch, tmp_path, dtype, channels, green_only):
+        path, buf = self.write(monkeypatch, tmp_path, dtype, channels)
+        expected = np.frombuffer(buf, "<f4" if dtype == "f32" else "u1", offset=32).astype(np.float64)
+        if dtype == "u8":
+            expected /= 255.0
+        expected = expected.reshape(self.SHAPE + (channels,))
+        if green_only:
+            green = 1 if channels == 3 else 0
+            expected = expected[..., green : green + 1]
+        assert read_clip(path, green_only=green_only).data.tobytes() == expected.tobytes()
+
+    def test_a_file_cut_inside_a_middle_chunk(self, monkeypatch, tmp_path):
+        path, buf = self.write(monkeypatch, tmp_path)
+        self.cut_short(monkeypatch, path, buf, 45)
+        assert read_error(path) == (TruncatedClipError, f"{path}: file ended inside the payload")
+
+    def test_a_nan_in_the_last_chunk(self, monkeypatch, tmp_path):
+        path, buf = self.write(monkeypatch, tmp_path)
+        offset = self.pixel_offset(83)
+        buf[offset : offset + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(buf)
+        assert read_error(path) == (ClipFormatError, f"{path}: clip data must not contain NaN or Inf")
+
+    def test_a_nan_before_a_cut_is_the_error(self, monkeypatch, tmp_path):
+        path, buf = self.write(monkeypatch, tmp_path)
+        offset = self.pixel_offset(15)  # chunk 1
+        buf[offset : offset + 4] = struct.pack("<f", float("nan"))
+        self.cut_short(monkeypatch, path, buf, 35)  # inside chunk 3
+        assert read_error(path) == (ClipFormatError, f"{path}: clip data must not contain NaN or Inf")
+
+
 def test_read_and_extract_peak_memory(tmp_path):
     # the decoded float64 clip itself is the floor; the file bytes and the
     # two channels tn_pooled does not pool must not add to it

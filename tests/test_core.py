@@ -1,7 +1,11 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from pulse_tn import FrameClip, Waveform, pool_spatial, segment_waveform
+from pulse_tn import FrameClip, Waveform, core, pool_spatial, segment_waveform
 
 
 def make_clip(t=10, h=4, w=4, c=3, fill=0.5, fps=30.0):
@@ -120,3 +124,124 @@ class TestPoolSpatial:
     def test_three_channel_clip_refused(self):
         with pytest.raises(ValueError, match="one-channel clip, got 3 channels"):
             pool_spatial(make_clip(c=3))
+
+
+class TestOrderedMap:
+    """core._ordered_map, the package's one worker pool."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Four CPUs whatever the host has, so that the pool size is the cap's."""
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.delenv("PULSE_TN_THREADS", raising=False)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The pools that the map starts."""
+        started = []
+
+        class CountedPool(core.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", CountedPool)
+        return started
+
+    def test_results_come_in_item_order_when_later_items_finish_first(self, cpus, pools):
+        def slow_first(i):
+            time.sleep(0.01 * (6 - i))
+            return i * i
+
+        assert list(core._ordered_map(slow_first, range(6))) == [i * i for i in range(6)]
+        assert len(pools) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_the_first_failing_item_in_item_order_raises(self, cpus, monkeypatch, threads):
+        monkeypatch.setenv("PULSE_TN_THREADS", threads)
+
+        def fail_at_2_and_5(i):
+            if i == 2:
+                time.sleep(0.05)  # item 5 fails first in time
+                raise ValueError("item 2")
+            if i == 5:
+                raise ValueError("item 5")
+            return i
+
+        results = core._ordered_map(fail_at_2_and_5, range(8))
+        assert [next(results), next(results)] == [0, 1]
+        with pytest.raises(ValueError, match="^item 2$"):
+            next(results)
+
+    def test_the_calling_thread_runs_items(self, cpus, pools):
+        threads = []
+
+        def record(i):
+            threads.append(threading.get_ident())
+            time.sleep(0.002)
+            return i
+
+        assert list(core._ordered_map(record, range(16))) == list(range(16))
+        assert len(pools) == 1
+        assert threading.get_ident() in threads
+        assert len(set(threads)) <= 4
+        # also when every item is instant and a pool thread could take them all
+        for _ in range(20):
+            threads.clear()
+            assert list(core._ordered_map(lambda i: threads.append(threading.get_ident()), range(4))) == [None] * 4
+            assert threading.get_ident() in threads
+
+    def test_a_map_inside_an_item_runs_inline(self, cpus, pools):
+        def inner(item):
+            return item, threading.get_ident()
+
+        def outer(i):
+            here = threading.get_ident()
+            pairs = list(core._ordered_map(inner, [(i, j) for j in range(4)]))
+            assert [thread for _, thread in pairs] == [here] * 4
+            return [item for item, _ in pairs]
+
+        assert list(core._ordered_map(outer, range(4))) == [[(i, j) for j in range(4)] for i in range(4)]
+        assert len(pools) == 1  # the outer map's only
+
+    def test_one_worker_starts_no_thread(self, cpus, pools, monkeypatch):
+        monkeypatch.setenv("PULSE_TN_THREADS", "1")
+        before = threading.active_count()
+        threads = set()
+
+        def record(i):
+            threads.add(threading.get_ident())
+            assert threading.active_count() == before
+            return i
+
+        assert list(core._ordered_map(record, range(8))) == list(range(8))
+        assert pools == []
+        assert threads == {threading.get_ident()}
+
+    def test_every_item_runs_once_under_frequent_thread_switches(self, monkeypatch):
+        # more workers than the host's CPUs, and a switch interval that interleaves every claim
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.delenv("PULSE_TN_THREADS", raising=False)
+        runs, results = [], []
+
+        def run_item(i):
+            runs.append(i)
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                caller = threading.Thread(target=lambda: results.append(list(core._ordered_map(run_item, range(200)))))
+                caller.start()
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[-i for i in range(200)]] * 20
+        assert sorted(runs) == sorted(list(range(200)) * 20)
+
+    def test_a_bad_thread_cap_raises_at_the_call(self, monkeypatch):
+        monkeypatch.setenv("PULSE_TN_THREADS", "0")
+        with pytest.raises(ValueError, match="^PULSE_TN_THREADS must be an integer >= 1, got '0'$"):
+            core._ordered_map(abs, range(3))

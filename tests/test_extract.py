@@ -25,6 +25,7 @@ from pulse_tn import (
     video_hr,
     welch_psd,
 )
+from pulse_tn import core
 from pulse_tn import extract as extract_module
 
 WELCH_BIN_BPM = 60.0 * 30.0 / 3300.0
@@ -206,6 +207,20 @@ class TestBands:
         green = FrameClip(clip.data[..., g : g + 1], 30.0)
         assert np.array_equal(extractor(clip).samples, pool_spatial(transform(green)).samples)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("extractor, transform", [(extract_tn_pooled, tn), (extract_diff_pooled, diff_normalized)])
+    def test_band_means_are_summed_in_band_order(self, monkeypatch, extractor, transform, threads):
+        # the serial loop's sum, bit for bit, on one worker and on two
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("PULSE_TN_THREADS", threads)
+        clip = band_clip("dc_offset", np.random.default_rng(30))
+        set_band_rows(monkeypatch, clip, 2)
+        total = 0.0
+        for start in range(0, 7, 2):
+            band = FrameClip(clip.data[:, start : start + 2], 30.0)
+            total = total + band.data.shape[1] * pool_spatial(transform(band)).samples
+        assert extractor(clip).samples.tobytes() == (total / 7).tobytes()
+
     @pytest.mark.parametrize("extractor", BANDED)
     def test_each_band_is_one_transform_of_a_view(self, monkeypatch, extractor):
         clip = band_clip("random", np.random.default_rng(25))
@@ -218,6 +233,8 @@ class TestBands:
 
     @pytest.mark.parametrize("extractor", BANDED)
     def test_peak_is_the_green_clip_plus_a_few_bands(self, monkeypatch, extractor):
+        # one worker: with more, as many bands as workers are in flight at once
+        monkeypatch.setenv("PULSE_TN_THREADS", "1")
         tracemalloc.start()
         try:
             clip = FrameClip(np.random.default_rng(26).random((300, 32, 32, 1)), 30.0)
@@ -230,6 +247,25 @@ class TestBands:
         finally:
             tracemalloc.stop()
         assert peak - held < 3 * band_bytes
+
+    @pytest.mark.parametrize("extractor", BANDED)
+    def test_peak_is_the_green_clip_plus_a_few_bands_per_worker(self, monkeypatch, extractor):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("PULSE_TN_THREADS", "2")
+        tracemalloc.start()
+        try:
+            # 600 frames keep a 2-row band above numpy's 256 KiB temporary-elision
+            # threshold, as the 4-row bands of 300 frames above are
+            clip = FrameClip(np.random.default_rng(26).random((600, 32, 32, 1)), 30.0)
+            set_band_rows(monkeypatch, clip, 2)
+            band_bytes = clip.data.nbytes // 16  # 32 rows in 16 bands of 2
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            extractor(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 2 * 3 * band_bytes
 
 
 class TestRunExtractor:

@@ -19,8 +19,9 @@ from pulse_tn import (
     write_clip,
 )
 from pulse_tn.cli import main as cli_main
+from pulse_tn.core import worker_count
 from pulse_tn.diff import frame_diff
-from pulse_tn.harness import compare_manifest, evaluate_manifest, noise_feature_ratios, worker_count, write_report
+from pulse_tn.harness import compare_manifest, evaluate_manifest, noise_feature_ratios, write_report
 from pulse_tn.simulate import NO_NOISE, LinearNoise, NoiseSpec, parse_noise_string, render_noisy
 from pulse_tn.tn import EPSILON, tn
 
