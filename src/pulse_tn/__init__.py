@@ -21,7 +21,6 @@ from .simulate import (
 from .tn import (
     DEFAULT_BACKEND,
     EPSILON,
-    TrendFit,
     detrend,
     fit_trend,
     rms_normalize,
@@ -32,7 +31,6 @@ from .tn import (
 from .diff import diff_normalized, frame_diff
 from .hr import (
     DegenerateSignalError,
-    MetricsReport,
     PipelineConfig,
     PowerSpectrum,
     SamplingRateError,

@@ -12,7 +12,7 @@ import numpy as np
 from . import clipio
 from .diff import diff_normalized, frame_diff
 from .extract import ExtractorKind, run_extractor
-from .harness import compare_manifest, evaluate_manifest, scene_from_sidecar, write_report
+from .harness import SIDECAR_KEYS, compare_manifest, evaluate_manifest, scene_from_sidecar, sidecar_path, write_report
 from .hr import PipelineConfig, _spectra, video_hr
 from .simulate import PULSE_SHAPES, PulseSpec, SceneSpec, render_noisy
 from .tn import EPSILON, _check_epsilon, tn
@@ -48,33 +48,18 @@ def _pipeline(args) -> PipelineConfig:
 
 def cmd_simulate(args) -> int:
     height, width = args.size
-    sidecar = {
-        "hr_bpm": args.hr,
-        "amplitude": args.amplitude,
-        "shape": args.pulse_shape,
-        "harmonic_ratio": args.harmonic_ratio,
-        "fps": args.fps,
-        "frames": args.frames,
-        "height": height,
-        "width": width,
-        "noise": args.noise,
-        "seed": args.seed,
-        "illumination": args.illumination,
-        "specular": args.specular,
-        "diffuse": args.diffuse,
-        "pixel_jitter": args.jitter,
-    }
+    # each sidecar key is its flag's dest, but the frame size, which --size holds
+    flags = vars(args) | {"height": height, "width": width}
+    sidecar = {key: flags[key] for key in SIDECAR_KEYS}
     # rendered from the sidecar, so compare recomputes exactly this clip
     clip = render_noisy(*scene_from_sidecar(sidecar))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # the label first: a refused label leaves no clip behind
-    clipio.upsert_label(Path(args.labels) if args.labels else out.parent / "labels.csv", out.stem, args.hr)
+    clipio.upsert_label(Path(args.labels) if args.labels else out.parent / "labels.csv", out.stem, args.hr_bpm)
     clipio.write_clip(clip, out, dtype=args.dtype)
-    out.with_suffix(out.suffix + ".sim.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"wrote {out} ({args.frames}x{height}x{width}x3 @ {args.fps} fps), label {args.hr} BPM")
+    sidecar_path(out).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out} ({args.frames}x{height}x{width}x3 @ {args.fps} fps), label {args.hr_bpm} BPM")
     return 0
 
 
@@ -145,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="render a synthetic clip and record its label")
-    p.add_argument("--hr", type=float, required=True, help="ground-truth heart rate in BPM")
+    p.add_argument("--hr", dest="hr_bpm", metavar="HR", type=float, required=True, help="ground-truth heart rate in BPM")
     p.add_argument("--fps", type=float, default=30.0)
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--size", type=_parse_size, default=(8, 8), help="HxW, e.g. 8x8")
@@ -154,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output .rpgc path")
     p.add_argument("--labels", default=None, help="labels.csv path (default: beside --out)")
     p.add_argument("--amplitude", type=float, default=PulseSpec.amplitude)
-    p.add_argument("--jitter", type=float, default=SceneSpec.pixel_jitter)
-    p.add_argument("--pulse-shape", choices=PULSE_SHAPES, default=PulseSpec.shape)
+    p.add_argument("--jitter", dest="pixel_jitter", metavar="JITTER", type=float, default=SceneSpec.pixel_jitter)
+    p.add_argument("--pulse-shape", dest="shape", choices=PULSE_SHAPES, default=PulseSpec.shape)
     p.add_argument("--harmonic-ratio", type=float, default=PulseSpec.harmonic_ratio)
     p.add_argument("--illumination", type=float, default=SceneSpec.illumination)
     p.add_argument("--specular", type=float, default=SceneSpec.specular)

@@ -77,8 +77,10 @@ def _parallel_map(fn, items: list, workers: int):
     # looked up at each call, so a ThreadPoolExecutor swapped into this module is used
     pool = ThreadPoolExecutor(max_workers=workers - 1)
     try:
-        # item 0 is never queued, so the calling thread runs at least one item; each item
-        # is its task's first argument, so a pool that names tasks can name them by it
+        # item 0 is never queued: the calling thread runs items so that it does not sit idle, and
+        # so that perfbench's traced metrics, which count band spans only as direct children of
+        # the extractor span, find some. Each item is its task's first argument, so a pool that
+        # names tasks can name them by it
         slots = [None] + [pool.submit(task, item) for item in items[1:]]
         slots[0] = here(items[0])
         ahead = 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import FrameClip
 
 DIFF_DENOM_GUARD = 1e-8
@@ -18,6 +20,8 @@ def diff_normalized(clip: FrameClip) -> FrameClip:
     The guard keeps zero frames harmless; a constant multiplicative gain on
     the whole clip cancels out of the ratio. The output has T-1 frames.
     """
-    a = clip.data[1:]
-    b = clip.data[:-1]
-    return FrameClip((a - b) / (a + b + DIFF_DENOM_GUARD), clip.fps)
+    a, b = clip.data[1:], clip.data[:-1]
+    # one buffer takes the guarded sum and then the quotient: two temporaries, not three
+    out = a + b
+    out += DIFF_DENOM_GUARD
+    return FrameClip(np.divide(a - b, out, out=out), clip.fps)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,17 @@ from .simulate import (
     synth_pulse,
 )
 from .tn import EPSILON, tn
+
+# A simulator sidecar's keys: the spec field names (the jitter seed as `seed`), fps, frames, size and noise.
+_SCENE_KEYS = tuple(field.name for field in fields(SceneSpec) if field.name != "jitter_seed")
+_PULSE_KEYS = tuple(field.name for field in fields(PulseSpec))
+SIDECAR_KEYS = (*_SCENE_KEYS, *_PULSE_KEYS, "fps", "frames", "height", "width", "noise", "seed")
+
+
+def sidecar_path(clip_path: Path) -> Path:
+    """The simulator sidecar beside a clip: `<clip>.sim.json`."""
+    return clip_path.with_suffix(clip_path.suffix + ".sim.json")
+
 
 def noise_feature_ratios(
     scene: SceneSpec,
@@ -95,19 +107,17 @@ def _residual_ratio(ideal: np.ndarray, noisy: np.ndarray | None) -> float:
 
 
 def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, Waveform, NoiseSpec, int, int]:
-    """`render_noisy`'s arguments for the clip a simulator sidecar records; its keys
-    are the spec field names, but `seed`, plus `fps`, `frames`, `height` and `width`.
-    A number field takes no boolean or string, and `frames`, `height` and `width` take
-    integers; `illumination`, `specular` and `diffuse` may hold one number per channel."""
-    scene_keys = ("illumination", "specular", "diffuse", "pixel_jitter")
-    for key in (*scene_keys, "hr_bpm", "amplitude", "harmonic_ratio", "fps", "frames", "height", "width"):
+    """`render_noisy`'s arguments for the clip a simulator sidecar with SIDECAR_KEYS
+    records. A number field takes no boolean or string, and `frames`, `height` and `width`
+    take integers; `illumination`, `specular` and `diffuse` may hold one number per channel."""
+    for key in [k for k in SIDECAR_KEYS if k not in ("shape", "noise", "seed")]:
         value = meta.get(key, 0)  # a missing field raises its KeyError where it is read
         kind = int if key in ("frames", "height", "width") else (int, float)
-        items = value if key in scene_keys[:3] and isinstance(value, list) else [value]
+        items = value if key in _SCENE_KEYS[:3] and isinstance(value, list) else [value]
         if not all(isinstance(item, kind) and not isinstance(item, bool) for item in items):
             raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    scene = SceneSpec(jitter_seed=meta["seed"], **{key: meta[key] for key in scene_keys})
-    pulse = PulseSpec(**{key: meta[key] for key in ("hr_bpm", "amplitude", "shape", "harmonic_ratio")})
+    scene = SceneSpec(jitter_seed=meta["seed"], **{key: meta[key] for key in _SCENE_KEYS})
+    pulse = PulseSpec(**{key: meta[key] for key in _PULSE_KEYS})
     noise = parse_noise_string(meta["noise"])
     return scene, synth_pulse(pulse, meta["fps"], meta["frames"]), noise, meta["height"], meta["width"]
 
@@ -164,7 +174,7 @@ def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | N
     or one that cannot be read, is not JSON, lacks a field or holds a bad value gives
     the row an `error` instead, and nothing is rendered. A dangling link counts as a
     sidecar."""
-    sidecar = path.with_suffix(path.suffix + ".sim.json")
+    sidecar = sidecar_path(path)
     if not os.path.lexists(sidecar):
         return None
     row: dict = {"video_id": path.stem}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,27 @@ class TestDiffNormalized:
         base = diff_normalized(FrameClip(data, 30.0)).data
         scaled = diff_normalized(FrameClip(2.7 * data, 30.0)).data
         assert np.max(np.abs(base - scaled)) < 1e-6
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-300, "u8"])
+    def test_equals_the_guarded_ratio_bit_for_bit(self, scale):
+        data = np.random.default_rng(5).random((40, 3, 4, 3))
+        data = np.round(255 * data) / 255 if scale == "u8" else scale * data
+        a, b = data[1:], data[:-1]
+        assert np.array_equal(diff_normalized(FrameClip(data, 30.0)).data, (a - b) / (a + b + DIFF_DENOM_GUARD))
+
+    def test_peak_is_two_output_sized_arrays(self):
+        # a 300x2x32 output is 153 kB, below numpy's 256 KiB temporary-elision
+        # threshold, so no temporary of an expression is reused in place
+        clip = FrameClip(np.random.default_rng(7).random((300, 2, 32, 1)), 30.0)
+        out_bytes = clip.data[1:].nbytes
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            diff_normalized(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 2.5 * out_bytes
 
 
 class TestDiffNoiseResidual:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 
@@ -18,10 +19,19 @@ from pulse_tn import (
     synth_pulse,
     write_clip,
 )
+from pulse_tn.cli import build_parser
 from pulse_tn.cli import main as cli_main
 from pulse_tn.core import worker_count
 from pulse_tn.diff import frame_diff
-from pulse_tn.harness import compare_manifest, evaluate_manifest, noise_feature_ratios, write_report
+from pulse_tn.harness import (
+    SIDECAR_KEYS as DECLARED_KEYS,
+    compare_manifest,
+    evaluate_manifest,
+    noise_feature_ratios,
+    scene_from_sidecar,
+    sidecar_path,
+    write_report,
+)
 from pulse_tn.simulate import NO_NOISE, LinearNoise, NoiseSpec, parse_noise_string, render_noisy
 from pulse_tn.tn import EPSILON, tn
 
@@ -225,8 +235,24 @@ SIDECAR_KEYS = [
 
 
 def test_sidecar_names_every_key(sidecar_manifest):
+    # the written keys are the declared ones, and each is the dest of its simulate flag, but
+    # height and width, which --size holds; the other flags name the outputs and the payload type
     root, _ = sidecar_manifest
+    assert sidecar_path(root / "v0.rpgc") == root / "v0.rpgc.sim.json"
     assert sorted(json.loads((root / "v0.rpgc.sim.json").read_text())) == SIDECAR_KEYS
+    assert sorted(DECLARED_KEYS) == SIDECAR_KEYS
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in subparsers.choices["simulate"]._actions}
+    assert dests - {"help", "size", "out", "labels", "dtype"} == set(DECLARED_KEYS) - {"height", "width"}
+
+
+@pytest.mark.parametrize("key", DECLARED_KEYS)
+def test_scene_from_sidecar_needs_every_declared_key(sidecar_manifest, key):
+    root, _ = sidecar_manifest
+    meta = json.loads(sidecar_path(root / "v0.rpgc").read_text())
+    del meta[key]
+    with pytest.raises(KeyError, match=key):
+        scene_from_sidecar(meta)
 
 
 def compare_with_sidecar_value(sidecar_manifest, tmp_path, key, value):
