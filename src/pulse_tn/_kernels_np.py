@@ -1,10 +1,13 @@
 """Fused detrend + RMS-normalization kernel on time-major data.
 
-Traces are the columns of a (T, n) float64 array, which is the layout a
-clip already has once its pixel/channel axes are flattened, so no transpose
-or contiguous copy is needed. The output is a new (T, n) array and the only
-full-size allocation: the slope removal and the sum of squares run together
-over blocks of rows small enough to stay in cache.
+Traces are the columns of a (T, n) float32 or float64 array, which is the
+layout a clip already has once its pixel/channel axes are flattened, so no
+transpose or contiguous copy is needed. The kernel computes in float64: the
+first step, the shift by frame 0, widens float32 input exactly as it
+subtracts, so a float32 input gives the bytes of its float64 widening. The
+output is a new (T, n) float64 array and the only full-size allocation: the
+slope removal and the sum of squares run together over blocks of rows small
+enough to stay in cache.
 
 The kernel calls no BLAS routine, so concurrent callers (the clip worker
 pool of `evaluate` and `compare`) never contend for BLAS threads.
@@ -28,7 +31,7 @@ def tn_traces(data: np.ndarray, epsilon: float) -> np.ndarray:
     # The axis-0 mean accumulates row by row; shifting each column by its
     # frame-0 value first keeps that sum small on large DC offsets, and makes
     # exactly representable offsets cancel exactly.
-    resid = data - data[0]
+    resid = np.subtract(data, data[0], dtype=np.float64)
     resid -= resid.mean(axis=0)
     # einsum, not @: OpenBLAS runs a dgemv this size on its own threads, which take
     # the second CPU from the clip worker pool (two workers ran compare ×1.03 faster than one)

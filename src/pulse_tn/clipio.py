@@ -118,10 +118,13 @@ def read_clip(path, green_only: bool = False) -> FrameClip:
     never held whole, and every sample of every channel is checked finite on
     the way, and only there.
 
-    By default every channel is widened into the float64 clip. With
-    green_only, only the green channel is (channel 1 of 3, channel 0 of 1),
-    and the result is a one-channel clip: the extractors read nothing else,
-    and it is a third of the float64 bytes of a 3-channel clip.
+    By default every channel is widened into a float64 clip. With
+    green_only, only the green channel is kept (channel 1 of 3, channel 0 of
+    1), as a one-channel clip: the extractors read nothing else. An f32
+    payload's green channel then stays float32, its samples exactly the
+    file's, since the package's transforms and pooling widen their input
+    inside their own float64 arithmetic; a u8 payload's is divided by 255
+    into float64.
     """
     info = os.stat(path)
     # checked before open: opening a FIFO would block until a writer appears
@@ -151,8 +154,10 @@ def read_clip(path, green_only: bool = False) -> FrameClip:
             _require_clip_shape((t, h, w, c))
         g = green_channel(c)
         keep = slice(g, g + 1) if green_only else slice(0, c)
+        # float32 to float64 is exact, so an f32 green channel is left for its consumers to widen
+        out_dtype = np.float32 if green_only and code == DTYPE_F32 else np.float64
         # outside _names_file: a bad PULSE_TN_THREADS is the caller's error, not the file's
-        data = _read_payload(fh.fileno(), dtype, t * h * w, c, keep, path)
+        data = _read_payload(fh.fileno(), dtype, t * h * w, c, keep, out_dtype, path)
     with _names_file(path):
         return FrameClip._checked(data.reshape(t, h, w, -1), fps)
 
@@ -168,17 +173,19 @@ def _names_file(path):
         raise ClipFormatError(f"{path}: {exc}") from exc
 
 
-def _read_payload(fd: int, dtype: np.dtype, pixels: int, channels: int, keep: slice, path) -> np.ndarray:
+def _read_payload(
+    fd: int, dtype: np.dtype, pixels: int, channels: int, keep: slice, out_dtype: type, path
+) -> np.ndarray:
     """Read `pixels` pixels of `channels` samples of `dtype` from the payload
     of the open file `fd`, whole pixels per chunk, and return the `keep`
-    channels as a new float64 (pixels, kept) array, u8 samples divided by
-    255. Every f32 sample of every channel is checked finite, kept or not.
+    channels as a new (pixels, kept) array of `out_dtype`, u8 samples divided
+    by 255. Every f32 sample of every channel is checked finite, kept or not.
 
     The chunks are decoded on the worker pool: each is read with a positional
     read at its own offset, into a chunk buffer that each thread reuses. The
     first failing chunk in file order gives the error.
     """
-    data = np.empty((pixels, keep.stop - keep.start), dtype=np.float64)
+    data = np.empty((pixels, keep.stop - keep.start), dtype=out_dtype)
     u8 = dtype == _DTYPES[DTYPE_U8]
     step = max(1, _CHUNK_BYTES // (dtype.itemsize * channels))
     buffers = threading.local()

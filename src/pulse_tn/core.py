@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 THREADS_ENV = "PULSE_TN_THREADS"
+# Bytes of float64 samples per chunk of frames that pool_spatial averages at a time.
+_POOL_CHUNK_BYTES = 1024 * 1024
 
 
 def worker_count(n_tasks: int) -> int:
@@ -134,8 +136,11 @@ class FrameClip:
     """A T x H x W x C video tensor with its frame rate in Hz.
 
     Raw clips are expected in [0, 1] (u8 payloads are divided by 255 at
-    ingestion); transformed feature clips are unbounded. Data is stored
-    as float64.
+    ingestion); transformed feature clips are unbounded. The constructor
+    stores data as float64. A green channel that clipio decodes from an f32
+    payload keeps its float32 samples instead; every function of the package
+    that takes a clip widens them exactly inside its own float64 arithmetic,
+    so it gives the bytes it gives for the float64 widening of that clip.
     """
 
     data: np.ndarray
@@ -150,8 +155,9 @@ class FrameClip:
 
     @classmethod
     def _checked(cls, data: np.ndarray, fps: float) -> FrameClip:
-        """A clip of float64 data whose shape and samples the caller has
-        already checked, so they are not scanned again; fps still is."""
+        """A clip of float64 data, or of a decoded f32 payload's float32
+        samples, whose shape and samples the caller has already checked, so
+        they are not scanned again; fps still is."""
         clip = object.__new__(cls)
         object.__setattr__(clip, "data", data)
         object.__setattr__(clip, "fps", _require_fps(fps))
@@ -221,7 +227,21 @@ def _segment_rows(w: Waveform, seconds: float) -> np.ndarray:
 
 
 def pool_spatial(clip: FrameClip) -> Waveform:
-    """Average a one-channel FrameClip over all pixels, frame by frame."""
+    """Average a one-channel FrameClip over all pixels, frame by frame.
+
+    The means are taken a few frames at a time, each chunk widened to
+    float64 on its own, so float32 data costs no float64 copy of the clip.
+    A float64 chunk is a view, and each frame is summed exactly as one
+    whole-clip mean sums it.
+    """
     if clip.channels != 1:
         raise ValueError(f"pool_spatial needs a one-channel clip, got {clip.channels} channels")
-    return Waveform(clip.data[:, :, :, 0].mean(axis=(1, 2)), clip.fps)
+    data = clip.data[:, :, :, 0]
+    means = np.empty(len(data))
+    step = max(1, _POOL_CHUNK_BYTES // (8 * data[0].size))
+    for start in range(0, len(data), step):
+        # not mean(dtype=float64): that casts through 8192-sample buffers, which
+        # would sum a frame of more pixels in another order
+        chunk = np.asarray(data[start : start + step], dtype=np.float64)
+        chunk.mean(axis=(1, 2), out=means[start : start + step])
+    return Waveform(means, clip.fps)

@@ -11,7 +11,7 @@ DIFF_DENOM_GUARD = 1e-8
 
 def frame_diff(clip: FrameClip) -> FrameClip:
     """First difference along time: out[t] = clip[t+1] - clip[t], T-1 frames."""
-    return FrameClip(clip.data[1:] - clip.data[:-1], clip.fps)
+    return FrameClip(np.subtract(clip.data[1:], clip.data[:-1], dtype=np.float64), clip.fps)
 
 
 def diff_normalized(clip: FrameClip) -> FrameClip:
@@ -22,6 +22,6 @@ def diff_normalized(clip: FrameClip) -> FrameClip:
     """
     a, b = clip.data[1:], clip.data[:-1]
     # one buffer takes the guarded sum and then the quotient: two temporaries, not three
-    out = a + b
+    out = np.add(a, b, dtype=np.float64)
     out += DIFF_DENOM_GUARD
-    return FrameClip(np.divide(a - b, out, out=out), clip.fps)
+    return FrameClip(np.divide(np.subtract(a, b, dtype=np.float64), out, out=out), clip.fps)

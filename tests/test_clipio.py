@@ -24,7 +24,7 @@ from pulse_tn import (
     upsert_label,
     write_clip,
 )
-from pulse_tn import clipio, extract_tn_pooled
+from pulse_tn import clipio, extract_diff_pooled, extract_green, extract_tn_pooled
 
 
 def random_clip(seed=0, t=12, h=3, w=4, c=3):
@@ -200,9 +200,11 @@ class TestStreamingRead:
         green = 1 if channels == 3 else 0
         expected = read_clip(path).data[..., green : green + 1]
         clip = read_clip(path, green_only=True)
+        # an f32 payload's green channel keeps the file's float32 samples, which widen to the full read's
+        assert clip.data.dtype == (np.float32 if dtype == "f32" else np.float64)
         assert clip.data.shape == expected.shape
         assert clip.data.flags.c_contiguous
-        assert clip.data.tobytes() == expected.tobytes()
+        assert clip.data.astype(np.float64).tobytes() == expected.tobytes()
         assert clip.fps == 30.0
 
 
@@ -253,7 +255,9 @@ class TestParallelDecode:
         if green_only:
             green = 1 if channels == 3 else 0
             expected = expected[..., green : green + 1]
-        assert read_clip(path, green_only=green_only).data.tobytes() == expected.tobytes()
+        data = read_clip(path, green_only=green_only).data
+        assert data.dtype == (np.float32 if dtype == "f32" and green_only else np.float64)
+        assert data.astype(np.float64).tobytes() == expected.tobytes()
 
     def test_a_file_cut_inside_a_middle_chunk(self, monkeypatch, tmp_path):
         path, buf = self.write(monkeypatch, tmp_path)
@@ -316,6 +320,36 @@ def test_green_only_read_and_extract_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.8 * clip_bytes
+
+
+@pytest.fixture(scope="module")
+def f32_clip_600x64x64(tmp_path_factory):
+    path = tmp_path_factory.mktemp("f32") / "clip.rpgc"
+    write_clip(FrameClip(np.random.default_rng(27).random((600, 64, 64, 3)), 30.0), path)
+    return path
+
+
+@pytest.mark.parametrize("extractor", [extract_green, extract_tn_pooled, extract_diff_pooled])
+def test_f32_green_channel_is_never_widened_whole(monkeypatch, f32_clip_600x64x64, extractor):
+    # the float32 green channel is half of its float64 widening, and the bands and
+    # chunks that widen it add a few MB: a float64 copy of it would exceed the bound
+    monkeypatch.setenv("PULSE_TN_THREADS", "1")
+    green_f64_bytes = 600 * 64 * 64 * 8
+    tracemalloc.start()
+    try:
+        extractor(read_clip(f32_clip_600x64x64, green_only=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * green_f64_bytes
+
+
+@pytest.mark.parametrize("dtype", ["f32", "u8"])
+def test_write_clip_writes_a_float32_clip_as_its_float64_widening(tmp_path, f32_green, dtype):
+    clip, wide = f32_green
+    write_clip(clip, tmp_path / "narrow.rpgc", dtype=dtype)
+    write_clip(wide, tmp_path / "wide.rpgc", dtype=dtype)
+    assert (tmp_path / "narrow.rpgc").read_bytes() == (tmp_path / "wide.rpgc").read_bytes()
 
 
 def read_error(path, **kwargs):
@@ -399,9 +433,13 @@ def test_read_clip_does_not_validate_its_clip_again(tmp_path, monkeypatch, dtype
     monkeypatch.setattr(FrameClip, "__post_init__", lambda self: calls.append(self) or check(self))
     clip = read_clip(path, green_only=green_only)
     assert calls == []
-    assert clip.data.dtype == np.float64
+    assert clip.data.dtype == (np.float32 if dtype == "f32" and green_only else np.float64)
     assert clip.data.shape == (12, 3, 4, 1 if green_only else channels)
     assert clip.fps == 30.0
+    if green_only:
+        green = 1 if channels == 3 else 0
+        expected = read_clip(path).data[..., green : green + 1]
+        assert clip.data.astype(np.float64).tobytes() == expected.tobytes()
 
 
 def test_green_only_rejects_a_directory(tmp_path):

@@ -175,3 +175,11 @@ class TestComparativeSuppression:
                 frame_diff(ideal).data
             )
             assert tn_ratio <= 0.1 * fd_ratio
+
+
+@pytest.mark.parametrize("transform", [frame_diff, diff_normalized])
+def test_float32_clip_transforms_as_its_float64_widening(f32_green, transform):
+    clip, wide = f32_green
+    out = transform(clip).data
+    assert out.dtype == np.float64
+    assert out.tobytes() == transform(wide).data.tobytes()

@@ -305,6 +305,12 @@ class TestRunExtractor:
         assert len(calls) == validated
 
 
+@pytest.mark.parametrize("kind", list(ExtractorKind))
+def test_float32_green_channel_extracts_as_its_float64_widening(f32_green, kind):
+    clip, wide = f32_green
+    assert run_extractor(kind, clip).samples.tobytes() == run_extractor(kind, wide).samples.tobytes()
+
+
 class TestExtractorAgreement:
     def test_noise_free_extractors_agree_within_one_bin(self):
         clip, _, _ = ideal_clip()

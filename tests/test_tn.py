@@ -273,3 +273,18 @@ class TestBlockwiseKernel:
         rng = np.random.default_rng(14)
         y = (rng.integers(0, 2**20, (1, 4, 4, 3)) + rng.integers(-(2**12), 2**12, (100, 4, 4, 3))) * 2.0**-20
         assert np.array_equal(tn(FrameClip(y + 1024.0, 30.0)).data, tn(FrameClip(y, 30.0)).data)
+
+
+def test_float32_clip_normalizes_as_its_float64_widening(f32_green):
+    clip, wide = f32_green
+    out = tn(clip).data
+    assert out.dtype == np.float64
+    assert out.tobytes() == tn(wide).data.tobytes()
+
+
+def test_kernel_widens_float32_traces_exactly(f32_green):
+    # the (T, n) float32 view that tn hands the kernel for a decoded green channel
+    clip, _ = f32_green
+    traces = clip.data.reshape(clip.frames, -1)
+    widened = traces.astype(np.float64)
+    assert _kernels_np.tn_traces(traces, EPSILON).tobytes() == _kernels_np.tn_traces(widened, EPSILON).tobytes()
