@@ -2,7 +2,7 @@
 reflectance-model clip generator, a differential-feature baseline, and the
 spectral heart-rate estimation pipeline used to compare them."""
 
-from .core import FrameClip, Waveform, pool_spatial, segment_waveform
+from .core import FrameClip, Waveform, pool_spatial
 from .simulate import (
     NO_NOISE,
     LinearNoise,
@@ -38,6 +38,7 @@ from .hr import (
     compute_metrics,
     hr_from_psd,
     segment_heart_rates,
+    segment_waveform,
     video_hr,
     welch_psd,
 )

@@ -1,4 +1,4 @@
-"""Core value types: video clips, 1-D signals, segmentation and pooling.
+"""Core value types (video clips, 1-D signals) and spatial pooling.
 
 Everything here is an immutable value; the operations are pure functions,
 so clips and waveforms can be shared freely across threads. The package's
@@ -198,32 +198,6 @@ class Waveform:
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.fps
-
-
-def segment_waveform(w: Waveform, seconds: float) -> list[Waveform]:
-    """Split a waveform into consecutive non-overlapping fixed-length segments.
-
-    The segment length is floor(seconds * fps) samples; a trailing remainder
-    shorter than one segment is discarded. A waveform shorter than one
-    segment yields an empty list.
-    """
-    return [Waveform(row, w.fps) for row in _segment_rows(w, seconds)]
-
-
-def _check_segment_s(seconds: float) -> None:
-    if not (np.isfinite(seconds) and seconds > 0):
-        raise ValueError(f"segment duration must be finite and > 0 s, got {seconds}")
-
-
-def _segment_rows(w: Waveform, seconds: float) -> np.ndarray:
-    """The full segments of `segment_waveform` as the rows of one
-    (n_segments, segment_length) view of the samples, with no copy."""
-    _check_segment_s(seconds)
-    seg_len = int(np.floor(seconds * w.fps + 1e-9))
-    if seg_len < 2:
-        raise ValueError(f"segment of {seconds} s at {w.fps} fps is shorter than 2 samples")
-    n = w.samples.size // seg_len
-    return w.samples[: n * seg_len].reshape(n, seg_len)
 
 
 def pool_spatial(clip: FrameClip) -> Waveform:

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Waveform, _check_segment_s, _require_finite, _segment_rows
+from .core import Waveform, _require_finite
 from .tn import EPSILON, _check_epsilon
 
 HR_LOW_HZ = 0.5
@@ -25,19 +25,7 @@ class DegenerateSignalError(ValueError):
 
 
 class SamplingRateError(ValueError):
-    """Raised when the frame rate is too low to carry the passband."""
-
-
-def _check_welch(window_len: int, overlap: float, nfft: int) -> None:
-    for name, value in (("window_len", window_len), ("nfft", nfft)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if window_len < 2:
-        raise ValueError(f"window_len must be >= 2, got {window_len}")
-    if nfft < window_len:
-        raise ValueError(f"nfft {nfft} must be >= window_len {window_len}")
-    if not 0 <= overlap < 1:
-        raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
+    """Raised when the frame rate cannot carry the passband."""
 
 
 @dataclass(frozen=True)
@@ -77,11 +65,14 @@ class PipelineConfig:
         if self.band_order < 2 or self.band_order % 2:
             raise ValueError(f"order must be even and >= 2, got {self.band_order}")
         _check_epsilon(self.epsilon)
-        _check_segment_s(self.segment_s)
+        if not (np.isfinite(self.segment_s) and self.segment_s > 0):
+            raise ValueError(f"segment duration must be finite and > 0 s, got {self.segment_s}")
         if self.nfft < 1:
             raise ValueError(f"nfft must be >= 1, got {self.nfft}")
-        window_len, nfft = self.welch_lengths(self.window_len)
-        _check_welch(window_len, self.overlap, nfft)
+        if self.window_len < 2:
+            raise ValueError(f"window_len must be >= 2, got {self.window_len}")
+        if not 0 <= self.overlap < 1:
+            raise ValueError(f"overlap must lie in [0, 1), got {self.overlap}")
 
     def welch_lengths(self, n: int) -> tuple[int, int]:
         """Welch (window_len, nfft) for an n-sample input: a window longer than
@@ -134,18 +125,31 @@ class MetricsReport:
 
 def bandpass(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> Waveform:
     """Apply `cfg`'s Butterworth bandpass to a waveform, preserving its length."""
-    return Waveform(_bandpass_rows(w.samples, w.fps, cfg.band_low_hz, cfg.band_high_hz, cfg.band_order), w.fps)
+    return Waveform(_bandpass_rows(w.samples, w.fps, cfg), w.fps)
 
 
-def _bandpass_rows(x: np.ndarray, fps: float, low_hz: float, high_hz: float, order: int) -> np.ndarray:
-    """`bandpass` along the last axis of `x`, each row filtered on its own."""
-    n = x.shape[-1]
-    if fps <= 2.0 * high_hz:
-        raise SamplingRateError(f"sampling rate {fps} Hz too low for a {high_hz} Hz passband edge")
+def _bandpass_rows(x: np.ndarray, fps: float, cfg: PipelineConfig) -> np.ndarray:
+    """`bandpass` along the last axis of `x`, each row filtered on its own, as
+    scipy.signal.sosfiltfilt filters it with `_butter_sos`: odd extension by
+    `padlen` samples at each end, a forward and a backward pass each started
+    from the settled state scaled by its first sample, and the extension cut
+    off again."""
+    n, order = x.shape[-1], cfg.band_order
+    if fps <= 2.0 * cfg.band_high_hz:
+        raise SamplingRateError(f"sampling rate {fps} Hz too low for a {cfg.band_high_hz} Hz passband edge")
     if n < 3 * order:
         raise ValueError(f"waveform too short to filter: {n} < {3 * order}")
-    rows = _sosfiltfilt(x.reshape(-1, n), fps, low_hz, high_hz, order, min(3 * order, n - 1))
-    return rows.reshape(x.shape)
+    block, zi = _cascade(fps, cfg.band_low_hz, cfg.band_high_hz, order)
+    padlen = min(3 * order, n - 1)
+    rows = x.reshape(-1, n)
+    ext = np.concatenate(
+        [2 * rows[:, :1] - rows[:, padlen:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -padlen - 2 : -1]], axis=1
+    )
+    # samples near the float64 limit overflow; callers reject the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _run_cascade(ext, zi * ext[:, :1], block)
+        y = _run_cascade(y[:, ::-1], zi * y[:, -1:], block)
+    return y[:, ::-1][:, padlen:-padlen].reshape(x.shape)
 
 
 @lru_cache
@@ -211,32 +215,18 @@ def _cascade(fps: float, low_hz: float, high_hz: float, order: int) -> tuple[np.
 
     zi, scale = [], 1.0
     for b0, b1, b2, _, a1, a2 in sections:
+        denom = 1.0 + a1 + a2
+        if denom == 0.0:
+            # both poles of the section round to z = 1: the low edge is too near 0 Hz for this rate
+            raise SamplingRateError(f"band_low_hz {low_hz} Hz too low to filter at a sampling rate of {fps} Hz")
         # lfilter_zi of one section: solve (I - companion(a).T) z = b[1:] - a[1:] * b0
-        z0 = (b1 - a1 * b0 + b2 - a2 * b0) / (1.0 + a1 + a2)
+        z0 = (b1 - a1 * b0 + b2 - a2 * b0) / denom
         zi += [scale * z0, scale * (b2 - a2 * b0 - a2 * z0)]
-        scale *= (b0 + b1 + b2) / (1.0 + a1 + a2)
+        scale *= (b0 + b1 + b2) / denom
     zi = np.array(zi)
     block.setflags(write=False)
     zi.setflags(write=False)
     return block, zi
-
-
-def _sosfiltfilt(
-    x: np.ndarray, fps: float, low_hz: float, high_hz: float, order: int, padlen: int
-) -> np.ndarray:
-    """Zero-phase `_butter_sos` filtering of the rows of x, as
-    scipy.signal.sosfiltfilt does it: odd extension by `padlen` samples at each
-    end, a forward and a backward pass each started from the settled state
-    scaled by its first sample, and the extension cut off again."""
-    block, zi = _cascade(fps, low_hz, high_hz, order)
-    ext = np.concatenate(
-        [2 * x[:, :1] - x[:, padlen:0:-1], x, 2 * x[:, -1:] - x[:, -2 : -padlen - 2 : -1]], axis=1
-    )
-    # samples near the float64 limit overflow; callers reject the non-finite result
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _run_cascade(ext, zi * ext[:, :1], block)
-        y = _run_cascade(y[:, ::-1], zi * y[:, -1:], block)
-    return y[:, ::-1][:, padlen:-padlen]
 
 
 def _run_cascade(x: np.ndarray, state: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -259,35 +249,26 @@ def _run_cascade(x: np.ndarray, state: np.ndarray, block: np.ndarray) -> np.ndar
     return out[:, :n]
 
 
-def welch_psd(
-    w: Waveform,
-    window_len: int = WELCH_WINDOW_LEN,
-    overlap: float = WELCH_OVERLAP,
-    nfft: int = WELCH_NFFT,
-) -> PowerSpectrum:
-    """Averaged periodogram over Hann-windowed, zero-padded segments.
+def welch_psd(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> PowerSpectrum:
+    """Averaged periodogram over `cfg`'s Hann-windowed, zero-padded segments.
 
-    Frequencies are k * fps / nfft for k = 0..nfft/2. Density scaling with
-    per-segment window-power compensation, so summing power times the bin
-    width approximates the time-domain mean square.
+    A window longer than the waveform shrinks to it, as in the pipeline
+    (`PipelineConfig.welch_lengths`). Frequencies are k * fps / nfft for
+    k = 0..nfft/2. Density scaling with per-segment window-power
+    compensation, so summing power times the bin width approximates the
+    time-domain mean square.
     """
-    return PowerSpectrum(*_welch_rows(w.samples, w.fps, window_len, overlap, nfft))
+    return PowerSpectrum(*_welch_rows(w.samples, w.fps, cfg))
 
 
-def _welch_rows(
-    x: np.ndarray, fps: float, window_len: int, overlap: float, nfft: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _welch_rows(x: np.ndarray, fps: float, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """`welch_psd` along the last axis of `x`: the frequencies and one power row per row.
 
     The frames start every window_len - int(window_len * overlap) samples and
     are not detrended, as in scipy.signal.welch(detrend=False).
     """
-    _check_welch(window_len, overlap, nfft)
-    if x.shape[-1] < window_len:
-        raise ValueError(
-            f"waveform length {x.shape[-1]} < window_len {window_len}; segment accordingly"
-        )
-    step = window_len - int(window_len * overlap)
+    window_len, nfft = cfg.welch_lengths(x.shape[-1])
+    step = window_len - int(window_len * cfg.overlap)
     # the periodic Hann window
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_len + 1)[:-1])
     frames = np.lib.stride_tricks.sliding_window_view(x, window_len, axis=-1)[..., ::step, :]
@@ -298,9 +279,10 @@ def _welch_rows(
     return np.fft.rfftfreq(nfft, 1 / fps), power.mean(axis=-2)
 
 
-def _in_band_peak(freqs: np.ndarray, power: np.ndarray, low_hz: float, high_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency and power of the highest bin inside [low_hz, high_hz] along the
+def _in_band_peak(freqs: np.ndarray, power: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency and power of the highest bin inside `cfg`'s band along the
     last axis of `power`; ties break toward the lower frequency."""
+    low_hz, high_hz = cfg.band_low_hz, cfg.band_high_hz
     in_band = (freqs >= low_hz) & (freqs <= high_hz)
     if not np.any(in_band):
         raise ValueError(f"spectrum has no bins inside [{low_hz}, {high_hz}] Hz")
@@ -308,24 +290,43 @@ def _in_band_peak(freqs: np.ndarray, power: np.ndarray, low_hz: float, high_hz: 
     return freqs[in_band][power.argmax(axis=-1)], power.max(axis=-1)
 
 
-def hr_from_psd(
-    spectrum: PowerSpectrum, low_hz: float = HR_LOW_HZ, high_hz: float = HR_HIGH_HZ
-) -> float:
-    """Heart rate in BPM from the spectral peak inside [low_hz, high_hz].
+def hr_from_psd(spectrum: PowerSpectrum, cfg: PipelineConfig = PipelineConfig()) -> float:
+    """Heart rate in BPM from the spectral peak inside `cfg`'s band.
 
     Ties break toward the lower frequency.
     """
-    return 60.0 * float(_in_band_peak(spectrum.freqs, spectrum.power, low_hz, high_hz)[0])
+    return 60.0 * float(_in_band_peak(spectrum.freqs, spectrum.power, cfg)[0])
 
 
 def _spectra(x: np.ndarray, fps: float, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """`cfg`'s bandpass, then Welch spectrum, of each row of `x`: the frequencies and
     one power row per row. A row shorter than the Welch window is one Welch segment."""
-    filtered = _bandpass_rows(x, fps, cfg.band_low_hz, cfg.band_high_hz, cfg.band_order)
+    filtered = _bandpass_rows(x, fps, cfg)
     # samples near the float64 limit overflow in the filter; reject them as bandpass() does
     _require_finite(filtered, "waveform samples")
-    window_len, nfft = cfg.welch_lengths(x.shape[-1])
-    return _welch_rows(filtered, fps, window_len, cfg.overlap, nfft)
+    return _welch_rows(filtered, fps, cfg)
+
+
+def segment_waveform(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> list[Waveform]:
+    """Split a waveform into consecutive non-overlapping `cfg.segment_s`-second segments.
+
+    The segment length is floor(segment_s * fps) samples; a trailing remainder
+    shorter than one segment is discarded. A waveform shorter than one
+    segment yields an empty list.
+    """
+    return [Waveform(row, w.fps) for row in _segment_rows(w, cfg)]
+
+
+def _segment_rows(w: Waveform, cfg: PipelineConfig) -> np.ndarray:
+    """The full segments of `segment_waveform` as the rows of one
+    (n_segments, segment_length) view of the samples, with no copy."""
+    # a segment longer than the waveform, its length overflowed to inf included,
+    # is cut to one sample more than the waveform, so that none is full
+    seg_len = int(np.floor(min(cfg.segment_s * w.fps + 1e-9, w.samples.size + 1)))
+    if seg_len < 2:
+        raise ValueError(f"segment of {cfg.segment_s} s at {w.fps} fps is shorter than 2 samples")
+    n = w.samples.size // seg_len
+    return w.samples[: n * seg_len].reshape(n, seg_len)
 
 
 def segment_heart_rates(
@@ -337,13 +338,13 @@ def segment_heart_rates(
     as one batch, each segment on its own. Segments whose in-band peak power
     falls below DEGENERATE_POWER carry no usable pulse and are dropped.
     """
-    segments = _segment_rows(w, cfg.segment_s)
+    segments = _segment_rows(w, cfg)
     if not len(segments):
         raise ValueError(
             f"waveform of {w.duration_s:.2f} s has no full {cfg.segment_s} s segment"
         )
     freqs, power = _spectra(segments, w.fps, cfg)
-    peak_hz, peak_power = _in_band_peak(freqs, power, cfg.band_low_hz, cfg.band_high_hz)
+    peak_hz, peak_power = _in_band_peak(freqs, power, cfg)
     dead = peak_power < DEGENERATE_POWER
     return (60.0 * peak_hz[~dead]).tolist(), int(np.count_nonzero(dead))
 

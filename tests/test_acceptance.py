@@ -160,7 +160,7 @@ def test_criterion_4_welch_accuracy():
     start = time.perf_counter()
     t = np.arange(450) / 30.0
     w = Waveform(np.sin(2 * np.pi * 1.2 * t), 30.0)
-    spectrum = welch_psd(w, window_len=256, nfft=3300)
+    spectrum = welch_psd(w)
     peak_hz = spectrum.freqs[int(np.argmax(spectrum.power))]
     hr = hr_from_psd(spectrum)
     elapsed = time.perf_counter() - start

@@ -326,7 +326,7 @@ class TestEstimate:
         assert main(argv + ["--dump-psd", str(pcsv)]) == 0
         rows = np.array([[float(v) for v in line.split(",")] for line in pcsv.read_text().splitlines()[1:]])
         waveform = run_extractor(ExtractorKind.TN_POOLED, read_clip(src))
-        expected = welch_psd(bandpass(waveform), window_len=600, overlap=0.5, nfft=600)
+        expected = welch_psd(bandpass(waveform), PipelineConfig(window_len=600, overlap=0.5, nfft=600))
         assert np.array_equal(rows[:, 0], expected.freqs)
         assert np.array_equal(rows[:, 1], expected.power)
 
@@ -551,6 +551,7 @@ def small_manifest(tmp_path_factory):
         ("--order", "3", "order must be even and >= 2, got 3"),
         ("--order", "0", "order must be even and >= 2, got 0"),
         ("--band-high", "20", "sampling rate 30.0 Hz too low for a 20.0 Hz passband edge"),
+        ("--band-low", "1e-8", "band_low_hz 1e-08 Hz too low to filter at a sampling rate of 30.0 Hz"),
     ],
 )
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
@@ -612,6 +613,20 @@ def test_config_fields_are_the_report_keys_and_the_flags(small_manifest, tmp_pat
     assert len(names) == 8
     assert pipeline_of() == PipelineConfig()
     assert pipeline_of(*OTHER_SETTINGS) == OTHER_CONFIG
+
+
+def test_segment_longer_than_any_clip_flags_each_row(small_manifest, tmp_path, capsys):
+    # 1e307 s * 30 fps overflows to inf samples, which is still no full segment
+    flags = ["--segment-s", "1e307"]
+    message = "waveform of 20.00 s has no full 1e+307 s segment"
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--in", str(small_manifest / "v000.rpgc"), *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"pulse-tn: error: {message}\n"
+    report_path = tmp_path / "report.json"
+    assert main(["evaluate", "--manifest", str(small_manifest), "--out", str(report_path), *flags]) == 0
+    rows = json.loads(report_path.read_text())["per_video"]
+    assert rows == [{"video_id": "v000", "error": message}, {"video_id": "v001", "error": message}]
 
 
 def test_grid_with_no_bin_in_band_reads_alike_everywhere(small_manifest, tmp_path, capsys):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from pulse_tn import FrameClip, Waveform, core, pool_spatial, segment_waveform
+from pulse_tn import FrameClip, PipelineConfig, Waveform, core, pool_spatial, segment_waveform
 
 
 def make_clip(t=10, h=4, w=4, c=3, fill=0.5, fps=30.0):
@@ -62,29 +62,34 @@ class TestWaveform:
 class TestSegmentWaveform:
     def test_exact_division(self):
         w = Waveform(np.arange(45 * 30, dtype=float), 30.0)
-        segments = segment_waveform(w, 15.0)
+        segments = segment_waveform(w, PipelineConfig(segment_s=15.0))
         assert len(segments) == 3
         assert all(len(s) == 450 for s in segments)
 
     def test_trailing_remainder_discarded(self):
         w = Waveform(np.arange(40 * 30, dtype=float), 30.0)
-        segments = segment_waveform(w, 15.0)
+        segments = segment_waveform(w, PipelineConfig(segment_s=15.0))
         assert len(segments) == 2
         assert sum(len(s) for s in segments) == 900
 
     def test_shorter_than_one_segment(self):
         w = Waveform(np.arange(10 * 30, dtype=float), 30.0)
-        assert segment_waveform(w, 15.0) == []
+        assert segment_waveform(w, PipelineConfig(segment_s=15.0)) == []
+
+    def test_segment_length_overflow_is_no_full_segment(self):
+        # 1e307 s * 30 fps overflows to inf samples
+        w = Waveform(np.arange(10 * 30, dtype=float), 30.0)
+        assert segment_waveform(w, PipelineConfig(segment_s=1e307)) == []
 
     def test_segment_too_short_rejected(self):
         w = Waveform(np.arange(100, dtype=float), 30.0)
         with pytest.raises(ValueError):
-            segment_waveform(w, 0.01)
+            segment_waveform(w, PipelineConfig(segment_s=0.01))
 
     def test_concatenation_reproduces_prefix(self):
         rng = np.random.default_rng(3)
         w = Waveform(rng.normal(size=1000), 25.0)
-        segments = segment_waveform(w, 3.0)
+        segments = segment_waveform(w, PipelineConfig(segment_s=3.0))
         joined = np.concatenate([s.samples for s in segments])
         assert np.array_equal(joined, w.samples[: joined.size])
 

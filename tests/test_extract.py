@@ -8,6 +8,7 @@ from pulse_tn import (
     FrameClip,
     LinearNoise,
     NoiseSpec,
+    PipelineConfig,
     PulseSpec,
     SceneSpec,
     Waveform,
@@ -38,7 +39,7 @@ def ideal_clip(hr=72.0, frames=600, seed=11, amplitude=0.005):
 
 
 def psd_peak_hz(w):
-    ps = welch_psd(bandpass(w), window_len=min(256, len(w)))
+    ps = welch_psd(bandpass(w), PipelineConfig(window_len=min(256, len(w))))
     return ps.freqs[np.argmax(ps.power)]
 
 

@@ -28,7 +28,6 @@ from pulse_tn import (
     welch_psd,
 )
 from pulse_tn import hr
-from pulse_tn.core import _segment_rows
 
 
 def sinusoid(freq_hz, seconds, fps=30.0, amp=1.0):
@@ -37,7 +36,7 @@ def sinusoid(freq_hz, seconds, fps=30.0, amp=1.0):
 
 
 def band_of(cfg=PipelineConfig()):
-    """The (low_hz, high_hz, order) that the private filter functions take."""
+    """The (low_hz, high_hz, order) that the cached filter design functions take."""
     return cfg.band_low_hz, cfg.band_high_hz, cfg.band_order
 
 
@@ -76,6 +75,13 @@ class TestBandpass:
         with pytest.raises(ValueError):
             bandpass(Waveform(np.zeros(10), 30.0))
 
+    def test_low_edge_too_near_zero_for_the_rate(self):
+        # a section's two poles round to z = 1, where the settled state would divide by 0
+        message = "band_low_hz 1e-08 Hz too low to filter at a sampling rate of 30.0 Hz"
+        with pytest.raises(hr.SamplingRateError, match=f"^{re.escape(message)}$"):
+            bandpass(sinusoid(1.2, 15.0), PipelineConfig(band_low_hz=1e-8))
+        assert len(bandpass(sinusoid(1.2, 15.0), PipelineConfig(band_low_hz=1e-7))) == 450
+
     def test_length_preserved(self):
         out = bandpass(sinusoid(1.0, 15.0))
         assert len(out) == 450
@@ -111,10 +117,6 @@ class TestWelchPsd:
         total = np.sum(ps.power) * (ps.freqs[1] - ps.freqs[0])
         assert total == pytest.approx(np.mean(w.samples**2), rel=0.05)
 
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            welch_psd(Waveform(np.zeros(100), 30.0), window_len=256)
-
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -126,12 +128,12 @@ class TestWelchPsd:
     )
     def test_non_integer_lengths_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            welch_psd(sinusoid(1.2, 15.0), **kwargs)
+            PipelineConfig(**kwargs)
 
     def test_zero_padding_refines_but_never_moves_peak(self):
         w = sinusoid(1.27, 15.0)
-        coarse = welch_psd(w, nfft=256)
-        fine = welch_psd(w, nfft=3300)
+        coarse = welch_psd(w, PipelineConfig(nfft=256))
+        fine = welch_psd(w, PipelineConfig(nfft=3300))
         peak_coarse = coarse.freqs[np.argmax(coarse.power)]
         peak_fine = fine.freqs[np.argmax(fine.power)]
         assert abs(peak_coarse - peak_fine) <= 30.0 / 256.0
@@ -215,14 +217,15 @@ class TestVideoHr:
 def per_segment_oracle(w, cfg=PipelineConfig()):
     """segment_heart_rates one segment at a time through the public 1-D calls."""
     rates, dropped = [], 0
-    for seg in segment_waveform(w, cfg.segment_s):
+    for seg in segment_waveform(w, cfg):
         win = min(cfg.window_len, len(seg))
-        spectrum = welch_psd(bandpass(seg, cfg), window_len=win, overlap=cfg.overlap, nfft=max(cfg.nfft, win))
+        welch_cfg = PipelineConfig(window_len=win, overlap=cfg.overlap, nfft=max(cfg.nfft, win))
+        spectrum = welch_psd(bandpass(seg, cfg), welch_cfg)
         in_band = (spectrum.freqs >= cfg.band_low_hz) & (spectrum.freqs <= cfg.band_high_hz)
         if spectrum.power[in_band].max(initial=0.0) < hr.DEGENERATE_POWER:
             dropped += 1
         else:
-            rates.append(hr_from_psd(spectrum, cfg.band_low_hz, cfg.band_high_hz))
+            rates.append(hr_from_psd(spectrum, cfg))
     return rates, dropped
 
 
@@ -271,8 +274,8 @@ class TestBatchedSegments:
     def test_rows_equal_one_dimensional_calls(self):
         w = Waveform(noisy_pulse(60.0, seed=6), 30.0)
         rows = w.samples.reshape(4, 450)
-        filtered = hr._bandpass_rows(rows, 30.0, *band_of())
-        freqs, power = hr._welch_rows(filtered, 30.0, 256, 0.5, 3300)
+        filtered = hr._bandpass_rows(rows, 30.0, PipelineConfig())
+        freqs, power = hr._welch_rows(filtered, 30.0, PipelineConfig(window_len=256, overlap=0.5, nfft=3300))
         for row, f_row, p_row in zip(rows, filtered, power):
             one = bandpass(Waveform(row, 30.0))
             assert np.array_equal(f_row, one.samples)
@@ -286,9 +289,10 @@ class TestBatchedSegments:
             (np.zeros(100), 5.0, 15.0, "sampling rate 5.0 Hz too low for a 3.0 Hz passband edge"),
             (np.zeros(100), 30.0, 0.3, "waveform too short to filter: 9 < 12"),
             (np.zeros(300), 30.0, 15.0, "waveform of 10.00 s has no full 15.0 s segment"),
+            (np.zeros(300), 30.0, 1e307, "waveform of 10.00 s has no full 1e+307 s segment"),
             (np.tile([1e308, -1e308], 225), 30.0, 15.0, "waveform samples must not contain NaN or Inf"),
         ],
-        ids=["fps_too_low", "too_short_to_filter", "no_full_segment", "filter_overflow"],
+        ids=["fps_too_low", "too_short_to_filter", "no_full_segment", "segment_overflow", "filter_overflow"],
     )
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_error_messages(self, samples, fps, segment_s, message):
@@ -304,7 +308,7 @@ class TestBatchedSegments:
 
 def scipy_segment_heart_rates(w, cfg=PipelineConfig()):
     """Oracle: segment_heart_rates with the filter and spectrum from scipy.signal."""
-    segments = _segment_rows(w, cfg.segment_s)
+    segments = hr._segment_rows(w, cfg)
     n = segments.shape[1]
     filtered = sps.sosfiltfilt(scipy_sos(w.fps, *band_of(cfg)), segments, padlen=min(3 * cfg.band_order, n - 1))
     window_len, nfft = cfg.welch_lengths(n)
@@ -354,20 +358,23 @@ class TestScipyOracle:
         # n = 3 * order pads by n - 1 samples, the longest odd extension there is
         rng = np.random.default_rng(order * n)
         x = rng.normal(size=(3, n)) + np.array([[0.0], [1e3], [-1e3]])
-        out = hr._bandpass_rows(x, 30.0, 0.5, 3.0, order)
+        out = hr._bandpass_rows(x, 30.0, PipelineConfig(band_low_hz=0.5, band_high_hz=3.0, band_order=order))
         expected = sps.sosfiltfilt(scipy_sos(30.0, order=order), x, padlen=min(3 * order, n - 1))
         # rounding grows with the DC offset the filter removes
         assert np.all(np.abs(out - expected) <= 1e-13 * np.abs(x).max(axis=1, keepdims=True))
 
+    @pytest.mark.parametrize("n", [450, 100])
     @pytest.mark.parametrize("nfft", [3300, 3301, 450, 451])
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
     @pytest.mark.parametrize("window_len", [256, 450])
-    def test_welch(self, nfft, overlap, window_len):
-        w = Waveform(noisy_pulse(15.0, seed=nfft), 30.0)
-        ps = welch_psd(w, window_len, overlap, nfft)
+    def test_welch(self, nfft, overlap, window_len, n):
+        # at n = 100 the window is longer than the waveform and shrinks to it
+        w = Waveform(noisy_pulse(15.0, seed=nfft)[:n], 30.0)
+        ps = welch_psd(w, PipelineConfig(window_len=window_len, overlap=overlap, nfft=nfft))
+        nperseg = min(window_len, n)
         freqs, expected = sps.welch(
-            w.samples, fs=30.0, window="hann", nperseg=window_len, noverlap=int(window_len * overlap),
-            nfft=nfft, detrend=False, scaling="density",
+            w.samples, fs=30.0, window="hann", nperseg=nperseg, noverlap=int(nperseg * overlap),
+            nfft=max(nfft, nperseg), detrend=False, scaling="density",
         )
         assert np.array_equal(ps.freqs, freqs)
         assert np.max(np.abs(ps.power - expected)) <= 1e-13 * expected.max()
