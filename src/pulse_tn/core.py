@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 THREADS_ENV = "PULSE_TN_THREADS"
-# Bytes of float64 samples per chunk of frames that pool_spatial averages at a time.
-_POOL_CHUNK_BYTES = 1024 * 1024
 
 
 def worker_count(n_tasks: int) -> int:
@@ -106,7 +104,10 @@ def _require_finite(values: np.ndarray, name: str) -> None:
 
 
 def _require_fps(fps: float) -> float:
-    fps = float(fps)
+    try:
+        fps = float(fps)
+    except OverflowError:
+        raise ValueError(f"fps must be finite and > 0, got {fps}") from None
     if not np.isfinite(fps) or fps <= 0.0:
         raise ValueError(f"fps must be finite and > 0, got {fps}")
     return fps
@@ -201,21 +202,12 @@ class Waveform:
 
 
 def pool_spatial(clip: FrameClip) -> Waveform:
-    """Average a one-channel FrameClip over all pixels, frame by frame.
+    """Average a one-channel FrameClip over all pixels, frame by frame, in float64.
 
-    The means are taken a few frames at a time, each chunk widened to
-    float64 on its own, so float32 data costs no float64 copy of the clip.
-    A float64 chunk is a view, and each frame is summed exactly as one
-    whole-clip mean sums it.
+    Float32 data is widened in one copy, which the extractors keep band-sized.
     """
     if clip.channels != 1:
         raise ValueError(f"pool_spatial needs a one-channel clip, got {clip.channels} channels")
-    data = clip.data[:, :, :, 0]
-    means = np.empty(len(data))
-    step = max(1, _POOL_CHUNK_BYTES // (8 * data[0].size))
-    for start in range(0, len(data), step):
-        # not mean(dtype=float64): that casts through 8192-sample buffers, which
-        # would sum a frame of more pixels in another order
-        chunk = np.asarray(data[start : start + step], dtype=np.float64)
-        chunk.mean(axis=(1, 2), out=means[start : start + step])
-    return Waveform(means, clip.fps)
+    # not mean(dtype=float64): that casts through 8192-sample buffers, which
+    # would sum a frame of more pixels in another order
+    return Waveform(np.asarray(clip.data[:, :, :, 0], dtype=np.float64).mean(axis=(1, 2)), clip.fps)

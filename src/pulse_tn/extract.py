@@ -21,35 +21,29 @@ class ExtractorKind(Enum):
     DIFF_POOLED = "diff_pooled"
 
 
-def _green(clip: FrameClip) -> FrameClip:
-    """The green channel as a one-channel view, which needs no second check."""
-    g = green_channel(clip.channels)
-    return FrameClip._checked(clip.data[..., g : g + 1], clip.fps)
+def _banded_pool(transform, clip: FrameClip) -> Waveform:
+    """pool_spatial(transform(green)) of the clip's green channel, for a transform
+    that treats each pixel trace on its own, taken over bands of whole image rows.
 
-
-def _banded_pool(transform, green: FrameClip) -> Waveform:
-    """pool_spatial(transform(green)) for a transform that treats each pixel
-    trace on its own, taken over bands of whole image rows.
-
-    Each band is pooled on its own, on the worker pool, and the band means
-    are summed in band order as each is ready, weighted by their row counts.
-    A clip that fits one band takes exactly the single call.
+    Each band is a view, checked with its clip, pooled on its own on the worker
+    pool. The band means, weighted by each band's rows / height, are summed in
+    band order as each is ready; one band has the weight 1.0, so a clip that fits
+    one band gives exactly the single call.
     """
-    frames, height, width, _ = green.data.shape
+    frames, height, width, _ = clip.data.shape
+    g = green_channel(clip.channels)
     rows = max(1, _BAND_BYTES // (8 * frames * width))
-    if rows >= height:
-        return pool_spatial(transform(green))
 
     def weighted_band(start: int):
-        band = green.data[:, start : start + rows]
-        return band.shape[1] * pool_spatial(transform(FrameClip._checked(band, green.fps))).samples
+        band = clip.data[:, start : start + rows, :, g : g + 1]
+        return band.shape[1] / height * pool_spatial(transform(FrameClip._checked(band, clip.fps))).samples
 
-    return Waveform(sum(_ordered_map(weighted_band, range(0, height, rows))) / height, green.fps)
+    return Waveform(sum(_ordered_map(weighted_band, range(0, height, rows))), clip.fps)
 
 
 def extract_green(clip: FrameClip) -> Waveform:
     """Classical baseline: spatial mean of the green channel, frame by frame."""
-    return pool_spatial(_green(clip))
+    return _banded_pool(lambda band: band, clip)
 
 
 def extract_tn_pooled(clip: FrameClip, epsilon: float = EPSILON) -> Waveform:
@@ -60,12 +54,12 @@ def extract_tn_pooled(clip: FrameClip, epsilon: float = EPSILON) -> Waveform:
     TN treats each trace on its own, so only the pooled channel is
     normalized. The output is zero-mean.
     """
-    return _banded_pool(lambda band: tn(band, epsilon), _green(clip))
+    return _banded_pool(lambda band: tn(band, epsilon), clip)
 
 
 def extract_diff_pooled(clip: FrameClip) -> Waveform:
     """Sum-normalized frame differences of the green channel, pooled (length T-1)."""
-    return _banded_pool(diff_normalized, _green(clip))
+    return _banded_pool(diff_normalized, clip)
 
 
 def run_extractor(kind: ExtractorKind, clip: FrameClip, epsilon: float = EPSILON) -> Waveform:

@@ -171,7 +171,7 @@ def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfi
 def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | None:
     """Noise ratios of a clip with a simulator sidecar. A clip that was not read
     (`dims` None), a sidecar whose frames, height, width or fps differ from `dims`,
-    or one that cannot be read, is not JSON, lacks a field or holds a bad value gives
+    or one that cannot be read or decoded as JSON, lacks a field or holds a bad value gives
     the row an `error` instead, and nothing is rendered. A dangling link counts as a
     sidecar."""
     sidecar = sidecar_path(path)
@@ -187,14 +187,15 @@ def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | N
             if meta[key] != size:
                 raise ValueError(f"{key} {meta[key]!r} does not match the clip's {size}")
         scene = scene_from_sidecar(meta)
-        # after scene_from_sidecar, so a non-positive fps keeps its own message; the header
-        # stores fps as float32, so a sidecar's 29.97 matches it once rounded alike
-        if np.float32(meta["fps"]) != fps:
-            raise ValueError(f"fps {meta['fps']!r} does not match the clip's {fps}")
+        # after scene_from_sidecar, so a non-positive fps keeps its own message; the header stores fps
+        # as float32, so a sidecar's 29.97 matches it once rounded alike (and 1e300 rounds to inf)
+        with np.errstate(over="ignore"):
+            if np.float32(meta["fps"]) != fps:
+                raise ValueError(f"fps {meta['fps']!r} does not match the clip's {fps}")
         ratio_tn, ratio_diff = noise_feature_ratios(*scene, epsilon)
     except KeyError as exc:
         row["error"] = f"{sidecar}: missing field {exc}"
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, RecursionError, TypeError, ValueError) as exc:  # RecursionError: JSON nested too deep
         row["error"] = f"{sidecar}: {exc}"
     else:
         row.update(tn_residual_ratio=ratio_tn, diff_residual_ratio=ratio_diff)

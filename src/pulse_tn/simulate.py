@@ -19,7 +19,10 @@ PULSE_SHAPES = ("sinusoid", "harmonic")
 
 
 def _as_channels(value, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    try:
+        arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} must be finite") from None
     if arr.size == 1:
         arr = np.full(3, arr[0])
     if arr.shape != (3,):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pulse_tn import FrameClip, core, read_clip, write_clip
+from pulse_tn import FrameClip, read_clip, write_clip
 from pulse_tn import extract as extract_module
 
 # (frames, height, width) of the f32 clips below: the fewest frames TN and the
@@ -20,8 +20,8 @@ def f32_green(request, tmp_path, monkeypatch):
 
     The samples spread over 40 binades, so that a float64 sum of them depends
     on its order, and a float32 step anywhere changes some result's bytes.
-    Extract bands are 3 image rows, and pool_spatial takes 2 frames at a time,
-    so a clip takes several of each and a ragged last one where it can.
+    Extract bands are 3 image rows, so a clip takes several bands and a
+    ragged last one where it can.
     """
     name, channels = request.param
     frames, height, width = F32_GREEN_SHAPES[name]
@@ -32,5 +32,4 @@ def f32_green(request, tmp_path, monkeypatch):
     clip = read_clip(path, green_only=True)
     assert clip.data.dtype == np.float32
     monkeypatch.setattr(extract_module, "_BAND_BYTES", 3 * 8 * frames * width)
-    monkeypatch.setattr(core, "_POOL_CHUNK_BYTES", 2 * 8 * height * width)
     return clip, FrameClip(clip.data.astype(np.float64), clip.fps)

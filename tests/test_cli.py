@@ -54,6 +54,16 @@ OTHER_CONFIG = PipelineConfig(
 )
 
 
+# Each takes a clean sidecar's fields to a malformed sidecar's text and the error its row gets: a number
+# beyond the float range, an fps beyond float32's, and nesting deeper than the JSON decoder follows.
+MALFORMED_SIDECARS = {
+    "oversized_number": lambda meta: (json.dumps({**meta, "illumination": [1, 10**400, 1]}), "illumination must be finite"),
+    "oversized_fps": lambda meta: (json.dumps({**meta, "fps": 10**400}), f"fps must be finite and > 0, got {10**400}"),
+    "fps_beyond_float32": lambda meta: (json.dumps({**meta, "fps": 1e300}), "fps 1e+300 does not match the clip's 30.0"),
+    "over_deep": lambda meta: ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+}
+
+
 def simulate(out, hr=72.0, frames=600, extra=()):
     argv = [
         "simulate",
@@ -796,6 +806,7 @@ class TestCompare:
         [
             "missing_field", "malformed_json", "zero_pulse", "directory", "dangling_link",
             "zero_fps", "huge_frame", "frames_off_by_one", "fps_mismatch", "unreadable_clip",
+            "oversized_number", "oversized_fps", "fps_beyond_float32", "over_deep",
         ],
     )
     def test_bad_sidecar_spoils_only_its_ratio_row(self, tmp_path, case):
@@ -826,6 +837,9 @@ class TestCompare:
             meta["fps"] = 15.0
             sidecar.write_text(json.dumps(meta))
             message = "fps 15.0 does not match the clip's 30.0"
+        elif case in MALFORMED_SIDECARS:
+            text, message = MALFORMED_SIDECARS[case](meta)
+            sidecar.write_text(text)
         elif case == "unreadable_clip":
             (manifest / "spoilt.rpgc").write_bytes(b"RPGC")
             message = "its clip could not be read"
@@ -884,6 +898,28 @@ def test_cold_start_imports_no_scipy():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert result.stdout == "[]\n"
+
+
+def test_malformed_sidecars_leave_compare_exit_0_and_stderr_empty(tmp_path):
+    # each sidecar flags its own ratio row; no traceback, and no warning even where warnings are errors
+    manifest = tmp_path / "m"
+    manifest.mkdir()
+    simulate(manifest / "good.rpgc", frames=480)
+    for case, malformed in MALFORMED_SIDECARS.items():
+        simulate(manifest / f"{case}.rpgc", frames=480)
+        sidecar = manifest / f"{case}.rpgc.sim.json"
+        sidecar.write_text(malformed(json.loads(sidecar.read_text()))[0])
+    report_path = tmp_path / "cmp.json"
+    argv = ["compare", "--manifest", str(manifest), "--extractors", "green_raw", "--out", str(report_path)]
+    src = str(Path(pulse_tn.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pulse_tn", *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    ratios = {row["video_id"]: row for row in json.loads(report_path.read_text())["noise_ratios"]["per_video"]}
+    assert sorted(vid for vid, row in ratios.items() if "error" in row) == sorted(MALFORMED_SIDECARS)
+    assert "tn_residual_ratio" in ratios["good"]
 
 
 @pytest.mark.parametrize("module", ["pulse_tn", "pulse_tn.cli"])

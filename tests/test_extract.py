@@ -187,10 +187,18 @@ def set_band_rows(monkeypatch, clip, rows):
 
 
 BANDED = [extract_tn_pooled, extract_diff_pooled]
+EXTRACTORS = [extract_green, *BANDED]
+
+
+def identity(clip):
+    return clip
+
+
+TRANSFORMS = [(extract_green, identity), (extract_tn_pooled, tn), (extract_diff_pooled, diff_normalized)]
 
 
 class TestBands:
-    @pytest.mark.parametrize("extractor", BANDED)
+    @pytest.mark.parametrize("extractor", EXTRACTORS)
     @pytest.mark.parametrize("rows", [1, 3])  # 7 rows in bands of 3 leave a ragged last band
     @pytest.mark.parametrize("kind", ["random", "dead", "u8", "dc_offset", "min_t", "h_1"])
     def test_bands_match_one_band(self, monkeypatch, extractor, rows, kind):
@@ -200,7 +208,7 @@ class TestBands:
         banded = extractor(clip).samples
         assert np.max(np.abs(banded - whole)) <= 1e-12 * np.max(np.abs(whole))
 
-    @pytest.mark.parametrize("extractor, transform", [(extract_tn_pooled, tn), (extract_diff_pooled, diff_normalized)])
+    @pytest.mark.parametrize("extractor, transform", TRANSFORMS)
     @pytest.mark.parametrize("channels", [3, 1])
     def test_one_band_is_the_single_call(self, extractor, transform, channels):
         clip = FrameClip(np.random.default_rng(24).random((50, 6, 5, channels)), 30.0)
@@ -209,7 +217,7 @@ class TestBands:
         assert np.array_equal(extractor(clip).samples, pool_spatial(transform(green)).samples)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("extractor, transform", [(extract_tn_pooled, tn), (extract_diff_pooled, diff_normalized)])
+    @pytest.mark.parametrize("extractor, transform", TRANSFORMS)
     def test_band_means_are_summed_in_band_order(self, monkeypatch, extractor, transform, threads):
         # the serial loop's sum, bit for bit, on one worker and on two
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -219,8 +227,8 @@ class TestBands:
         total = 0.0
         for start in range(0, 7, 2):
             band = FrameClip(clip.data[:, start : start + 2], 30.0)
-            total = total + band.data.shape[1] * pool_spatial(transform(band)).samples
-        assert extractor(clip).samples.tobytes() == (total / 7).tobytes()
+            total = total + band.data.shape[1] / 7 * pool_spatial(transform(band)).samples
+        assert extractor(clip).samples.tobytes() == total.tobytes()
 
     @pytest.mark.parametrize("extractor", BANDED)
     def test_each_band_is_one_transform_of_a_view(self, monkeypatch, extractor):
@@ -232,7 +240,7 @@ class TestBands:
         extractor(clip)
         assert len(calls) == 3  # the transform's output of each of the 3 bands; band views are not checked
 
-    @pytest.mark.parametrize("extractor", BANDED)
+    @pytest.mark.parametrize("extractor", EXTRACTORS)
     def test_peak_is_the_green_clip_plus_a_few_bands(self, monkeypatch, extractor):
         # one worker: with more, as many bands as workers are in flight at once
         monkeypatch.setenv("PULSE_TN_THREADS", "1")
@@ -249,7 +257,7 @@ class TestBands:
             tracemalloc.stop()
         assert peak - held < 3 * band_bytes
 
-    @pytest.mark.parametrize("extractor", BANDED)
+    @pytest.mark.parametrize("extractor", EXTRACTORS)
     def test_peak_is_the_green_clip_plus_a_few_bands_per_worker(self, monkeypatch, extractor):
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("PULSE_TN_THREADS", "2")

@@ -268,7 +268,7 @@ def compare_with_sidecar_value(sidecar_manifest, tmp_path, key, value):
     return doc
 
 
-@pytest.mark.parametrize("value", [None, "x", True, [1], {}, -1, 1.5])
+@pytest.mark.parametrize("value", [None, "x", True, [1], {}, -1, 1.5, pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("key", SIDECAR_KEYS)
 def test_bad_sidecar_value_spoils_only_its_ratio_row(sidecar_manifest, tmp_path, key, value):
     first = compare_with_sidecar_value(sidecar_manifest, tmp_path, key, value)
