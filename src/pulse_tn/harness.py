@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clipio
-from .core import Waveform, _ordered_map
+from . import clipio, extract
+from .core import FrameClip, Waveform, _ordered_map
 from .diff import frame_diff
 from .extract import ExtractorKind, run_extractor
 from .hr import PipelineConfig, SamplingRateError, _rate, compute_metrics, video_hr
@@ -25,9 +25,8 @@ from .simulate import (
     NoiseSpec,
     PulseSpec,
     SceneSpec,
+    _render_rows,
     parse_noise_string,
-    render_ideal,
-    render_noisy,
     synth_pulse,
 )
 from .tn import EPSILON, tn
@@ -65,45 +64,62 @@ def noise_feature_ratios(
     exceeds the pulse amplitude, which caps the achievable contrast in this
     metric; the waveform-correlation comparison stays meaningful there.
 
-    At most three clip-sized arrays are alive at once, and each ratio is the
-    float that the two whole clips and their whole feature arrays give. A
-    noise-free scene is rendered once: its noisy clip would be the same
-    clip, so both residuals are exactly 0. A noisy scene renders both clips
-    first (so the first error is the one transforming each whole would
-    meet), frees the ideal clip once its TN features exist, and renders it
-    again for the frame differences, which costs less than a fourth array.
+    The scene is rendered and transformed in bands of whole image rows, sized as
+    the extractors' bands are, so no clip-sized array exists. Each band's ideal
+    and noisy rows are rendered once and checked as a clip is; their TN features
+    and then their frame differences add to that family's sums of squares, each
+    array freed once summed. A clip that fits one band gives the floats of both
+    whole clips; on more bands the sums add in band order, which can move a
+    ratio in its last digit. A noise-free scene's band is its own noisy band, so
+    both residuals are exactly 0.
     """
-    ideal = render_ideal(scene, pulse, height, width)
-    if noise == NO_NOISE:
-        ratio_tn = _residual_ratio(tn(ideal, epsilon).data, None)
-        return ratio_tn, _residual_ratio(frame_diff(ideal).data, None)
-    noisy = render_noisy(scene, pulse, noise, height, width)
-    ideal_tn = tn(ideal, epsilon).data
-    del ideal
-    ratio_tn = _residual_ratio(ideal_tn, tn(noisy, epsilon).data)
-    del ideal_tn
-    noisy_diff = frame_diff(noisy).data
-    del noisy
-    ideal_diff = frame_diff(render_ideal(scene, pulse, height, width)).data
-    return ratio_tn, _residual_ratio(ideal_diff, noisy_diff)
+    frames, fps = len(pulse), pulse.fps
+    vd = scene.diffuse_field(height, width)
+    rows = max(1, extract._BAND_BYTES // (8 * frames * width * 3))
+
+    def rendered(start: int) -> tuple[FrameClip, FrameClip]:
+        vd_rows = vd[start : start + rows]
+        ideal = FrameClip(_render_rows(scene, pulse, NO_NOISE, vd_rows), fps)
+        return ideal, ideal if noise == NO_NOISE else FrameClip(_render_rows(scene, pulse, noise, vd_rows), fps)
+
+    bands = map(rendered, range(0, height, rows))
+    if frames < 3:
+        # TN fails on every band of so short a clip: every render is checked first, as for whole clips
+        bands = list(bands)
+    sums = np.zeros((2, 2))  # residual and ideal sums of squares of the TN features, then of the differences
+    for ideal, noisy in bands:
+        sums[0] += _squared_sums(lambda clip: tn(clip, epsilon), ideal, noisy)
+        sums[1] += _squared_sums(frame_diff, ideal, noisy)
+        del ideal, noisy  # not held while the next band renders
+    pixels = height * width * 3
+    return _ratio(*sums[0], frames * pixels), _ratio(*sums[1], (frames - 1) * pixels)
 
 
-def _residual_ratio(ideal: np.ndarray, noisy: np.ndarray | None) -> float:
-    """rms(noisy - ideal) / rms(ideal), with the residual written over `noisy` and
-    both arrays squared in place. `noisy` None stands for `ideal` itself, whose
-    residual is 0.
+def _squared_sums(features, ideal: FrameClip, noisy: FrameClip) -> tuple[float, float]:
+    """The sums of squares of features(noisy) - features(ideal) and of features(ideal),
+    each array squared in place and freed once summed. `noisy` the same clip as
+    `ideal` adds a residual of 0."""
+    clean = features(ideal).data
+    residual = 0.0
+    if noisy is not ideal:
+        dirty = features(noisy).data
+        dirty -= clean
+        residual = np.sum(np.square(dirty, out=dirty))
+        del dirty
+    return residual, np.sum(np.square(clean, out=clean))
+
+
+def _ratio(residual: float, ideal: float, count: int) -> float:
+    """sqrt(residual / count) / sqrt(ideal / count): the RMS ratio of two sums of
+    squares over `count` samples.
 
     A pulse-free scene has all-zero ideal features, so its ratio is undefined
     and raises a ValueError.
     """
-    residual = 0.0
-    if noisy is not None:
-        noisy -= ideal
-        residual = np.mean(np.square(noisy, out=noisy))
-    scale = float(np.sqrt(np.mean(np.square(ideal, out=ideal))))
+    scale = float(np.sqrt(ideal / count))
     if scale == 0.0:
         raise ValueError("the ideal features have zero RMS: a pulse-free scene has no noise ratio")
-    return float(np.sqrt(residual)) / scale
+    return float(np.sqrt(residual / count)) / scale
 
 
 def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, Waveform, NoiseSpec, int, int]:

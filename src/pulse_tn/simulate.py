@@ -32,6 +32,16 @@ def _as_channels(value, name: str) -> np.ndarray:
     return arr
 
 
+def _require_finite_number(value, name: str) -> None:
+    """A scalar field's finiteness check; an integer beyond the float range counts as infinite."""
+    try:
+        finite = np.isfinite(float(value))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Blood-volume pulse model: a sinusoid with an optional second harmonic.
@@ -49,8 +59,7 @@ class PulseSpec:
     def __post_init__(self):
         if not 30.0 <= self.hr_bpm <= 180.0:
             raise ValueError(f"hr_bpm must lie in [30, 180], got {self.hr_bpm}")
-        if not np.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        _require_finite_number(self.amplitude, "amplitude")
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.shape not in PULSE_SHAPES:
@@ -84,8 +93,7 @@ class SceneSpec:
             raise ValueError("illumination must be > 0 per channel")
         if np.any(spec < 0) or np.any(diff < 0):
             raise ValueError("specular and diffuse must be >= 0 per channel")
-        if not np.isfinite(self.pixel_jitter):
-            raise ValueError(f"pixel_jitter must be finite, got {self.pixel_jitter}")
+        _require_finite_number(self.pixel_jitter, "pixel_jitter")
         if self.pixel_jitter < 0:
             raise ValueError(f"pixel_jitter must be >= 0, got {self.pixel_jitter}")
         # numpy would take None as "seed from the OS", so every render would differ
@@ -200,17 +208,23 @@ def render_noisy(
 
     data[t] = (I + ΔI(t)) * (v_s + Δv_s(t) + v_d_ij * (1 + pulse(t)))
     """
-    vd = scene.diffuse_field(height, width)
+    return FrameClip(_render_rows(scene, pulse, noise, scene.diffuse_field(height, width)), pulse.fps)
+
+
+def _render_rows(scene: SceneSpec, pulse: Waveform, noise: NoiseSpec, vd_rows: np.ndarray) -> np.ndarray:
+    """render_noisy's samples (T x rows x W x C, unchecked) of the image rows whose
+    diffuse field is `vd_rows`. Each sample depends only on its own pixel, so the
+    rows of a band equal those rows of the whole clip bit for bit."""
     vp = pulse.samples[:, None, None, None]
     d_ill, d_spec = _deltas(scene, noise, len(pulse), pulse.fps)
     # The per-frame factors are (T, 1, 1, 3); widened to (T, 1, W, 3) they let
     # numpy run its inner loop over whole image rows instead of 3 samples.
     # Addition and multiplication commute, so the in-place forms are bit-identical.
-    shape = (len(pulse), 1, width, 3)
-    data = vd * (1.0 + vp)
+    shape = (len(pulse), 1, vd_rows.shape[1], 3)
+    data = vd_rows * (1.0 + vp)
     data += np.ascontiguousarray(np.broadcast_to(scene.specular + d_spec, shape))
     data *= np.ascontiguousarray(np.broadcast_to(scene.illumination + d_ill, shape))
-    return FrameClip(data, pulse.fps)
+    return data
 
 
 def analytic_noise_residual(

@@ -19,6 +19,7 @@ from pulse_tn import (
     synth_pulse,
     write_clip,
 )
+from pulse_tn import extract as extract_module
 from pulse_tn.cli import build_parser
 from pulse_tn.cli import main as cli_main
 from pulse_tn.core import worker_count
@@ -304,12 +305,15 @@ def test_sidecar_number_field_takes_only_numbers(sidecar_manifest, tmp_path, key
         ("amplitude", float("inf"), "amplitude must be finite, got inf"),
         ("pixel_jitter", float("nan"), "pixel_jitter must be finite, got nan"),
         ("pixel_jitter", float("inf"), "pixel_jitter must be finite, got inf"),
+        ("amplitude", 10**400, f"amplitude must be finite, got {10**400}"),
+        ("pixel_jitter", 10**400, f"pixel_jitter must be finite, got {10**400}"),
         ("noise", "sin:0.5:nan", "bad noise term 'sin:0.5:nan': amplitude must be finite, got nan"),
         ("noise", "linear:inf", "bad noise term 'linear:inf': total must be finite, got inf"),
     ],
 )
 def test_non_finite_sidecar_number_names_its_field(sidecar_manifest, tmp_path, key, value, message):
-    # json reads NaN and Infinity; the row names the field instead of the rendered clip
+    # json reads NaN, Infinity and integers beyond the float range; the row names the field
+    # instead of the rendered clip
     doc = compare_with_sidecar_value(sidecar_manifest, tmp_path, key, value)
     (row,) = doc["noise_ratios"]["per_video"]
     assert row["error"] == f"{tmp_path / 'v0.rpgc.sim.json'}: {message}"
@@ -454,18 +458,93 @@ class TestNoiseRatioSchedule:
         with pytest.raises(ValueError, match=r"^temporal normalization needs at least 3 frames, got 2$"):
             noise_feature_ratios(scene, pulse, NO_NOISE, 2, 2)
 
-    @pytest.mark.parametrize("noise, clips", [(NoiseSpec(delta_illumination=(LinearNoise(0.1),)), 3.5), (NO_NOISE, 2.5)])
-    def test_peak_memory_in_clip_sized_arrays(self, noise, clips):
-        # a noisy scene holds at most three clip-sized float64 arrays at once (the
-        # noisy clip with both TN arrays, then the noisy differences with the ideal
-        # clip and its differences); a noise-free scene holds two
-        frames, size = 900, 16
+    @pytest.mark.parametrize("noise, bands", [(NoiseSpec(delta_illumination=(LinearNoise(0.1),)), 4.5), (NO_NOISE, 2.5)])
+    def test_peak_memory_in_band_sized_arrays(self, noise, bands):
+        # a noisy scene holds at most four band-sized float64 arrays at once (both rendered
+        # bands and one family's two feature arrays) and a few smaller buffers; a noise-free
+        # scene holds two. At 900 frames of 16 x 16 a band is 6 of the 16 image rows
+        frames, size, rows = 900, 16, 6
+        assert extract_module._BAND_BYTES // (8 * frames * size * 3) == rows
         scene = SceneSpec(jitter_seed=0)
         pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, frames)
+        # a first call imports numpy.random, which numpy loads lazily, before the peak is traced
+        noise_feature_ratios(scene, synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 30), noise, 2, 2)
         tracemalloc.start()
         try:
             noise_feature_ratios(scene, pulse, noise, size, size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= clips * (frames * size * size * 3 * 8)
+        assert peak <= bands * (frames * rows * size * 3 * 8)
+
+
+def three_row_bands(monkeypatch, frames: int, width: int) -> list[int]:
+    """Noise-ratio bands of 3 image rows for scenes of `frames` frames `width` pixels
+    wide, so that 7 rows take bands of 3, 3 and 1. Returns the list that collects the
+    rows of each band render."""
+    monkeypatch.setattr(extract_module, "_BAND_BYTES", 3 * 8 * frames * width * 3)
+    rows, render_rows = [], harness._render_rows
+    monkeypatch.setattr(harness, "_render_rows", lambda *args: rows.append(len(args[3])) or render_rows(*args))
+    return rows
+
+
+class TestNoiseRatioBands:
+    """On several bands, the ratios are those of both whole clips up to the order of the sums."""
+
+    @pytest.mark.parametrize("text", NOISE_STRINGS)
+    def test_every_noise_kind(self, monkeypatch, text):
+        scene = SceneSpec(jitter_seed=3)
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 150)
+        noise = parse_noise_string(text)
+        rows = three_row_bands(monkeypatch, 150, 5)
+        ratios = noise_feature_ratios(scene, pulse, noise, 7, 5)
+        assert rows == ([3, 3, 1] if text == "none" else [3, 3, 3, 3, 1, 1])
+        assert ratios == pytest.approx(rendered_ratios(scene, pulse, noise, 7, 5), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "scene, pulse_spec",
+        [
+            (SceneSpec(illumination=[1.0, 0.8, 0.6], specular=[0.1, 0.2, 0.3], diffuse=[0.4, 0.5, 0.7]), PulseSpec(72.0)),
+            (SceneSpec(pixel_jitter=0.0), PulseSpec(96.0, shape="harmonic")),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["step:1.5:0.1", "linear:0.1+vs/sin:0.5:0.02"])
+    def test_per_channel_scenes_and_harmonic_pulses(self, monkeypatch, scene, pulse_spec, text):
+        pulse = synth_pulse(pulse_spec, 30.0, 150)
+        noise = parse_noise_string(text)
+        three_row_bands(monkeypatch, 150, 4)
+        ratios = noise_feature_ratios(scene, pulse, noise, 7, 4)
+        assert ratios == pytest.approx(rendered_ratios(scene, pulse, noise, 7, 4), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("text", ["none", "linear:0", "sin:1:0", "vs/step:0:0"])
+    def test_noise_free_scenes_and_zero_valued_terms_give_exactly_zero(self, monkeypatch, text):
+        pulse = synth_pulse(PulseSpec(hr_bpm=84.0), 30.0, 120)
+        three_row_bands(monkeypatch, 120, 3)
+        assert noise_feature_ratios(SceneSpec(jitter_seed=1), pulse, parse_noise_string(text), 7, 3) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("noise", [NO_NOISE, NoiseSpec(delta_illumination=(LinearNoise(0.1),))])
+    def test_pulse_free_scene_has_no_ratio(self, monkeypatch, noise):
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0, amplitude=0.0), 30.0, 60)
+        rows = three_row_bands(monkeypatch, 60, 2)
+        with pytest.raises(ValueError, match=r"^the ideal features have zero RMS: a pulse-free scene has no noise ratio$"):
+            noise_feature_ratios(SceneSpec(), pulse, noise, 7, 2)
+        assert sorted(set(rows)) == [1, 3]
+
+    @pytest.mark.parametrize("text", ["none", "sin:1:0"])
+    def test_an_overflow_in_the_last_band_fails_before_tn_of_two_frames(self, monkeypatch, text):
+        # TN fails on any band of 2 frames, yet every band's renders are checked first,
+        # as when both whole clips are rendered before either is transformed
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 2)
+        optics = {"specular": 10.0, "pixel_jitter": 1.0, "jitter_seed": 18}
+        lit = render_ideal(SceneSpec(**optics), pulse, 7, 5).data
+        # the last image row, which is the last band, alone holds samples above `top`
+        top = np.sqrt(lit[:, :6].max() * lit[:, 6:].max())
+        assert lit[:, :6].max() < top < lit[:, 6:].max()
+        noise = parse_noise_string(text)
+        rows = three_row_bands(monkeypatch, 2, 5)
+        with pytest.raises(ValueError, match=r"^temporal normalization needs at least 3 frames, got 2$"):
+            noise_feature_ratios(SceneSpec(**optics), pulse, noise, 7, 5)
+        scene = SceneSpec(illumination=np.finfo(np.float64).max / top, **optics)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
+            noise_feature_ratios(scene, pulse, noise, 7, 5)
+        assert rows[-1] == 1

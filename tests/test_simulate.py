@@ -17,6 +17,7 @@ from pulse_tn import (
     render_noisy,
     synth_pulse,
 )
+from pulse_tn.simulate import _render_rows
 
 
 class TestPulseSpec:
@@ -34,12 +35,20 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match=f"^amplitude must be finite, got {amplitude}$"):
             PulseSpec(hr_bpm=60, amplitude=amplitude)
 
+    def test_rejects_an_amplitude_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match=f"^amplitude must be finite, got {10**400}$"):
+            PulseSpec(hr_bpm=60, amplitude=10**400)
+
 
 class TestSceneSpec:
     @pytest.mark.parametrize("jitter", [np.nan, np.inf])
     def test_rejects_a_non_finite_pixel_jitter(self, jitter):
         with pytest.raises(ValueError, match=f"^pixel_jitter must be finite, got {jitter}$"):
             SceneSpec(pixel_jitter=jitter)
+
+    def test_rejects_a_pixel_jitter_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match=f"^pixel_jitter must be finite, got {10**400}$"):
+            SceneSpec(pixel_jitter=10**400)
 
     @pytest.mark.parametrize("seed", [None, -1, 1.5, 2.0, True, False, [1], "7", {}])
     def test_rejects_a_seed_that_is_not_an_integer_at_least_zero(self, seed):
@@ -164,6 +173,18 @@ class TestRenderNoisy:
         gs = noise_profile(noise.delta_specular, frames, 30.0)[:, None, None, None]
         expected = (scene.illumination + gi * scene.illumination) * (scene.specular + gs + vd * (1.0 + vp))
         assert np.array_equal(render_noisy(scene, pulse, noise, height, width).data, expected)
+
+
+    @pytest.mark.parametrize("noise", ["none", "step:1.0:0.05", "linear:0.1", "sin:0.3:0.05", "vs/linear:0.02", "linear:0.1+vs/sin:0.5:0.02"])
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_row_bands_stack_to_the_whole_clip(self, noise, rows):
+        # bands of 1 and 3 rows of a 7-row clip, the last one ragged, and one band of all rows
+        scene = SceneSpec(illumination=(0.9, 1.0, 1.1), specular=(0.1, 0.2, 0.3), jitter_seed=6)
+        pulse = synth_pulse(PulseSpec(hr_bpm=84.0, shape="harmonic"), 30.0, 45)
+        noise = parse_noise_string(noise)
+        vd = scene.diffuse_field(7, 5)
+        bands = [_render_rows(scene, pulse, noise, vd[start : start + rows]) for start in range(0, 7, rows)]
+        assert np.array_equal(np.concatenate(bands, axis=1), render_noisy(scene, pulse, noise, 7, 5).data)
 
 
 NOISES = [
