@@ -167,8 +167,6 @@ def _names_file(path):
     """Re-raise a failed check's ValueError as a ClipFormatError naming the file."""
     try:
         yield
-    except ClipFormatError:
-        raise
     except ValueError as exc:
         raise ClipFormatError(f"{path}: {exc}") from exc
 
@@ -288,22 +286,22 @@ def _series_blocks(fh, vid_col: int, t_col: int, bvp_col: int) -> dict[str, tupl
     series = defaultdict(lambda: (array("d"), array("d")))
     # a quoted field that the block's last line leaves open swallows this row of zeros
     sentinel = ",".join("0" * (max(vid_col, t_col, bvp_col) + 1)) + "\n"
+    row_dtype = [("id", object), ("t", "f8"), ("bvp", "f8")]
     while block := fh.readlines(_LABEL_BLOCK_CHARS):
         lines = [line for line in block if line not in _BLANK_LINES]
         if not lines:
             continue
         lines.append(sentinel)
-        ids = np.loadtxt(lines, usecols=vid_col, dtype=object, ndmin=1, **_CSV_DIALECT)
-        if len(ids) != len(lines):
+        rows = np.loadtxt(lines, usecols=(vid_col, t_col, bvp_col), dtype=row_dtype, ndmin=1, **_CSV_DIALECT)
+        if len(rows) != len(lines):
             raise ValueError("a quoted field holds a line end")
-        values = np.loadtxt(lines, usecols=(t_col, bvp_col), ndmin=2, **_CSV_DIALECT)
-        ids, values = ids[:-1], values[:-1]
+        ids, t_s, bvp = rows["id"][:-1], rows["t"][:-1], rows["bvp"][:-1]
         # one run per stretch of consecutive rows of one video
         edges = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1), len(ids)]
         for start, stop in zip(edges, edges[1:]):
             pair = series[ids[start]]
-            pair[0].frombytes(values[start:stop, 0].tobytes())
-            pair[1].frombytes(values[start:stop, 1].tobytes())
+            pair[0].frombytes(t_s[start:stop].tobytes())
+            pair[1].frombytes(bvp[start:stop].tobytes())
     return series
 
 

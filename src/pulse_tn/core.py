@@ -7,6 +7,7 @@ one worker pool, `_ordered_map`, is here too.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -44,10 +45,10 @@ def _ordered_map(fn, items):
     Raises the worker count's ValueError at the call, not at the first result.
     Iterating yields the results as the serial loop would, and raises the
     exception of the first failing item in item order, once the results
-    before it are taken. At one worker, and inside an item of a parallel map
-    (so that there is one level of parallelism), it starts no thread and
-    runs each item as its result is asked for. A parallel map's threads stop
-    once it is exhausted, raises or is closed.
+    before it are taken. A parallel map runs every item, and its threads
+    stop, before it returns. At one worker, and inside an item of a parallel
+    map (so that there is one level of parallelism), it starts no thread and
+    runs each item as its result is asked for.
     """
     items = list(items)
     workers = 1 if _in_map.active else worker_count(len(items))
@@ -56,8 +57,8 @@ def _ordered_map(fn, items):
 
 def _parallel_map(fn, items: list, workers: int):
     """_ordered_map on a pool of workers - 1 threads, which take the queued
-    items in order, and this thread, which claims an item by cancelling its
-    queued task."""
+    items in order, and this thread, which runs item 0 and then claims each
+    queued item that no pool thread has started by cancelling its task."""
 
     def task(item):
         _in_map.active = True
@@ -81,21 +82,13 @@ def _parallel_map(fn, items: list, workers: int):
         # so that perfbench's traced metrics, which count band spans only as direct children of
         # the extractor span, find some. Each item is its task's first argument, so a pool that
         # names tasks can name them by it
-        slots = [None] + [pool.submit(task, item) for item in items[1:]]
-        slots[0] = here(items[0])
-        ahead = 1
-        for i in range(len(items)):
-            ahead = max(ahead, i)
-            # while a pool thread runs item i, this thread takes the next items none has started
-            while not slots[i].done() and ahead < len(items):
-                if slots[ahead].cancel():
-                    slots[ahead] = here(items[ahead])
-                ahead += 1
-            result = slots[i].result()
-            slots[i] = None  # the caller may fold each result in and drop it
-            yield result
+        queued = [pool.submit(task, item) for item in items[1:]]
+        done = [here(items[0])]
+        # then it runs each queued item that no pool thread has started
+        done += [here(item) if slot.cancel() else slot for item, slot in zip(items[1:], queued)]
     finally:
         pool.shutdown(cancel_futures=True)
+    return map(Future.result, done)
 
 
 def _require_finite(values: np.ndarray, name: str) -> None:
@@ -103,12 +96,18 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must not contain NaN or Inf")
 
 
-def _require_fps(fps: float) -> float:
+def _is_finite(value) -> bool:
+    """Whether a number is finite as a float; an integer beyond the float range is not."""
     try:
-        fps = float(fps)
+        return math.isfinite(float(value))
     except OverflowError:
-        raise ValueError(f"fps must be finite and > 0, got {fps}") from None
-    if not np.isfinite(fps) or fps <= 0.0:
+        return False
+
+
+def _require_fps(fps: float) -> float:
+    finite = _is_finite(fps)
+    fps = float(fps) if finite else fps
+    if not (finite and fps > 0.0):
         raise ValueError(f"fps must be finite and > 0, got {fps}")
     return fps
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Waveform, _require_finite
+from .core import Waveform, _is_finite, _require_finite
 from .tn import EPSILON, _check_epsilon
 
 HR_LOW_HZ = 0.5
@@ -58,14 +58,14 @@ class PipelineConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{field.name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
         low, high = self.band_low_hz, self.band_high_hz
-        if not (np.isfinite(low) and np.isfinite(high)):
+        if not (_is_finite(low) and _is_finite(high)):
             raise ValueError(f"band edges must be finite, got {low}, {high}")
         if not 0 < low < high:
             raise ValueError(f"need 0 < low_hz < high_hz, got {low}, {high}")
         if self.band_order < 2 or self.band_order % 2:
             raise ValueError(f"order must be even and >= 2, got {self.band_order}")
         _check_epsilon(self.epsilon)
-        if not (np.isfinite(self.segment_s) and self.segment_s > 0):
+        if not (_is_finite(self.segment_s) and self.segment_s > 0):
             raise ValueError(f"segment duration must be finite and > 0 s, got {self.segment_s}")
         if self.nfft < 1:
             raise ValueError(f"nfft must be >= 1, got {self.nfft}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FrameClip, Waveform, _require_fps
+from .core import FrameClip, Waveform, _is_finite, _require_fps
 
 PULSE_SHAPES = ("sinusoid", "harmonic")
 
@@ -33,12 +33,7 @@ def _as_channels(value, name: str) -> np.ndarray:
 
 
 def _require_finite_number(value, name: str) -> None:
-    """A scalar field's finiteness check; an integer beyond the float range counts as infinite."""
-    try:
-        finite = np.isfinite(float(value))
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not _is_finite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameClip
+from .core import FrameClip, _is_finite
 from . import _kernels_np
 
 # Kept as a constant: perfbench/run.py reports it in every run's environment block.
@@ -38,7 +38,7 @@ EPSILON = 1e-8
 
 
 def _check_epsilon(epsilon: float) -> float:
-    if not (epsilon > 0 and np.isfinite(epsilon)):
+    if not (epsilon > 0 and _is_finite(epsilon)):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     return float(epsilon)
 

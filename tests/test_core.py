@@ -235,6 +235,19 @@ class TestOrderedMap:
         assert pools == []
         assert threads == {threading.get_ident()}
 
+    def test_a_parallel_map_runs_every_item_before_it_returns(self, cpus, pools):
+        before = threading.active_count()
+        ran = []
+
+        def record(i):
+            time.sleep(0.002)
+            ran.append(i)
+
+        core._ordered_map(record, range(8))  # no result is taken
+        assert sorted(ran) == list(range(8))
+        assert len(pools) == 1
+        assert threading.active_count() == before
+
     def test_every_item_runs_once_under_frequent_thread_switches(self, monkeypatch):
         # more workers than the host's CPUs, and a switch interval that interleaves every claim
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)

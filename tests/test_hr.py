@@ -438,6 +438,12 @@ class TestPipelineConfig:
             ("band_low_hz", False, "band_low_hz must be a number, got False"),
             ("overlap", "0.5", "overlap must be a number, got '0.5'"),
             ("epsilon", None, "epsilon must be a number, got None"),
+            # an integer beyond the float range gets the message of inf
+            pytest.param("epsilon", 10**400, f"epsilon must be finite and > 0, got {10**400}", id="epsilon-big_int"),
+            pytest.param(
+                "segment_s", 10**400, f"segment duration must be finite and > 0 s, got {10**400}", id="segment_s-big_int"
+            ),
+            pytest.param("band_high_hz", 10**400, f"band edges must be finite, got 0.5, {10**400}", id="band_high_hz-big_int"),
         ],
     )
     def test_setting_of_the_wrong_type_fails_when_built(self, field, value, message):

@@ -8,6 +8,7 @@ from pulse_tn import (
     FrameClip,
     PipelineConfig,
     detrend,
+    extract_tn_pooled,
     fit_trend,
     rms_normalize,
     tn,
@@ -236,7 +237,9 @@ class TestTnClip:
         with pytest.raises(ValueError):
             tn(FrameClip(np.zeros((2, 2, 2, 1)), 30.0))
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "eps", [0.0, -1e-8, float("nan"), float("inf"), pytest.param(10**400, id="int_beyond_float")]
+    )
     def test_trace_stack_rejects_bad_epsilon(self, eps):
         with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
             tn_traces(np.ones((2, 10)), eps)
@@ -245,6 +248,7 @@ class TestTnClip:
             lambda: tn(FrameClip(np.ones((4, 2, 2, 1)), 30.0), eps),
             lambda: tn_trace(np.arange(4.0), eps),
             lambda: rms_normalize(np.arange(4.0), eps),
+            lambda: extract_tn_pooled(FrameClip(np.ones((4, 2, 2, 3)), 30.0), eps),
             lambda: PipelineConfig(epsilon=eps),
         ):
             with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
