@@ -25,7 +25,7 @@ def tn_traces(data: np.ndarray, epsilon: float) -> np.ndarray:
     """Detrend each column against its index, then divide by sqrt(mean square + epsilon)."""
     t_len, n = data.shape
     if t_len < 3:
-        raise ValueError("traces must have at least 3 samples")
+        raise ValueError(f"temporal normalization needs at least 3 frames, got {t_len}")
     tc = np.arange(t_len, dtype=np.float64) - (t_len - 1) / 2.0
     denom = t_len * (float(t_len) * t_len - 1.0) / 12.0
     # The axis-0 mean accumulates row by row; shifting each column by its

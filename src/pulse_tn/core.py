@@ -45,8 +45,9 @@ def _ordered_map(fn, items):
     Raises the worker count's ValueError at the call, not at the first result.
     Iterating yields the results as the serial loop would, and raises the
     exception of the first failing item in item order, once the results
-    before it are taken. A parallel map runs every item, and its threads
-    stop, before it returns. At one worker, and inside an item of a parallel
+    before it are taken. A parallel map stops at the first item it knows to
+    have failed, cancelling the items no thread has started, and its threads
+    stop before it returns. At one worker, and inside an item of a parallel
     map (so that there is one level of parallelism), it starts no thread and
     runs each item as its result is asked for.
     """
@@ -58,7 +59,7 @@ def _ordered_map(fn, items):
 def _parallel_map(fn, items: list, workers: int):
     """_ordered_map on a pool of workers - 1 threads, which take the queued
     items in order, and this thread, which runs item 0 and then claims each
-    queued item that no pool thread has started by cancelling its task."""
+    unstarted queued item by cancelling its task, up to the first failure."""
 
     def task(item):
         _in_map.active = True
@@ -83,9 +84,12 @@ def _parallel_map(fn, items: list, workers: int):
         # the extractor span, find some. Each item is its task's first argument, so a pool that
         # names tasks can name them by it
         queued = [pool.submit(task, item) for item in items[1:]]
-        done = [here(items[0])]
-        # then it runs each queued item that no pool thread has started
-        done += [here(item) if slot.cancel() else slot for item, slot in zip(items[1:], queued)]
+        done = []
+        # then each queued item no pool thread has started, until an item it ran or a finished task failed
+        for item, slot in zip(items, [None, *queued]):
+            done.append(here(item) if slot is None or slot.cancel() else slot)
+            if done[-1].done() and done[-1].exception() is not None:
+                break
     finally:
         pool.shutdown(cancel_futures=True)
     return map(Future.result, done)
@@ -105,7 +109,8 @@ def _is_finite(value) -> bool:
 
 
 def _require_fps(fps: float) -> float:
-    finite = _is_finite(fps)
+    # float() takes a boolean or a numeric string, but neither is a rate
+    finite = not isinstance(fps, (bool, np.bool_, str, bytes)) and _is_finite(fps)
     fps = float(fps) if finite else fps
     if not (finite and fps > 0.0):
         raise ValueError(f"fps must be finite and > 0, got {fps}")

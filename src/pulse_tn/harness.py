@@ -138,26 +138,30 @@ def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, Waveform, NoiseSpec, int,
     return scene, synth_pulse(pulse, meta["fps"], meta["frames"]), noise, meta["height"], meta["width"]
 
 
-def _label_hr(label, cfg: PipelineConfig) -> float:
-    """Direct HR labels pass through; reference pulse series get the same pipeline.
-
-    A label that read_labels rejected is the ValueError it carries, raised here.
-    """
+def _label_fields(label, cfg: PipelineConfig) -> dict:
+    """A clip's label fields. Direct HR labels pass through; reference pulse series get the
+    same pipeline. A label that read_labels rejected (the ValueError it carries), or that
+    yields no heart rate, flags its own rows only."""
+    if label is None:
+        return {"hr_label": None, "label_missing": True}
     if isinstance(label, ValueError):
-        raise label
-    return video_hr(label, cfg) if isinstance(label, Waveform) else float(label)
+        return {"label_error": str(label)}
+    try:
+        return {"hr_label": video_hr(label, cfg) if isinstance(label, Waveform) else float(label)}
+    except ValueError as exc:  # a short or degenerate label
+        return {"label_error": str(exc)}
 
 
 def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfig) -> tuple[list, list, tuple | None]:
     """One row per extractor from one read of the clip's green channel (the
     only channel the extractors read), each scored against the label HR,
-    which is computed once. Also returned are the classes of the errors that
-    flagged rows, and the clip's frames, height, width and fps, or None when
-    it could not be read. The clip is freed on return."""
+    which is computed once. Also returned are the errors that rows failed
+    their extraction with, and the clip's frames, height, width and fps, or
+    None when it could not be read. The clip is freed on return."""
     try:
         clip = clipio.read_clip(path, green_only=True)
     except (OSError, clipio.ClipFormatError) as exc:
-        return [{"video_id": path.stem, "error": str(exc)} for _ in kinds], [type(exc)] * len(kinds), None
+        return [{"video_id": path.stem, "error": str(exc)} for _ in kinds], [], None
     rows, failures, fields = [], [], None
     for kind in kinds:
         row: dict = {"video_id": path.stem}
@@ -167,17 +171,10 @@ def _clip_rows(path: Path, kinds: list[ExtractorKind], label, cfg: PipelineConfi
         except ValueError as exc:
             # degenerate spectra, clips shorter than one segment, etc.: flag the row
             row["error"] = str(exc)
-            failures.append(type(exc))
+            failures.append(exc.with_traceback(None))  # a traceback would hold the clip until the walk ends
             continue
         row.update(hr_pred=hr_pred, segments_dropped=dropped)
-        if fields is None:
-            fields = {"hr_label": None, "label_missing": True}
-            if label is not None:
-                try:
-                    fields = {"hr_label": _label_hr(label, cfg)}
-                except ValueError as exc:
-                    # a rejected, short or degenerate label flags its own rows only
-                    fields = {"label_error": str(exc)}
+        fields = fields or _label_fields(label, cfg)
         row.update(fields)
         if row.get("hr_label") is not None:
             row["abs_err"] = abs(row["hr_pred"] - row["hr_label"])
@@ -193,10 +190,11 @@ def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | N
     sidecar = sidecar_path(path)
     if not os.path.lexists(sidecar):
         return None
+    if dims is None:
+        error = "its clip could not be read, so the sidecar cannot be checked against it"
+        return {"video_id": path.stem, "error": f"{sidecar}: {error}"}
     row: dict = {"video_id": path.stem}
     try:
-        if dims is None:
-            raise ValueError("its clip could not be read, so the sidecar cannot be checked against it")
         meta = json.loads(sidecar.read_text())
         *sizes, fps = dims
         for key, size in zip(("frames", "height", "width"), sizes):
@@ -223,7 +221,8 @@ def _walk(manifest_dir, kinds, cfg, noise_ratios) -> tuple[list, list]:
     noise-ratio rows, if asked for, all in video-id order.
 
     A band no clip's frame rate can carry is a bad setting, not a set of bad
-    clips: when every row failed with SamplingRateError, that error is raised.
+    clips: when every row failed its extraction with SamplingRateError, the
+    first such error is raised.
     """
     manifest_dir = Path(manifest_dir)
     clip_paths = sorted(manifest_dir.glob("*.rpgc"), key=lambda path: path.stem)
@@ -238,9 +237,9 @@ def _walk(manifest_dir, kinds, cfg, noise_ratios) -> tuple[list, list]:
 
     results = list(_ordered_map(task, clip_paths))
     per_kind = [[rows[k] for rows, _, _ in results] for k in range(len(kinds))]
-    failures = [cls for _, classes, _ in results for cls in classes]
-    if len(failures) == len(clip_paths) * len(kinds) and all(cls is SamplingRateError for cls in failures):
-        raise SamplingRateError(per_kind[0][0]["error"])
+    failures = [exc for _, errors, _ in results for exc in errors]
+    if len(failures) == len(clip_paths) * len(kinds) and all(type(exc) is SamplingRateError for exc in failures):
+        raise failures[0]
     return per_kind, [ratios for _, _, ratios in results if ratios is not None]
 
 

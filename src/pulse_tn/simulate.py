@@ -52,7 +52,8 @@ class PulseSpec:
     harmonic_ratio: float = 0.3
 
     def __post_init__(self):
-        if not 30.0 <= self.hr_bpm <= 180.0:
+        # a string does not compare with a number (and a boolean is out of range)
+        if isinstance(self.hr_bpm, (str, bytes)) or not 30.0 <= self.hr_bpm <= 180.0:
             raise ValueError(f"hr_bpm must lie in [30, 180], got {self.hr_bpm}")
         _require_finite_number(self.amplitude, "amplitude")
         if self.amplitude < 0:

@@ -111,13 +111,9 @@ def tn_traces(traces: np.ndarray, epsilon: float) -> np.ndarray:
 def tn(clip: FrameClip, epsilon: float = EPSILON) -> FrameClip:
     """Temporally normalize every pixel/channel trace of a clip.
 
-    A 2-frame trace is fitted exactly by its own trend line, which would make
-    the output epsilon-degenerate everywhere, so clips shorter than 3 frames
-    are rejected.
+    Epsilon is checked first; then the kernel rejects a clip shorter than 3
+    frames, whose traces would each be fitted exactly by their trend line.
     """
-    t_len = clip.frames
-    if t_len < 3:
-        raise ValueError(f"temporal normalization needs at least 3 frames, got {t_len}")
     # Called in its own module so that perfbench/spans.py times it as the tn.kernel span.
-    out = _kernels_np.tn_traces(clip.data.reshape(t_len, -1), _check_epsilon(epsilon))
+    out = _kernels_np.tn_traces(clip.data.reshape(clip.frames, -1), _check_epsilon(epsilon))
     return FrameClip(out.reshape(clip.data.shape), clip.fps)

@@ -1,7 +1,10 @@
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from pulse_tn import FrameClip, read_clip, write_clip
+from pulse_tn import FrameClip, core, read_clip, write_clip
 from pulse_tn import extract as extract_module
 
 # (frames, height, width) of the f32 clips below: the fewest frames TN and the
@@ -33,3 +36,25 @@ def f32_green(request, tmp_path, monkeypatch):
     assert clip.data.dtype == np.float32
     monkeypatch.setattr(extract_module, "_BAND_BYTES", 3 * 8 * frames * width)
     return clip, FrameClip(clip.data.astype(np.float64), clip.fps)
+
+
+@pytest.fixture
+def held_pool(monkeypatch):
+    """core's worker pool with the futures of its queued tasks (`queued`) and an event
+    (`cancelled`) set once the map has shut the pool down and its queue is cancelled,
+    before its threads are joined. A pool item that waits for the event holds its
+    thread until the map has stopped claiming items."""
+    pool = SimpleNamespace(queued=[], cancelled=threading.Event())
+
+    class HeldPool(core.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            pool.queued.append(super().submit(fn, *args, **kwargs))
+            return pool.queued[-1]
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            pool.cancelled.set()
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", HeldPool)
+    return pool

@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -271,6 +272,23 @@ class TestParallelDecode:
         path.write_bytes(buf)
         assert read_error(path) == (ClipFormatError, f"{path}: clip data must not contain NaN or Inf")
 
+    def test_a_nan_in_the_first_chunk_ends_the_reads(self, monkeypatch, tmp_path, threads, held_pool):
+        path, buf = self.write(monkeypatch, tmp_path)
+        buf[self.pixel_offset(0) : self.pixel_offset(0) + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(buf)
+        caller, reads, preadv = threading.get_ident(), [], os.preadv
+
+        def held_preadv(fd, buffers, offset):
+            # a pool thread's read waits until the map has stopped claiming chunks
+            if threading.get_ident() != caller:
+                assert held_pool.cancelled.wait(timeout=30)
+            reads.append(offset)
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(clipio.os, "preadv", held_preadv)
+        assert read_error(path) == (ClipFormatError, f"{path}: clip data must not contain NaN or Inf")
+        assert len(reads) <= int(threads)  # chunk 0, and at most one chunk a pool thread took
+
     def test_a_nan_before_a_cut_is_the_error(self, monkeypatch, tmp_path):
         path, buf = self.write(monkeypatch, tmp_path)
         offset = self.pixel_offset(15)  # chunk 1
@@ -507,6 +525,14 @@ class TestLabels:
             upsert_label(path, "x", 60.0)
             upsert_label(path, "y", 80.0)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_upsert_into_a_time_series_file_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("video_id,t_s,bvp\n" + "".join(f"v0,{k / 20},{np.sin(k)}\n" for k in range(40)))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="labels\\.csv: cannot append a plain label to a time-series file$"):
+            upsert_label(path, "v1", 72.0)
+        assert path.read_bytes() == before
 
     def test_out_of_range_hr_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ class TestFrameClip:
         with pytest.raises(ValueError, match="^clip data must not contain NaN or Inf$"):
             FrameClip(data, 30.0)
 
-    @pytest.mark.parametrize("fps", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("fps", [0.0, -1.0, np.nan, np.inf, True, pytest.param(np.True_, id="numpy_True"), "30", b"30"])
     def test_rejects_bad_fps(self, fps):
         with pytest.raises(ValueError):
             make_clip(fps=fps)
@@ -57,6 +58,8 @@ class TestWaveform:
             Waveform([1.0], 30.0)
         with pytest.raises(ValueError):
             Waveform([1.0, np.inf], 30.0)
+        with pytest.raises(ValueError, match=r"^waveform must be 1-D, got shape \(2, 2\)$"):
+            Waveform([[1.0, 2.0], [3.0, 4.0]], 30.0)
 
 
 class TestSegmentWaveform:
@@ -248,6 +251,34 @@ class TestOrderedMap:
         assert len(pools) == 1
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("first_failure", [0, 1])
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_the_first_failure_ends_the_map(self, cpus, held_pool, monkeypatch, threads, first_failure):
+        # item 0 runs on this thread, item 1 on a pool thread, and every item from the first
+        # failure on fails. Each other item a pool thread takes waits until the pool's queue
+        # is cancelled; item 0, when it does not fail, waits until item 1 has failed
+        monkeypatch.setenv("PULSE_TN_THREADS", str(threads))
+        caller, ran = threading.get_ident(), []
+
+        def run_item(i):
+            ran.append(i)
+            if i == 0 and first_failure == 1:
+                assert futures.wait(held_pool.queued[:1], timeout=30).done
+            elif i != first_failure and threading.get_ident() != caller:
+                assert held_pool.cancelled.wait(timeout=30)
+            if i >= first_failure:
+                raise ValueError(f"item {i}")
+            return i
+
+        before = threading.active_count()
+        results = core._ordered_map(run_item, range(16))
+        # the threads' first items, and for a pool failure the one item its thread takes next
+        assert len(ran) <= threads + first_failure
+        assert threading.active_count() == before
+        assert [next(results) for _ in range(first_failure)] == list(range(first_failure))
+        with pytest.raises(ValueError, match=f"^item {first_failure}$"):
+            next(results)
+
     def test_every_item_runs_once_under_frequent_thread_switches(self, monkeypatch):
         # more workers than the host's CPUs, and a switch interval that interleaves every claim
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
@@ -270,6 +301,40 @@ class TestOrderedMap:
             sys.setswitchinterval(interval)
         assert results == [[-i for i in range(200)]] * 20
         assert sorted(runs) == sorted(list(range(200)) * 20)
+
+    def test_a_failure_ends_the_map_once_under_frequent_thread_switches(self, monkeypatch):
+        # as above, with items 120 and 160 failing: every item up to 120 runs, none runs twice,
+        # and item 120's error follows the results before it
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.delenv("PULSE_TN_THREADS", raising=False)
+        runs, outcomes = [], []
+
+        def run_item(i):
+            runs.append(i)
+            if i in (120, 160):
+                raise ValueError(f"item {i}")
+            return -i
+
+        def take_results():
+            results = core._ordered_map(run_item, range(200))
+            taken = [next(results) for _ in range(120)]
+            with pytest.raises(ValueError) as exc:
+                next(results)
+            outcomes.append((taken, str(exc.value)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                runs.clear()
+                caller = threading.Thread(target=take_results)
+                caller.start()
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+                assert len(runs) == len(set(runs)) and set(range(121)) <= set(runs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == [([-i for i in range(120)], "item 120")] * 20
 
     def test_a_bad_thread_cap_raises_at_the_call(self, monkeypatch):
         monkeypatch.setenv("PULSE_TN_THREADS", "0")

@@ -292,6 +292,11 @@ class TestRunExtractor:
             extract_diff_pooled(clip).samples,
         )
 
+    def test_kind_must_be_an_extractor_kind(self):
+        clip = FrameClip(np.full((10, 2, 2, 3), 0.6), 30.0)
+        with pytest.raises(ValueError, match="^unknown extractor kind 'tn_pooled'$"):
+            run_extractor("tn_pooled", clip)
+
     def test_constant_clip_green(self):
         clip = FrameClip(np.full((10, 2, 2, 3), 0.6), 30.0)
         w = run_extractor(ExtractorKind.GREEN_RAW, clip)

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import json
 import tracemalloc
 
@@ -172,14 +173,36 @@ class TestOneWalk:
             write_manifest_clip(tmp_path / f"v{i}.rpgc", hr=hr, seed=i)
         (tmp_path / "labels.csv").write_text("video_id,hr_bpm\nv0,60.0\nv1,72.0\nv2,84.0\n")
         reads, labels = [], []
-        read_clip, label_hr = clipio.read_clip, harness._label_hr
+        read_clip, label_fields = clipio.read_clip, harness._label_fields
         monkeypatch.setattr(clipio, "read_clip", lambda path, **kw: reads.append(path.stem) or read_clip(path, **kw))
-        monkeypatch.setattr(harness, "_label_hr", lambda label, cfg: labels.append(label) or label_hr(label, cfg))
+        monkeypatch.setattr(harness, "_label_fields", lambda label, cfg: labels.append(label) or label_fields(label, cfg))
         doc = compare_manifest(tmp_path, ALL_KINDS)
         assert sorted(reads) == ["v0", "v1", "v2"]
         assert sorted(labels) == [60.0, 72.0, 84.0]
         for block in doc["extractors"].values():
             assert [row["hr_label"] for row in block["per_video"]] == [60.0, 72.0, 84.0]
+
+    @pytest.mark.parametrize("fault", ["short", "rate", "nan"])
+    def test_a_failed_clip_is_freed_with_its_rows(self, tmp_path, monkeypatch, fault):
+        # every row fails: segments longer than the clips, a band the frame rate cannot carry, or
+        # a NaN in the last sample, so that the whole payload is decoded before the read fails
+        monkeypatch.setenv("PULSE_TN_THREADS", "1")
+        for i in range(6):
+            path = tmp_path / f"v{i}.rpgc"
+            write_clip(FrameClip(np.random.default_rng(i).random((300, 32, 32, 3)), 30.0), path)
+            if fault == "nan":
+                path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+        settings = {"short": {"segment_s": 30.0}, "rate": {"band_high_hz": 20.0, "segment_s": 5.0}, "nan": {}}
+        cfg = PipelineConfig(**settings[fault])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SamplingRateError) if fault == "rate" else contextlib.nullcontext():
+                evaluate_manifest(tmp_path, ExtractorKind.TN_POOLED, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few float32 green channels: a kept error's traceback would hold every clip until the walk ends
+        assert peak <= 4 * (300 * 32 * 32 * 4)
 
     def test_compare_rejects_an_empty_extractor_list_before_any_clip_is_read(self, tmp_path, monkeypatch):
         write_manifest_clip(tmp_path / "v0.rpgc", hr=72.0)

@@ -168,6 +168,20 @@ class TestHrFromPsd:
         with pytest.raises(ValueError, match=f"^{field} must not contain NaN or Inf$"):
             PowerSpectrum(**values)
 
+    @pytest.mark.parametrize(
+        "freqs, power, message",
+        [
+            ([0.5, 1.0], [1.0, 0.5, 0.25], "^freqs and power must be 1-D and equally long$"),
+            ([[0.5, 1.0]], [[1.0, 0.5]], "^freqs and power must be 1-D and equally long$"),
+            ([0.5, 0.5, 1.0], [1.0, 0.5, 0.25], "^freqs must be strictly increasing$"),
+            ([0.5, 1.0, 1.5], [1.0, -0.5, 0.25], "^power must be nonnegative$"),
+        ],
+        ids=["lengths", "2d", "repeated_freq", "negative_power"],
+    )
+    def test_malformed_spectrum_rejected(self, freqs, power, message):
+        with pytest.raises(ValueError, match=message):
+            PowerSpectrum(freqs, power)
+
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(8)
         freqs = np.linspace(0.0, 15.0, 200)
@@ -483,6 +497,11 @@ class TestComputeMetrics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics([], [])
+
+    @pytest.mark.parametrize("labels", [[60.0], [[60.0, 70.0]]], ids=["shorter", "2d"])
+    def test_mismatched_shapes_rejected(self, labels):
+        with pytest.raises(ValueError, match="^preds and labels must be 1-D and equally long$"):
+            compute_metrics([60.0, 70.0], labels)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 100_000), n=st.integers(1, 40))

@@ -21,7 +21,7 @@ from pulse_tn.simulate import _render_rows
 
 
 class TestPulseSpec:
-    @pytest.mark.parametrize("hr", [29.9, 180.1, 0.0])
+    @pytest.mark.parametrize("hr", [29.9, 180.1, 0.0, True, "72", b"72"])
     def test_rejects_out_of_range_hr(self, hr):
         with pytest.raises(ValueError):
             PulseSpec(hr_bpm=hr)
@@ -57,6 +57,19 @@ class TestSceneSpec:
             SceneSpec(jitter_seed=seed)
         assert str(exc.value) == f"jitter_seed must be an integer >= 0, got {seed!r}"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("illumination", (1.0, 2.0), r"^illumination must be a scalar or length-3 sequence, got shape \(2,\)$"),
+            ("specular", [[0.1, 0.2, 0.3]], r"^specular must be a scalar or length-3 sequence, got shape \(1, 3\)$"),
+            ("diffuse", (0.5, np.inf, 0.5), "^diffuse must be finite$"),
+            ("illumination", np.nan, "^illumination must be finite$"),
+        ],
+    )
+    def test_rejects_a_bad_channel_value(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SceneSpec(**{field: value})
+
     @pytest.mark.parametrize("seed", [0, 7, 2**40, np.int64(3)])
     def test_accepts_integer_seeds(self, seed):
         assert SceneSpec(jitter_seed=seed).jitter_seed == seed
@@ -88,6 +101,14 @@ class TestSynthPulse:
         fundamental = spectrum[np.argmin(np.abs(freqs - 1.2))]
         harmonic = spectrum[np.argmin(np.abs(freqs - 2.4))]
         assert harmonic == pytest.approx(0.3 * fundamental, rel=1e-6)
+
+    def test_needs_two_frames(self):
+        with pytest.raises(ValueError, match="^need at least 2 frames, got 1$"):
+            synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 1)
+
+    def test_noise_profile_rejects_an_unknown_term(self):
+        with pytest.raises(TypeError, match="^unknown noise term 'step'$"):
+            noise_profile(("step",), 10, 30.0)
 
 
 def flat_pulse(value, frames=4, fps=30.0):

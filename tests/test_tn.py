@@ -59,6 +59,15 @@ class TestFitTrend:
         with pytest.raises(ValueError):
             fit_trend([1.0])
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [([[1.0, 2.0], [3.0, 4.0]], r"^trace must be 1-D, got shape \(2, 2\)$"), ([1.0, np.nan, 2.0], "^trace must be finite$")],
+        ids=["2d", "nan"],
+    )
+    def test_rejects_a_trace_that_is_not_one_finite_row(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            fit_trend(values)
+
 
 class TestDetrend:
     def test_affine_goes_to_zero(self):
@@ -234,8 +243,11 @@ class TestTnClip:
         assert np.max(np.abs(stack - rows)) <= 1e-12
 
     def test_too_few_frames(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^temporal normalization needs at least 3 frames, got 2$"):
             tn(FrameClip(np.zeros((2, 2, 2, 1)), 30.0))
+        # the trace-major entry has the kernel's one check and message
+        with pytest.raises(ValueError, match="^temporal normalization needs at least 3 frames, got 2$"):
+            tn_traces(np.zeros((4, 2)), 1e-8)
 
     @pytest.mark.parametrize(
         "eps", [0.0, -1e-8, float("nan"), float("inf"), pytest.param(10**400, id="int_beyond_float")]
@@ -246,6 +258,7 @@ class TestTnClip:
         # every public entry that takes the guard checks it, with one message
         for call in (
             lambda: tn(FrameClip(np.ones((4, 2, 2, 1)), 30.0), eps),
+            lambda: tn(FrameClip(np.ones((2, 2, 2, 1)), 30.0), eps),  # before the clip's length
             lambda: tn_trace(np.arange(4.0), eps),
             lambda: rms_normalize(np.arange(4.0), eps),
             lambda: extract_tn_pooled(FrameClip(np.ones((4, 2, 2, 3)), 30.0), eps),
