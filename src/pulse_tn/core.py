@@ -45,9 +45,8 @@ def _ordered_map(fn, items):
     Raises the worker count's ValueError at the call, not at the first result.
     Iterating yields the results as the serial loop would, and raises the
     exception of the first failing item in item order, once the results
-    before it are taken. A parallel map stops at the first item it knows to
-    have failed, cancelling the items no thread has started, and its threads
-    stop before it returns. At one worker, and inside an item of a parallel
+    before it are taken. In a parallel map no item starts once an earlier
+    item has failed, and its threads stop before it returns. At one worker, and inside an item of a parallel
     map (so that there is one level of parallelism), it starts no thread and
     runs each item as its result is asked for.
     """
@@ -59,19 +58,28 @@ def _ordered_map(fn, items):
 def _parallel_map(fn, items: list, workers: int):
     """_ordered_map on a pool of workers - 1 threads, which take the queued
     items in order, and this thread, which runs item 0 and then claims each
-    unstarted queued item by cancelling its task, up to the first failure."""
+    unstarted queued item by cancelling its task. The index of the first item
+    known to have failed is shared: no item after it starts, on any thread."""
+    failed = [len(items)]
+    lock = threading.Lock()
 
-    def task(item):
+    def task(item, index):
+        if index > failed[0]:
+            return None  # an earlier item failed, so no result from here on is taken
         _in_map.active = True
         try:
             return fn(item)
+        except Exception:
+            with lock:
+                failed[0] = min(failed[0], index)
+            raise
         finally:
             _in_map.active = False
 
-    def here(item) -> Future:
+    def here(item, index) -> Future:
         done = Future()
         try:
-            done.set_result(task(item))
+            done.set_result(task(item, index))
         except Exception as exc:
             done.set_exception(exc)
         return done
@@ -83,13 +91,13 @@ def _parallel_map(fn, items: list, workers: int):
         # so that perfbench's traced metrics, which count band spans only as direct children of
         # the extractor span, find some. Each item is its task's first argument, so a pool that
         # names tasks can name them by it
-        queued = [pool.submit(task, item) for item in items[1:]]
+        queued = [pool.submit(task, item, index) for index, item in enumerate(items[1:], 1)]
         done = []
-        # then each queued item no pool thread has started, until an item it ran or a finished task failed
-        for item, slot in zip(items, [None, *queued]):
-            done.append(here(item) if slot is None or slot.cancel() else slot)
-            if done[-1].done() and done[-1].exception() is not None:
+        # then each queued item no pool thread has started, up to the first failed item
+        for index, (item, slot) in enumerate(zip(items, [None, *queued])):
+            if index > failed[0]:
                 break
+            done.append(here(item, index) if slot is None or slot.cancel() else slot)
     finally:
         pool.shutdown(cancel_futures=True)
     return map(Future.result, done)

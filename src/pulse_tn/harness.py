@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clipio, extract
-from .core import FrameClip, Waveform, _ordered_map
-from .diff import frame_diff
+from . import clipio
+from .core import FrameClip, Waveform, _ordered_map, worker_count
 from .extract import ExtractorKind, run_extractor
 from .hr import PipelineConfig, SamplingRateError, _rate, compute_metrics, video_hr
 from .simulate import (
@@ -26,10 +25,11 @@ from .simulate import (
     PulseSpec,
     SceneSpec,
     _render_rows,
+    _trace_model,
     parse_noise_string,
     synth_pulse,
 )
-from .tn import EPSILON, tn
+from .tn import EPSILON, _check_epsilon
 
 # A simulator sidecar's keys: the spec field names (the jitter seed as `seed`), fps, frames, size and noise.
 _SCENE_KEYS = tuple(field.name for field in fields(SceneSpec) if field.name != "jitter_seed")
@@ -64,49 +64,69 @@ def noise_feature_ratios(
     exceeds the pulse amplitude, which caps the achievable contrast in this
     metric; the waveform-correlation comparison stays meaningful there.
 
-    The scene is rendered and transformed in bands of whole image rows, sized as
-    the extractors' bands are, so no clip-sized array exists. Each band's ideal
-    and noisy rows are rendered once and checked as a clip is; their TN features
-    and then their frame differences add to that family's sums of squares, each
-    array freed once summed. A clip that fits one band gives the floats of both
-    whole clips; on more bands the sums add in band order, which can move a
-    ratio in its last digit. A noise-free scene's band is its own noisy band, so
-    both residuals are exactly 0.
+    Nothing clip-sized is rendered or transformed: each trace is a fixed
+    combination of four length-T series (`simulate._trace_model`), with ideal
+    coefficients a and residual coefficients r. With R the triangular factor of
+    the detrended series (`_triangle`), a trace's detrended ideal and noisy
+    traces have the sums of squares |R a|² and |R (a + r)|², which set the TN
+    divisors sa and sb, and its TN residual D(a)/sb - D(a)/sa + D(r)/sb has
+    |R (k a + r/sb)|², k = 1/sb - 1/sa; with R of the differenced series, the
+    differences give |R a|² and |R r|². These are within 2e-14 relative of the
+    exact values, where rendering both clips is up to 1.3e-11 off. A scene with
+    no noise, or only zero-valued terms, has R r = 0 and ratios of exactly 0.
+
+    Each channel's least and greatest diffuse pixel is rendered, ideal then
+    noisy, and checked as a clip is: the render is monotone in the diffuse
+    value, so these overflow if any pixel does. Sums that overflow float64
+    raise a ValueError.
     """
     frames, fps = len(pulse), pulse.fps
-    vd = scene.diffuse_field(height, width)
-    rows = max(1, extract._BAND_BYTES // (8 * frames * width * 3))
-
-    def rendered(start: int) -> tuple[FrameClip, FrameClip]:
-        vd_rows = vd[start : start + rows]
-        ideal = FrameClip(_render_rows(scene, pulse, NO_NOISE, vd_rows), fps)
-        return ideal, ideal if noise == NO_NOISE else FrameClip(_render_rows(scene, pulse, noise, vd_rows), fps)
-
-    bands = map(rendered, range(0, height, rows))
+    vd = scene.diffuse_field(height, width).reshape(-1, 3)
+    extremes = np.stack([vd.min(axis=0), vd.max(axis=0)])[None]  # one image row of two pixels
+    for spec in (NO_NOISE,) if noise == NO_NOISE else (NO_NOISE, noise):
+        FrameClip(_render_rows(scene, pulse, spec, extremes), fps)
+    epsilon = _check_epsilon(epsilon)
     if frames < 3:
-        # TN fails on every band of so short a clip: every render is checked first, as for whole clips
-        bands = list(bands)
-    sums = np.zeros((2, 2))  # residual and ideal sums of squares of the TN features, then of the differences
-    for ideal, noisy in bands:
-        sums[0] += _squared_sums(lambda clip: tn(clip, epsilon), ideal, noisy)
-        sums[1] += _squared_sums(frame_diff, ideal, noisy)
-        del ideal, noisy  # not held while the next band renders
-    pixels = height * width * 3
-    return _ratio(*sums[0], frames * pixels), _ratio(*sums[1], (frames - 1) * pixels)
+        raise ValueError(f"temporal normalization needs at least 3 frames, got {frames}")
+    series, ideal, residual = _trace_model(scene, pulse, noise, vd)
+    t = np.arange(frames) - (frames - 1) / 2.0
+    detrended = series - series.mean(axis=1, keepdims=True)
+    detrended -= (np.einsum("it,t->i", detrended, t) / np.einsum("t,t->", t, t))[:, None] * t
+
+    def dots(u, v):  # the sum of u_i v_i, trace by trace
+        return np.einsum("i...,i...->...", u, v)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        tn_factor, diff_factor = _triangle(detrended), _triangle(np.diff(series))
+        a, r = (np.einsum("ij,j...->i...", tn_factor, c) for c in (ideal, residual))
+        diff_a, diff_r = (np.einsum("ij,j...->i...", diff_factor, c) for c in (ideal, residual))
+        sa, sar, sr = dots(a, a), dots(a, r), dots(r, r)
+        rms_a, rms_b = np.sqrt(sa / frames + epsilon), np.sqrt(dots(a + r, a + r) / frames + epsilon)
+        # 1/sb - 1/sa as (sa² - sb²) / (sa sb (sa + sb)), which cancels nothing
+        k = -(2.0 * sar + sr) / (frames * rms_a * rms_b * (rms_a + rms_b))
+        tn_r = k * a + r / rms_b
+        sums = [dots(tn_r, tn_r).sum(), (sa / rms_a**2).sum(), dots(diff_r, diff_r).sum(), dots(diff_a, diff_a).sum()]
+    if not np.all(np.isfinite(sums)):
+        raise ValueError("the noise ratio's sums of squares overflow float64: the scene's samples are too large")
+    return _ratio(*sums[:2], frames * vd.size), _ratio(*sums[2:], (frames - 1) * vd.size)
 
 
-def _squared_sums(features, ideal: FrameClip, noisy: FrameClip) -> tuple[float, float]:
-    """The sums of squares of features(noisy) - features(ideal) and of features(ideal),
-    each array squared in place and freed once summed. `noisy` the same clip as
-    `ideal` adds a residual of 0."""
-    clean = features(ideal).data
-    residual = 0.0
-    if noisy is not ideal:
-        dirty = features(noisy).data
-        dirty -= clean
-        residual = np.sum(np.square(dirty, out=dirty))
-        del dirty
-    return residual, np.sum(np.square(clean, out=clean))
+def _triangle(x: np.ndarray) -> np.ndarray:
+    """The upper-triangular factor R (k, k) of the rows of x (k, T), by Householder
+    reflections: |c @ x| = |R @ c| for every coefficient vector c. Unlike a
+    quadratic form of the Gram matrix x @ x.T, which squares the cancellation
+    between nearly parallel rows (a constant illumination gain makes gi p a
+    multiple of p: 2e-11 relative off), R keeps it at the rows' own scale."""
+    a = x.copy()
+    for i in range(min(a.shape)):
+        row = a[i, i:]
+        v = row.copy()
+        v[0] += np.copysign(np.sqrt(np.einsum("t,t->", row, row)), row[0])
+        vv = np.einsum("t,t->", v, v)
+        if vv == 0.0:  # nothing left to reflect
+            continue
+        a[i:, i:] -= np.einsum("jt,t->j", a[i:, i:], v)[:, None] * (v * (2.0 / vv))
+    return np.triu(a[:, : len(a)].T)
 
 
 def _ratio(residual: float, ideal: float, count: int) -> float:
@@ -217,8 +237,14 @@ def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | N
 
 
 def _walk(manifest_dir, kinds, cfg, noise_ratios) -> tuple[list, list]:
-    """One task of the worker pool per clip. Returns each extractor's rows and the
+    """One task per clip: of the worker pool, or, with noise ratios (compare), of
+    this thread, one clip at a time. Returns each extractor's rows and the
     noise-ratio rows, if asked for, all in video-id order.
+
+    A compare clip's task is mostly short numpy calls, so two clip threads spend
+    it handing the GIL to each other: on 2 vCPUs they ran compare about 1.15x
+    faster, and their throughput spread twice as wide from one process to the
+    next. One clip at a time, its chunks and bands still run on the pool.
 
     A band no clip's frame rate can carry is a bad setting, not a set of bad
     clips: when every row failed its extraction with SamplingRateError, the
@@ -235,7 +261,11 @@ def _walk(manifest_dir, kinds, cfg, noise_ratios) -> tuple[list, list]:
         rows, failures, dims = _clip_rows(path, kinds, labels.get(path.stem), cfg)
         return rows, failures, _noise_ratio_row(path, dims, cfg.epsilon) if noise_ratios else None
 
-    results = list(_ordered_map(task, clip_paths))
+    if noise_ratios:
+        worker_count(len(clip_paths))  # a bad PULSE_TN_THREADS fails compare, too, before any clip is read
+        results = list(map(task, clip_paths))
+    else:
+        results = list(_ordered_map(task, clip_paths))
     per_kind = [[rows[k] for rows, _, _ in results] for k in range(len(kinds))]
     failures = [exc for _, errors, _ in results for exc in errors]
     if len(failures) == len(clip_paths) * len(kinds) and all(type(exc) is SamplingRateError for exc in failures):

@@ -33,6 +33,8 @@ def _as_channels(value, name: str) -> np.ndarray:
 
 
 def _require_finite_number(value, name: str) -> None:
+    if isinstance(value, (str, bytes)):  # float() takes a numeric string, but it is no number
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not _is_finite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
@@ -60,6 +62,7 @@ class PulseSpec:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"shape must be one of {PULSE_SHAPES}, got {self.shape!r}")
+        _require_finite_number(self.harmonic_ratio, "harmonic_ratio")
         if not 0.0 <= self.harmonic_ratio <= 1.0:
             raise ValueError(f"harmonic_ratio must lie in [0, 1], got {self.harmonic_ratio}")
 
@@ -221,6 +224,22 @@ def _render_rows(scene: SceneSpec, pulse: Waveform, noise: NoiseSpec, vd_rows: n
     data += np.ascontiguousarray(np.broadcast_to(scene.specular + d_spec, shape))
     data *= np.ascontiguousarray(np.broadcast_to(scene.illumination + d_ill, shape))
     return data
+
+
+def _trace_model(scene: SceneSpec, pulse: Waveform, noise: NoiseSpec, vd: np.ndarray):
+    """The renders as a linear model: the series [p, gi, gi p, gs (1 + gi)] as (4, T)
+    rows, and the (4, ...) ideal and residual coefficients of each trace of the
+    diffuse field `vd` (..., C). Channel c of diffuse value v renders, in render_ideal,
+    as I_c (s_c + v) plus I_c [v, 0, 0, 0] times the series; render_noisy adds
+    I_c [0, v + s_c, v, 1] times them, since (I_c + ΔI)(s_c + Δv_s + v (1 + p))
+    - I_c (s_c + v (1 + p)) = I_c [(v + s_c) gi + v gi p + gs (1 + gi)]."""
+    gi = noise_profile(noise.delta_illumination, len(pulse), pulse.fps)
+    gs = noise_profile(noise.delta_specular, len(pulse), pulse.fps)
+    p = pulse.samples
+    zero = np.zeros_like(vd)
+    ideal = np.stack([scene.illumination * vd, zero, zero, zero])
+    residual = scene.illumination * np.stack([zero, vd + scene.specular, vd, np.ones_like(vd)])
+    return np.stack([p, gi, gi * p, gs * (1.0 + gi)]), ideal, residual
 
 
 def analytic_noise_residual(

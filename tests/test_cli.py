@@ -410,7 +410,7 @@ class TestEvaluate:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_noisy_compare_is_deterministic_across_pool_sizes(self, tmp_path, monkeypatch):
-        # noisy sidecars give every worker a full render and TN per scene, so two workers overlap
+        # compare runs its clips one at a time; a clip's chunks and bands may still use both workers
         manifest = tmp_path / "m"
         manifest.mkdir()
         noises = ["none", "linear:0.1", "sin:0.3:0.05", "linear:0.1+vs/sin:0.5:0.02"]

@@ -336,6 +336,32 @@ class TestOrderedMap:
             sys.setswitchinterval(interval)
         assert outcomes == [([-i for i in range(120)], "item 120")] * 20
 
+    def test_no_item_starts_once_a_running_pool_task_has_failed(self, cpus, held_pool, monkeypatch):
+        # item 1 runs on the pool thread and fails only once this thread, finding its task
+        # running, has gone past it and claimed item 2, which ends once item 1 has failed.
+        # The failure is shared, so no item after it starts on either thread
+        monkeypatch.setenv("PULSE_TN_THREADS", "2")
+        ran, started, claimed = [], threading.Event(), threading.Event()
+
+        def run_item(i):
+            ran.append(i)
+            if i == 0:
+                assert started.wait(timeout=30)
+            elif i == 1:
+                started.set()
+                assert claimed.wait(timeout=30)
+                raise ValueError("item 1")
+            elif i == 2:
+                claimed.set()
+                assert futures.wait(held_pool.queued[:1], timeout=30).done
+            return i
+
+        results = core._ordered_map(run_item, range(16))
+        assert sorted(ran) == [0, 1, 2]
+        assert next(results) == 0
+        with pytest.raises(ValueError, match="^item 1$"):
+            next(results)
+
     def test_a_bad_thread_cap_raises_at_the_call(self, monkeypatch):
         monkeypatch.setenv("PULSE_TN_THREADS", "0")
         with pytest.raises(ValueError, match="^PULSE_TN_THREADS must be an integer >= 1, got '0'$"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,13 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match=f"^amplitude must be finite, got {10**400}$"):
             PulseSpec(hr_bpm=60, amplitude=10**400)
 
+    @pytest.mark.parametrize("field", ["amplitude", "harmonic_ratio"])
+    @pytest.mark.parametrize("value", ["0.005", b"0.3"])
+    def test_rejects_a_numeric_string(self, field, value):
+        # float() would take it, but a comparison with a number raises a TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
+            PulseSpec(hr_bpm=60, **{field: value})
+
 
 class TestSceneSpec:
     @pytest.mark.parametrize("jitter", [np.nan, np.inf])
@@ -49,6 +58,11 @@ class TestSceneSpec:
     def test_rejects_a_pixel_jitter_beyond_the_float_range(self):
         with pytest.raises(ValueError, match=f"^pixel_jitter must be finite, got {10**400}$"):
             SceneSpec(pixel_jitter=10**400)
+
+    @pytest.mark.parametrize("value", ["0.1", b"0.1"])
+    def test_rejects_a_numeric_string_pixel_jitter(self, value):
+        with pytest.raises(ValueError, match=f"^pixel_jitter must be a number, got {re.escape(repr(value))}$"):
+            SceneSpec(pixel_jitter=value)
 
     @pytest.mark.parametrize("seed", [None, -1, 1.5, 2.0, True, False, [1], "7", {}])
     def test_rejects_a_seed_that_is_not_an_integer_at_least_zero(self, seed):
