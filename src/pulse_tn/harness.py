@@ -16,19 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import clipio
-from .core import FrameClip, Waveform, _ordered_map, worker_count
+from .core import Waveform, _ordered_map, worker_count
 from .extract import ExtractorKind, run_extractor
 from .hr import PipelineConfig, SamplingRateError, _rate, compute_metrics, video_hr
-from .simulate import (
-    NO_NOISE,
-    NoiseSpec,
-    PulseSpec,
-    SceneSpec,
-    _render_rows,
-    _trace_model,
-    parse_noise_string,
-    synth_pulse,
-)
+from .simulate import NoiseSpec, PulseSpec, SceneSpec, _trace_model, parse_noise_string, synth_pulse
 from .tn import EPSILON, _check_epsilon
 
 # A simulator sidecar's keys: the spec field names (the jitter seed as `seed`), fps, frames, size and noise.
@@ -75,20 +66,18 @@ def noise_feature_ratios(
     exact values, where rendering both clips is up to 1.3e-11 off. A scene with
     no noise, or only zero-valued terms, has R r = 0 and ratios of exactly 0.
 
-    Each channel's least and greatest diffuse pixel is rendered, ideal then
-    noisy, and checked as a clip is: the render is monotone in the diffuse
-    value, so these overflow if any pixel does. Sums that overflow float64
-    raise a ValueError.
+    The renders are checked as clips are, before the epsilon and the
+    frame count: `_trace_model` computes both, in their own arithmetic, at each
+    channel's least and greatest diffuse value only. A render is linear in the
+    diffuse value, so it overflows there if at any pixel. Sums that overflow
+    float64 raise a ValueError.
     """
-    frames, fps = len(pulse), pulse.fps
-    vd = scene.diffuse_field(height, width).reshape(-1, 3)
-    extremes = np.stack([vd.min(axis=0), vd.max(axis=0)])[None]  # one image row of two pixels
-    for spec in (NO_NOISE,) if noise == NO_NOISE else (NO_NOISE, noise):
-        FrameClip(_render_rows(scene, pulse, spec, extremes), fps)
+    frames = len(pulse)
+    vd = scene.diffuse_field(height, width)
+    series, ideal, residual = _trace_model(scene, pulse, noise, vd)
     epsilon = _check_epsilon(epsilon)
     if frames < 3:
         raise ValueError(f"temporal normalization needs at least 3 frames, got {frames}")
-    series, ideal, residual = _trace_model(scene, pulse, noise, vd)
     t = np.arange(frames) - (frames - 1) / 2.0
     detrended = series - series.mean(axis=1, keepdims=True)
     detrended -= (np.einsum("it,t->i", detrended, t) / np.einsum("t,t->", t, t))[:, None] * t

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FrameClip, Waveform, _is_finite, _require_fps
+from .core import FrameClip, Waveform, _is_finite, _require_clip_shape, _require_finite, _require_fps
 
 PULSE_SHAPES = ("sinusoid", "harmonic")
 
@@ -186,15 +186,6 @@ def synth_pulse(spec: PulseSpec, fps: float, frames: int) -> Waveform:
     return Waveform(v, fps)
 
 
-def _deltas(scene: SceneSpec, noise: NoiseSpec, frames: int, fps: float):
-    """ΔI and Δv_s as (T, 1, 1, C) tensors ready for broadcasting."""
-    gi = noise_profile(noise.delta_illumination, frames, fps)
-    gs = noise_profile(noise.delta_specular, frames, fps)
-    d_ill = gi[:, None, None, None] * scene.illumination
-    d_spec = np.broadcast_to(gs[:, None, None, None], (frames, 1, 1, 3))
-    return d_ill, d_spec
-
-
 def render_ideal(scene: SceneSpec, pulse: Waveform, height: int, width: int) -> FrameClip:
     """Noise-free clip: illumination * (specular + diffuse * (1 + pulse))."""
     return render_noisy(scene, pulse, NO_NOISE, height, width)
@@ -207,35 +198,38 @@ def render_noisy(
 
     data[t] = (I + ΔI(t)) * (v_s + Δv_s(t) + v_d_ij * (1 + pulse(t)))
     """
-    return FrameClip(_render_rows(scene, pulse, noise, scene.diffuse_field(height, width)), pulse.fps)
-
-
-def _render_rows(scene: SceneSpec, pulse: Waveform, noise: NoiseSpec, vd_rows: np.ndarray) -> np.ndarray:
-    """render_noisy's samples (T x rows x W x C, unchecked) of the image rows whose
-    diffuse field is `vd_rows`. Each sample depends only on its own pixel, so the
-    rows of a band equal those rows of the whole clip bit for bit."""
-    vp = pulse.samples[:, None, None, None]
-    d_ill, d_spec = _deltas(scene, noise, len(pulse), pulse.fps)
+    gi = noise_profile(noise.delta_illumination, len(pulse), pulse.fps)[:, None, None, None]
+    gs = noise_profile(noise.delta_specular, len(pulse), pulse.fps)[:, None, None, None]
     # The per-frame factors are (T, 1, 1, 3); widened to (T, 1, W, 3) they let
     # numpy run its inner loop over whole image rows instead of 3 samples.
     # Addition and multiplication commute, so the in-place forms are bit-identical.
-    shape = (len(pulse), 1, vd_rows.shape[1], 3)
-    data = vd_rows * (1.0 + vp)
-    data += np.ascontiguousarray(np.broadcast_to(scene.specular + d_spec, shape))
-    data *= np.ascontiguousarray(np.broadcast_to(scene.illumination + d_ill, shape))
-    return data
+    shape = (len(pulse), 1, width, 3)
+    data = scene.diffuse_field(height, width) * (1.0 + pulse.samples[:, None, None, None])
+    data += np.ascontiguousarray(np.broadcast_to(scene.specular + gs, shape))
+    data *= np.ascontiguousarray(np.broadcast_to(scene.illumination + gi * scene.illumination, shape))
+    return FrameClip(data, pulse.fps)
 
 
 def _trace_model(scene: SceneSpec, pulse: Waveform, noise: NoiseSpec, vd: np.ndarray):
     """The renders as a linear model: the series [p, gi, gi p, gs (1 + gi)] as (4, T)
-    rows, and the (4, ...) ideal and residual coefficients of each trace of the
-    diffuse field `vd` (..., C). Channel c of diffuse value v renders, in render_ideal,
+    rows, and the (4, H, W, C) ideal and residual coefficients of each trace of the
+    diffuse field `vd` (H, W, C). Channel c of diffuse value v renders, in render_ideal,
     as I_c (s_c + v) plus I_c [v, 0, 0, 0] times the series; render_noisy adds
     I_c [0, v + s_c, v, 1] times them, since (I_c + ΔI)(s_c + Δv_s + v (1 + p))
-    - I_c (s_c + v (1 + p)) = I_c [(v + s_c) gi + v gi p + gs (1 + gi)]."""
+    - I_c (s_c + v (1 + p)) = I_c [(v + s_c) gi + v gi p + gs (1 + gi)].
+
+    Raises the ValueError that either render's clip would raise for its shape or
+    its samples. A render is linear in the diffuse value, so it overflows at some
+    pixel only if at some channel's least or greatest value, where both renders
+    are computed here in their own arithmetic."""
+    _require_clip_shape((len(pulse), *vd.shape))
     gi = noise_profile(noise.delta_illumination, len(pulse), pulse.fps)
     gs = noise_profile(noise.delta_specular, len(pulse), pulse.fps)
     p = pulse.samples
+    extremes = np.stack([vd.min(axis=(0, 1)), vd.max(axis=(0, 1))]) * (1.0 + p[:, None, None])
+    for g_i, g_s in ((0.0, 0.0), (gi[:, None, None], gs[:, None, None])):  # render_ideal, then render_noisy
+        lit = (extremes + (scene.specular + g_s)) * (scene.illumination + g_i * scene.illumination)
+        _require_finite(lit, "clip data")
     zero = np.zeros_like(vd)
     ideal = np.stack([scene.illumination * vd, zero, zero, zero])
     residual = scene.illumination * np.stack([zero, vd + scene.specular, vd, np.ones_like(vd)])
@@ -247,18 +241,16 @@ def analytic_noise_residual(
 ) -> FrameClip:
     """Closed-form difference between the noisy and the ideal clip.
 
-    residual[t] = I * Δv_s(t) + ΔI(t) * (v_s + Δv_s(t) + v_d_ij * (1 + pulse(t)))
+    residual[t] = I * [(v_s + v_d_ij) gi(t) + v_d_ij gi(t) pulse(t) + gs(t) (1 + gi(t))],
+    the residual coefficients of `_trace_model` times its series, with ΔI = I gi
+    and Δv_s = gs.
 
     This is exact algebra (same jitter realization as the renderers), so it
-    matches render_noisy - render_ideal to floating-point round-off.
+    matches render_noisy - render_ideal to floating-point round-off. It raises
+    where either render would, and where the series overflow.
     """
-    vd = scene.diffuse_field(height, width)
-    vp = pulse.samples[:, None, None, None]
-    d_ill, d_spec = _deltas(scene, noise, len(pulse), pulse.fps)
-    data = scene.illumination * d_spec + d_ill * (
-        scene.specular + d_spec + vd * (1.0 + vp)
-    )
-    return FrameClip(data, pulse.fps)
+    series, _, residual = _trace_model(scene, pulse, noise, scene.diffuse_field(height, width))
+    return FrameClip(np.einsum("it,i...->t...", series, residual), pulse.fps)
 
 
 def parse_noise_string(text: str) -> NoiseSpec:

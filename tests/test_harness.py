@@ -587,6 +587,22 @@ class TestNoiseRatioSchedule:
         with pytest.raises(ValueError, match=message):
             noise_feature_ratios(SceneSpec(illumination=1e200), pulse, parse_noise_string(noise), 3, 4)
 
+    def test_an_ideal_render_that_overflows_fails_before_tn_of_two_frames(self):
+        # only the ideal render overflows: the noisy one dims the scene to a tenth
+        scene = SceneSpec(illumination=1.5e308, specular=0.5, diffuse=0.9)
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 2)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
+            noise_feature_ratios(scene, pulse, parse_noise_string("step:0:-0.9"), 2, 2)
+
+    def test_finite_renders_whose_series_overflow_name_the_overflow(self):
+        # both renders are near 1, but the series gs (1 + gi) is 1e400: the sums
+        # overflow, not the renders
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 90)
+        noise = parse_noise_string("step:0:1e200+vs/step:0:1e200")
+        message = r"^the noise ratio's sums of squares overflow float64: the scene's samples are too large$"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            noise_feature_ratios(SceneSpec(illumination=1e-200), pulse, noise, 3, 4)
+
     @pytest.mark.parametrize("noise", [NoiseSpec(delta_illumination=(LinearNoise(0.1),)), NO_NOISE])
     def test_peak_memory_does_not_grow_with_the_clip(self, noise):
         # from 900 frames of 16 x 16 to 3600 frames of 32 x 32 the frames and the pixels

@@ -19,7 +19,7 @@ from pulse_tn import (
     render_noisy,
     synth_pulse,
 )
-from pulse_tn.simulate import _render_rows
+from pulse_tn.simulate import _trace_model
 
 
 class TestPulseSpec:
@@ -210,18 +210,6 @@ class TestRenderNoisy:
         assert np.array_equal(render_noisy(scene, pulse, noise, height, width).data, expected)
 
 
-    @pytest.mark.parametrize("noise", ["none", "step:1.0:0.05", "linear:0.1", "sin:0.3:0.05", "vs/linear:0.02", "linear:0.1+vs/sin:0.5:0.02"])
-    @pytest.mark.parametrize("rows", [1, 3, 7])
-    def test_row_bands_stack_to_the_whole_clip(self, noise, rows):
-        # bands of 1 and 3 rows of a 7-row clip, the last one ragged, and one band of all rows
-        scene = SceneSpec(illumination=(0.9, 1.0, 1.1), specular=(0.1, 0.2, 0.3), jitter_seed=6)
-        pulse = synth_pulse(PulseSpec(hr_bpm=84.0, shape="harmonic"), 30.0, 45)
-        noise = parse_noise_string(noise)
-        vd = scene.diffuse_field(7, 5)
-        bands = [_render_rows(scene, pulse, noise, vd[start : start + rows]) for start in range(0, 7, rows)]
-        assert np.array_equal(np.concatenate(bands, axis=1), render_noisy(scene, pulse, noise, 7, 5).data)
-
-
 NOISES = [
     NO_NOISE,
     NoiseSpec(delta_illumination=(StepNoise(1.0, 0.05),)),
@@ -233,6 +221,26 @@ NOISES = [
         delta_specular=(StepNoise(0.5, 0.01),),
     ),
 ]
+
+
+PER_CHANNEL_SCENES = [
+    SceneSpec(illumination=(1.0, 0.8, 0.6), specular=(0.1, 0.2, 0.3), diffuse=(0.4, 0.5, 0.7), jitter_seed=4),
+    SceneSpec(illumination=(0.9, 1.1, 1.3), specular=(0.3, 0.2, 0.1), diffuse=(0.5, 0.7, 0.6), pixel_jitter=0.2),
+]
+
+
+class TestTraceModel:
+    @pytest.mark.parametrize("scene", PER_CHANNEL_SCENES)
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_series_times_coefficients_give_both_renders(self, scene, noise):
+        pulse = synth_pulse(PulseSpec(hr_bpm=84.0, shape="harmonic"), 30.0, 90)
+        vd = scene.diffuse_field(5, 4)
+        series, ideal, residual = _trace_model(scene, pulse, noise, vd)
+        assert series.shape == (4, 90) and ideal.shape == residual.shape == (4, 5, 4, 3)
+        lit = scene.illumination * (scene.specular + vd) + np.einsum("it,i...->t...", series, ideal)
+        np.testing.assert_allclose(lit, render_ideal(scene, pulse, 5, 4).data, rtol=1e-12, atol=0.0)
+        noisy = lit + np.einsum("it,i...->t...", series, residual)
+        np.testing.assert_allclose(noisy, render_noisy(scene, pulse, noise, 5, 4).data, rtol=1e-12, atol=0.0)
 
 
 class TestAnalyticResidual:
@@ -281,6 +289,26 @@ class TestAnalyticResidual:
         assert 0.1 <= ratio <= 10.0
         assert np.abs(residual).max() < 0.1
         assert np.abs(pulse_term).max() < 0.1
+
+    @pytest.mark.parametrize(
+        "scene, text",
+        [
+            # the ideal render overflows, though the residual I * gs is 1.5e305
+            (SceneSpec(illumination=1.5e308, specular=0.5, diffuse=0.9, pixel_jitter=0.0), "vs/step:0:1e-3"),
+            # both renders are near 1, but the series gs (1 + gi) is 1e400
+            (SceneSpec(illumination=1e-200), "step:0:1e200+vs/step:0:1e200"),
+        ],
+    )
+    def test_raises_where_a_render_or_the_series_overflow(self, scene, text):
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 30)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
+            analytic_noise_residual(scene, pulse, parse_noise_string(text), 2, 2)
+
+    @pytest.mark.parametrize("height, width", [(0, 3), (3, 0)])
+    def test_an_empty_field_raises_the_clip_shape_error(self, height, width):
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 30)
+        with pytest.raises(ValueError, match=rf"^clip needs H >= 1 and W >= 1, got {height} x {width}$"):
+            analytic_noise_residual(SceneSpec(), pulse, NOISES[1], height, width)
 
     def test_bit_identical_rendering(self):
         scene = SceneSpec(jitter_seed=21)
