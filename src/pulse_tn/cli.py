@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 
 from . import clipio
+from .core import _require_positive
 from .diff import diff_normalized, frame_diff
 from .extract import ExtractorKind, run_extractor
 from .harness import SIDECAR_KEYS, compare_manifest, evaluate_manifest, scene_from_sidecar, sidecar_path, write_report
 from .hr import PipelineConfig, _spectra, video_hr
 from .simulate import PULSE_SHAPES, PulseSpec, SceneSpec, render_noisy
-from .tn import EPSILON, _check_epsilon, tn
+from .tn import EPSILON, tn
 
 EXTRACTOR_NAMES = [k.value for k in ExtractorKind]
 
@@ -64,7 +65,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    _check_epsilon(args.epsilon)
+    _require_positive(args.epsilon, "epsilon")
     clip = clipio.read_clip(args.infile)
     if args.method == "tn":
         result = tn(clip, args.epsilon)

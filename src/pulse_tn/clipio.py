@@ -45,11 +45,8 @@ _CHUNK_BYTES = 1024 * 1024
 _SPACING_TOLERANCE = 0.01
 # Characters of time-series label lines handed to numpy's reader at a time.
 _LABEL_BLOCK_CHARS = 64 * 1024
-# csv's default dialect in numpy's reader: comma-separated, double-quoted, no comment lines.
-_CSV_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
-# The lines csv reads as empty rows. numpy's reader skips them too, but they are
-# dropped before it runs, so that each line left is one row it must return.
-_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+# csv's default dialect without quoting, for numpy's reader: comma-separated, no comment lines.
+_CSV_DIALECT = {"delimiter": ",", "comments": None}
 
 
 class ClipFormatError(ValueError):
@@ -224,9 +221,10 @@ def read_labels(path) -> dict[str, object]:
     unparsable number) raises.
 
     The time-series rows are parsed by numpy's C reader, a block of lines at
-    a time. A file it refuses is read again, row by row, with csv: that read
-    names the bad line, or returns the labels when Python's float accepts
-    what the C reader did not (`1_000`, non-ASCII digits).
+    a time. A file it refuses, or that holds a quote character, is read
+    again, row by row, with csv: that read names the bad line, or returns the
+    labels when Python's float accepts what the C reader did not (`1_000`,
+    non-ASCII digits) or the file quotes a field.
     """
     path = Path(path)
     # checked before open: opening a FIFO would block until a writer appears
@@ -254,7 +252,7 @@ def read_labels(path) -> dict[str, object]:
         except ValueError:
             series = None
     if series is None:
-        # the C reader refused a line: csv reads the file again, and names the bad line
+        # the C reader refused a line, or met a quote: csv reads the file again, and names any bad line
         with _open_labels(path) as fh:
             reader = csv.reader(fh)
             next(reader)
@@ -280,22 +278,19 @@ def _series_rows(path, reader, *columns: int) -> dict[str, tuple[array, array]]:
 
 def _series_blocks(fh, vid_col: int, t_col: int, bvp_col: int) -> dict[str, tuple[array, array]]:
     """_series_rows's result for the rest of fh, parsed by numpy's C reader a
-    block of lines at a time. A line the reader refuses raises ValueError, and
-    so does a quoted field holding a line end, which is left to csv: a block
-    gets one numpy row per line it holds."""
+    block of lines at a time, blank lines skipped. A line the reader refuses
+    raises ValueError, and so does a block holding a quote character: quoting
+    is left to csv."""
     series = defaultdict(lambda: (array("d"), array("d")))
-    # a quoted field that the block's last line leaves open swallows this row of zeros
-    sentinel = ",".join("0" * (max(vid_col, t_col, bvp_col) + 1)) + "\n"
     row_dtype = [("id", object), ("t", "f8"), ("bvp", "f8")]
     while block := fh.readlines(_LABEL_BLOCK_CHARS):
-        lines = [line for line in block if line not in _BLANK_LINES]
-        if not lines:
+        text = "".join(block)
+        if '"' in text:
+            raise ValueError("a quoted field is read by csv")
+        if not text.strip("\r\n"):  # numpy's reader warns that such a block holds no data
             continue
-        lines.append(sentinel)
-        rows = np.loadtxt(lines, usecols=(vid_col, t_col, bvp_col), dtype=row_dtype, ndmin=1, **_CSV_DIALECT)
-        if len(rows) != len(lines):
-            raise ValueError("a quoted field holds a line end")
-        ids, t_s, bvp = rows["id"][:-1], rows["t"][:-1], rows["bvp"][:-1]
+        rows = np.loadtxt(block, usecols=(vid_col, t_col, bvp_col), dtype=row_dtype, ndmin=1, **_CSV_DIALECT)
+        ids, t_s, bvp = rows["id"], rows["t"], rows["bvp"]
         # one run per stretch of consecutive rows of one video
         edges = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1), len(ids)]
         for start, stop in zip(edges, edges[1:]):

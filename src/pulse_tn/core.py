@@ -116,13 +116,22 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _require_fps(fps: float) -> float:
-    # float() takes a boolean or a numeric string, but neither is a rate
-    finite = not isinstance(fps, (bool, np.bool_, str, bytes)) and _is_finite(fps)
-    fps = float(fps) if finite else fps
-    if not (finite and fps > 0.0):
-        raise ValueError(f"fps must be finite and > 0, got {fps}")
-    return fps
+# float() takes a boolean or a numeric string, but neither is a quantity
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
+def _require_positive(value, name: str) -> float:
+    finite = not isinstance(value, _NOT_NUMBERS) and _is_finite(value)
+    value = float(value) if finite else value
+    if not (finite and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def _require_number(value, name: str, integer: bool = False) -> None:
+    """An int, or a float unless `integer`; a boolean is neither."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
 
 
 def _require_clip_shape(shape: tuple) -> None:
@@ -164,7 +173,7 @@ class FrameClip:
         _require_clip_shape(data.shape)
         _require_finite(data, "clip data")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "fps", _require_fps(self.fps))
+        object.__setattr__(self, "fps", _require_positive(self.fps, "fps"))
 
     @classmethod
     def _checked(cls, data: np.ndarray, fps: float) -> FrameClip:
@@ -173,7 +182,7 @@ class FrameClip:
         they are not scanned again; fps still is."""
         clip = object.__new__(cls)
         object.__setattr__(clip, "data", data)
-        object.__setattr__(clip, "fps", _require_fps(fps))
+        object.__setattr__(clip, "fps", _require_positive(fps, "fps"))
         return clip
 
     @property
@@ -189,7 +198,7 @@ class FrameClip:
 class Waveform:
     """A real-valued 1-D signal with its sampling rate in Hz.
 
-    Used both for per-pixel intensity traces and for pooled pulse signals.
+    Used for pooled pulse signals, synthetic pulses and reference labels.
     """
 
     samples: np.ndarray
@@ -203,7 +212,7 @@ class Waveform:
             raise ValueError(f"waveform needs at least 2 samples, got {samples.size}")
         _require_finite(samples, "waveform samples")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "fps", _require_fps(self.fps))
+        object.__setattr__(self, "fps", _require_positive(self.fps, "fps"))
 
     def __len__(self) -> int:
         return self.samples.size

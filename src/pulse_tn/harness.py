@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import clipio
-from .core import Waveform, _ordered_map, worker_count
+from .core import Waveform, _ordered_map, _require_number, _require_positive, worker_count
 from .extract import ExtractorKind, run_extractor
 from .hr import PipelineConfig, SamplingRateError, _rate, compute_metrics, video_hr
 from .simulate import NoiseSpec, PulseSpec, SceneSpec, _trace_model, parse_noise_string, synth_pulse
-from .tn import EPSILON, _check_epsilon
+from .tn import EPSILON
 
 # A simulator sidecar's keys: the spec field names (the jitter seed as `seed`), fps, frames, size and noise.
 _SCENE_KEYS = tuple(field.name for field in fields(SceneSpec) if field.name != "jitter_seed")
@@ -75,17 +75,17 @@ def noise_feature_ratios(
     frames = len(pulse)
     vd = scene.diffuse_field(height, width)
     series, ideal, residual = _trace_model(scene, pulse, noise, vd)
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _require_positive(epsilon, "epsilon")
     if frames < 3:
         raise ValueError(f"temporal normalization needs at least 3 frames, got {frames}")
     t = np.arange(frames) - (frames - 1) / 2.0
-    detrended = series - series.mean(axis=1, keepdims=True)
-    detrended -= (np.einsum("it,t->i", detrended, t) / np.einsum("t,t->", t, t))[:, None] * t
 
     def dots(u, v):  # the sum of u_i v_i, trace by trace
         return np.einsum("i...,i...->...", u, v)
 
     with np.errstate(over="ignore", invalid="ignore"):
+        detrended = series - series.mean(axis=1, keepdims=True)
+        detrended -= (np.einsum("it,t->i", detrended, t) / np.einsum("t,t->", t, t))[:, None] * t
         tn_factor, diff_factor = _triangle(detrended), _triangle(np.diff(series))
         a, r = (np.einsum("ij,j...->i...", tn_factor, c) for c in (ideal, residual))
         diff_a, diff_r = (np.einsum("ij,j...->i...", diff_factor, c) for c in (ideal, residual))
@@ -133,14 +133,13 @@ def _ratio(residual: float, ideal: float, count: int) -> float:
 
 def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, Waveform, NoiseSpec, int, int]:
     """`render_noisy`'s arguments for the clip a simulator sidecar with SIDECAR_KEYS
-    records. A number field takes no boolean or string, and `frames`, `height` and `width`
-    take integers; `illumination`, `specular` and `diffuse` may hold one number per channel."""
+    records. A number field holds an int or a float, never a boolean, and `frames`, `height` and
+    `width` an int; `illumination`, `specular` and `diffuse` may hold a list of such numbers."""
     for key in [k for k in SIDECAR_KEYS if k not in ("shape", "noise", "seed")]:
         value = meta.get(key, 0)  # a missing field raises its KeyError where it is read
-        kind = int if key in ("frames", "height", "width") else (int, float)
         items = value if key in _SCENE_KEYS[:3] and isinstance(value, list) else [value]
-        if not all(isinstance(item, kind) and not isinstance(item, bool) for item in items):
-            raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        for item in items:
+            _require_number(item, key, integer=key in ("frames", "height", "width"))
     scene = SceneSpec(jitter_seed=meta["seed"], **{key: meta[key] for key in _SCENE_KEYS})
     pulse = PulseSpec(**{key: meta[key] for key in _PULSE_KEYS})
     noise = parse_noise_string(meta["noise"])
@@ -194,7 +193,7 @@ def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | N
     """Noise ratios of a clip with a simulator sidecar. A clip that was not read
     (`dims` None), a sidecar whose frames, height, width or fps differ from `dims`,
     or one that cannot be read or decoded as JSON, lacks a field or holds a bad value gives
-    the row an `error` instead, and nothing is rendered. A dangling link counts as a
+    the row an `error` instead, and no ratio is computed. A dangling link counts as a
     sidecar."""
     sidecar = sidecar_path(path)
     if not os.path.lexists(sidecar):

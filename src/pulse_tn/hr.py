@@ -7,8 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Waveform, _is_finite, _require_finite
-from .tn import EPSILON, _check_epsilon
+from .core import Waveform, _is_finite, _require_finite, _require_number, _require_positive
+from .tn import EPSILON
 
 HR_LOW_HZ = 0.5
 HR_HIGH_HZ = 3.0
@@ -52,11 +52,8 @@ class PipelineConfig:
     epsilon: float = EPSILON
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            kind = int if field.type == "int" else (int, float)  # annotations are strings here
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{field.name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        for field in fields(self):  # annotations are strings here
+            _require_number(getattr(self, field.name), field.name, integer=field.type == "int")
         low, high = self.band_low_hz, self.band_high_hz
         if not (_is_finite(low) and _is_finite(high)):
             raise ValueError(f"band edges must be finite, got {low}, {high}")
@@ -64,7 +61,7 @@ class PipelineConfig:
             raise ValueError(f"need 0 < low_hz < high_hz, got {low}, {high}")
         if self.band_order < 2 or self.band_order % 2:
             raise ValueError(f"order must be even and >= 2, got {self.band_order}")
-        _check_epsilon(self.epsilon)
+        _require_positive(self.epsilon, "epsilon")
         if not (_is_finite(self.segment_s) and self.segment_s > 0):
             raise ValueError(f"segment duration must be finite and > 0 s, got {self.segment_s}")
         if self.nfft < 1:

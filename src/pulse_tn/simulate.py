@@ -13,12 +13,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FrameClip, Waveform, _is_finite, _require_clip_shape, _require_finite, _require_fps
+from .core import _NOT_NUMBERS, FrameClip, Waveform, _is_finite, _require_clip_shape, _require_finite, _require_positive
 
 PULSE_SHAPES = ("sinusoid", "harmonic")
 
 
 def _as_channels(value, name: str) -> np.ndarray:
+    for item in value if isinstance(value, (list, tuple)) else [value]:
+        if isinstance(item, _NOT_NUMBERS):  # numpy would cast it to a number
+            raise ValueError(f"{name} must be a number, got {item!r}")
     try:
         arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
     except OverflowError:  # an integer beyond the float range
@@ -33,7 +36,7 @@ def _as_channels(value, name: str) -> np.ndarray:
 
 
 def _require_finite_number(value, name: str) -> None:
-    if isinstance(value, (str, bytes)):  # float() takes a numeric string, but it is no number
+    if isinstance(value, _NOT_NUMBERS):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not _is_finite(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -54,8 +57,8 @@ class PulseSpec:
     harmonic_ratio: float = 0.3
 
     def __post_init__(self):
-        # a string does not compare with a number (and a boolean is out of range)
-        if isinstance(self.hr_bpm, (str, bytes)) or not 30.0 <= self.hr_bpm <= 180.0:
+        # a string does not compare with a number, and a boolean is no rate
+        if isinstance(self.hr_bpm, _NOT_NUMBERS) or not 30.0 <= self.hr_bpm <= 180.0:
             raise ValueError(f"hr_bpm must lie in [30, 180], got {self.hr_bpm}")
         _require_finite_number(self.amplitude, "amplitude")
         if self.amplitude < 0:
@@ -175,7 +178,7 @@ def noise_profile(terms: tuple[NoiseTerm, ...], frames: int, fps: float) -> np.n
 
 def synth_pulse(spec: PulseSpec, fps: float, frames: int) -> Waveform:
     """Sample the pulse model at `fps` for `frames` samples."""
-    fps = _require_fps(fps)
+    fps = _require_positive(fps, "fps")
     if frames < 2:
         raise ValueError(f"need at least 2 frames, got {frames}")
     t_s = np.arange(frames, dtype=np.float64) / fps
@@ -233,7 +236,8 @@ def _trace_model(scene: SceneSpec, pulse: Waveform, noise: NoiseSpec, vd: np.nda
     zero = np.zeros_like(vd)
     ideal = np.stack([scene.illumination * vd, zero, zero, zero])
     residual = scene.illumination * np.stack([zero, vd + scene.specular, vd, np.ones_like(vd)])
-    return np.stack([p, gi, gi * p, gs * (1.0 + gi)]), ideal, residual
+    with np.errstate(over="ignore", invalid="ignore"):  # series that overflow fail their consumer's check
+        return np.stack([p, gi, gi * p, gs * (1.0 + gi)]), ideal, residual
 
 
 def analytic_noise_residual(

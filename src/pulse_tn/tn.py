@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameClip, _is_finite
+from .core import FrameClip, _require_positive
 from . import _kernels_np
 
 # Kept as a constant: perfbench/run.py reports it in every run's environment block.
@@ -35,12 +35,6 @@ def available_backends() -> tuple[str, ...]:
 # it sits well below the typical detrended mean square of a pulse-bearing trace, so
 # live traces normalize to unit RMS while dead (constant) traces stay bounded near 0.
 EPSILON = 1e-8
-
-
-def _check_epsilon(epsilon: float) -> float:
-    if not (epsilon > 0 and _is_finite(epsilon)):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    return float(epsilon)
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ def detrend(values) -> np.ndarray:
 def rms_normalize(values, epsilon: float = EPSILON) -> np.ndarray:
     """Divide a trace by the square root of its mean square plus epsilon."""
     y = _as_trace(values)
-    return y / np.sqrt(np.mean(y * y) + _check_epsilon(epsilon))
+    return y / np.sqrt(np.mean(y * y) + _require_positive(epsilon, "epsilon"))
 
 
 def tn_trace(values, epsilon: float = EPSILON) -> np.ndarray:
@@ -105,7 +99,7 @@ def tn_trace(values, epsilon: float = EPSILON) -> np.ndarray:
 # Trace-major (n, T) entry point of the public API; perfbench/spans.py also wraps it by name.
 def tn_traces(traces: np.ndarray, epsilon: float) -> np.ndarray:
     """Apply the kernel to an (n, T) stack of traces, one trace per row."""
-    return _kernels_np.tn_traces(np.asarray(traces, dtype=np.float64).T, _check_epsilon(epsilon)).T
+    return _kernels_np.tn_traces(np.asarray(traces, dtype=np.float64).T, _require_positive(epsilon, "epsilon")).T
 
 
 def tn(clip: FrameClip, epsilon: float = EPSILON) -> FrameClip:
@@ -115,5 +109,5 @@ def tn(clip: FrameClip, epsilon: float = EPSILON) -> FrameClip:
     frames, whose traces would each be fitted exactly by their trend line.
     """
     # Called in its own module so that perfbench/spans.py times it as the tn.kernel span.
-    out = _kernels_np.tn_traces(clip.data.reshape(clip.frames, -1), _check_epsilon(epsilon))
+    out = _kernels_np.tn_traces(clip.data.reshape(clip.frames, -1), _require_positive(epsilon, "epsilon"))
     return FrameClip(out.reshape(clip.data.shape), clip.fps)

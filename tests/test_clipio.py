@@ -908,17 +908,37 @@ def test_quoted_line_ends_read_as_csv_reads_them(tmp_path, monkeypatch, block_ch
     assert [vid for vid, _ in expected] == vids
 
 
+@pytest.mark.parametrize("block_chars", [clipio._LABEL_BLOCK_CHARS, 1], ids=["default_block", "line_per_block"])
+def test_a_quote_leaves_the_file_to_csv(tmp_path, monkeypatch, block_chars):
+    # numpy's reader would read the quoted id as a third video, `"v0"`
+    monkeypatch.setattr(clipio, "_LABEL_BLOCK_CHARS", block_chars)
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b'video_id,t_s,bvp\nv0,0.0,0.5\nv1,0.0,0.1\n"v0",0.1,0.6\nv1,0.1,0.2\n')
+    with path.open(newline="") as fh:
+        next(fh)
+        with pytest.raises(ValueError, match="^a quoted field is read by csv$"):
+            clipio._series_blocks(fh, 0, 1, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(clipio, "_series_blocks", refuse)
+        expected = label_outcome(path)
+    assert label_outcome(path) == expected
+    assert [vid for vid, _ in expected] == ["v0", "v1"]
+
+
 def row_loop_must_not_run(*args):
     raise AssertionError("csv's row loop read a file that numpy's reader should parse")
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_bench_shaped_series_parse_needs_no_row_loop(tmp_path, monkeypatch, newline):
     rng = np.random.default_rng(27)
     vids = [f"v{i:03d}" for i in range(16)]
     bvp = rng.normal(size=(16, 3600))
-    lines = ["video_id,t_s,bvp"]
-    lines += [f"{vid},{k / 30.0!r},{float(b)!r}" for vid, row in zip(vids, bvp) for k, b in enumerate(row)]
+    lines = ["video_id,t_s,bvp", ""]
+    for vid, row in zip(vids, bvp):
+        # a blank line after each video's rows, and a run of them after the last
+        lines += [f"{vid},{k / 30.0!r},{float(b)!r}" for k, b in enumerate(row)] + [""]
+    lines += ["", ""]
     path = tmp_path / "labels.csv"
     path.write_bytes(b"\xef\xbb\xbf" + (newline.join(lines) + newline).encode())
     monkeypatch.setattr(clipio, "_series_rows", row_loop_must_not_run)
@@ -928,3 +948,19 @@ def test_bench_shaped_series_parse_needs_no_row_loop(tmp_path, monkeypatch, newl
     for vid, row in zip(vids, bvp):
         assert labels[vid].samples.tobytes() == row.tobytes()
         assert labels[vid].fps == fps
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_block_of_line_ends_is_skipped_and_one_of_spaces_is_not(tmp_path, monkeypatch, newline):
+    # one line per block: numpy's reader would warn of a block of line ends that it holds no data
+    monkeypatch.setattr(clipio, "_LABEL_BLOCK_CHARS", 1)
+    path = tmp_path / "labels.csv"
+    lines = ["video_id,t_s,bvp", "", "v0,0.0,0.5", "", "", "v0,0.1,0.6", ""]
+    write_lines(path, lines, newline)
+    with monkeypatch.context() as patch:
+        patch.setattr(clipio, "_series_rows", row_loop_must_not_run)
+        assert read_labels(path)["v0"].samples.tolist() == [0.5, 0.6]
+    # a line of spaces is a short row to csv
+    write_lines(path, [*lines[:3], " ", *lines[3:]], newline)
+    with pytest.raises(ValueError, match=r"labels\.csv: line 4: 1 fields, expected at least 3"):
+        read_labels(path)

@@ -600,7 +600,7 @@ class TestNoiseRatioSchedule:
         pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 90)
         noise = parse_noise_string("step:0:1e200+vs/step:0:1e200")
         message = r"^the noise ratio's sums of squares overflow float64: the scene's samples are too large$"
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message):
             noise_feature_ratios(SceneSpec(illumination=1e-200), pulse, noise, 3, 4)
 
     @pytest.mark.parametrize("noise", [NoiseSpec(delta_illumination=(LinearNoise(0.1),)), NO_NOISE])

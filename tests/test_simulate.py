@@ -48,6 +48,13 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
             PulseSpec(hr_bpm=60, **{field: value})
 
+    @pytest.mark.parametrize("field", ["amplitude", "harmonic_ratio"])
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_rejects_a_boolean(self, field, value):
+        # a boolean compares as 0 or 1, which are in range
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
+            PulseSpec(hr_bpm=60, **{field: value})
+
 
 class TestSceneSpec:
     @pytest.mark.parametrize("jitter", [np.nan, np.inf])
@@ -64,6 +71,30 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match=f"^pixel_jitter must be a number, got {re.escape(repr(value))}$"):
             SceneSpec(pixel_jitter=value)
 
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_rejects_a_boolean_pixel_jitter(self, value):
+        with pytest.raises(ValueError, match=f"^pixel_jitter must be a number, got {re.escape(repr(value))}$"):
+            SceneSpec(pixel_jitter=value)
+
+    @pytest.mark.parametrize("field", ["illumination", "specular", "diffuse"])
+    @pytest.mark.parametrize(
+        "value, item",
+        [
+            ("1", "1"),
+            (b"1", b"1"),
+            (True, True),
+            (np.True_, np.True_),
+            (["1"] * 3, "1"),
+            ([True] * 3, True),
+            ((1.0, np.True_, 1.0), np.True_),
+        ],
+        ids=["str", "bytes", "bool", "np_bool", "str_list", "bool_list", "np_bool_in_tuple"],
+    )
+    def test_rejects_a_channel_value_that_is_a_boolean_or_a_string(self, field, value, item):
+        # numpy would cast each to 1.0
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(item))}$"):
+            SceneSpec(**{field: value})
+
     @pytest.mark.parametrize("seed", [None, -1, 1.5, 2.0, True, False, [1], "7", {}])
     def test_rejects_a_seed_that_is_not_an_integer_at_least_zero(self, seed):
         # None would seed numpy from the OS: every render of the scene would differ
@@ -78,6 +109,8 @@ class TestSceneSpec:
             ("specular", [[0.1, 0.2, 0.3]], r"^specular must be a scalar or length-3 sequence, got shape \(1, 3\)$"),
             ("diffuse", (0.5, np.inf, 0.5), "^diffuse must be finite$"),
             ("illumination", np.nan, "^illumination must be finite$"),
+            ("illumination", [1, 10**400, 1], "^illumination must be finite$"),
+            ("diffuse", [[True, 0.5, 0.5]], r"^diffuse must be a scalar or length-3 sequence, got shape \(1, 3\)$"),
         ],
     )
     def test_rejects_a_bad_channel_value(self, field, value, message):

@@ -5,17 +5,22 @@ from hypothesis import strategies as st
 
 from pulse_tn import (
     EPSILON,
+    NO_NOISE,
     FrameClip,
     PipelineConfig,
+    PulseSpec,
+    SceneSpec,
     detrend,
     extract_tn_pooled,
     fit_trend,
     rms_normalize,
+    synth_pulse,
     tn,
     tn_trace,
     tn_traces,
 )
 from pulse_tn import _kernels_np
+from pulse_tn.harness import noise_feature_ratios
 
 # frozen oracle: detrend([0,1,0,1]) has mean square 0.2, so dividing by
 # sqrt(0.2) gives +-0.4472135955 and +-1.3416407865
@@ -250,7 +255,12 @@ class TestTnClip:
             tn_traces(np.zeros((4, 2)), 1e-8)
 
     @pytest.mark.parametrize(
-        "eps", [0.0, -1e-8, float("nan"), float("inf"), pytest.param(10**400, id="int_beyond_float")]
+        "eps",
+        [
+            0.0, -1e-8, float("nan"), float("inf"), pytest.param(10**400, id="int_beyond_float"),
+            # float() takes each of these, but none is a guard
+            True, np.True_, "1e-8", b"1e-8",
+        ],
     )
     def test_trace_stack_rejects_bad_epsilon(self, eps):
         with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
@@ -262,10 +272,15 @@ class TestTnClip:
             lambda: tn_trace(np.arange(4.0), eps),
             lambda: rms_normalize(np.arange(4.0), eps),
             lambda: extract_tn_pooled(FrameClip(np.ones((4, 2, 2, 3)), 30.0), eps),
-            lambda: PipelineConfig(epsilon=eps),
+            lambda: noise_feature_ratios(SceneSpec(), synth_pulse(PulseSpec(72.0), 30.0, 30), NO_NOISE, 2, 2, eps),
         ):
             with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
                 call()
+        # a config's number fields are checked for their type first
+        numeric = not isinstance(eps, (bool, np.bool_, str, bytes))
+        message = "epsilon must be finite and > 0" if numeric else "epsilon must be a number"
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(epsilon=eps)
 
 
 class TestBlockwiseKernel:
