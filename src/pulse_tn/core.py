@@ -109,15 +109,16 @@ def _require_finite(values: np.ndarray, name: str) -> None:
 
 
 def _is_finite(value) -> bool:
-    """Whether a number is finite as a float; an integer beyond the float range is not."""
+    """Whether a value is finite as a float; an integer beyond the float range is
+    not, and neither is a value that float() does not take."""
     try:
         return math.isfinite(float(value))
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
-# float() takes a boolean or a numeric string, but neither is a quantity
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+# float() takes a boolean or a numeric string, and numpy casts None to NaN, but none is a quantity
+_NOT_NUMBERS = (bool, np.bool_, str, bytes, type(None))
 
 
 def _require_positive(value, name: str) -> float:

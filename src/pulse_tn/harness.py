@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clipio
-from .core import Waveform, _ordered_map, _require_number, _require_positive, worker_count
+from .core import Waveform, _ordered_map, _require_number, _require_positive
 from .extract import ExtractorKind, run_extractor
 from .hr import PipelineConfig, SamplingRateError, _rate, compute_metrics, video_hr
 from .simulate import NoiseSpec, PulseSpec, SceneSpec, _trace_model, parse_noise_string, synth_pulse
@@ -225,14 +225,8 @@ def _noise_ratio_row(path: Path, dims: tuple | None, epsilon: float) -> dict | N
 
 
 def _walk(manifest_dir, kinds, cfg, noise_ratios) -> tuple[list, list]:
-    """One task per clip: of the worker pool, or, with noise ratios (compare), of
-    this thread, one clip at a time. Returns each extractor's rows and the
-    noise-ratio rows, if asked for, all in video-id order.
-
-    A compare clip's task is mostly short numpy calls, so two clip threads spend
-    it handing the GIL to each other: on 2 vCPUs they ran compare about 1.15x
-    faster, and their throughput spread twice as wide from one process to the
-    next. One clip at a time, its chunks and bands still run on the pool.
+    """One task per clip, on the worker pool. Returns each extractor's rows and
+    the noise-ratio rows, if asked for (compare), all in video-id order.
 
     A band no clip's frame rate can carry is a bad setting, not a set of bad
     clips: when every row failed its extraction with SamplingRateError, the
@@ -249,11 +243,7 @@ def _walk(manifest_dir, kinds, cfg, noise_ratios) -> tuple[list, list]:
         rows, failures, dims = _clip_rows(path, kinds, labels.get(path.stem), cfg)
         return rows, failures, _noise_ratio_row(path, dims, cfg.epsilon) if noise_ratios else None
 
-    if noise_ratios:
-        worker_count(len(clip_paths))  # a bad PULSE_TN_THREADS fails compare, too, before any clip is read
-        results = list(map(task, clip_paths))
-    else:
-        results = list(_ordered_map(task, clip_paths))
+    results = list(_ordered_map(task, clip_paths))
     per_kind = [[rows[k] for rows, _, _ in results] for k in range(len(kinds))]
     failures = [exc for _, errors, _ in results for exc in errors]
     if len(failures) == len(clip_paths) * len(kinds) and all(type(exc) is SamplingRateError for exc in failures):

@@ -20,7 +20,8 @@ PULSE_SHAPES = ("sinusoid", "harmonic")
 
 def _as_channels(value, name: str) -> np.ndarray:
     for item in value if isinstance(value, (list, tuple)) else [value]:
-        if isinstance(item, _NOT_NUMBERS):  # numpy would cast it to a number
+        # numpy would cast it, or an array of booleans or strings, to numbers
+        if isinstance(item, _NOT_NUMBERS) or isinstance(item, np.ndarray) and item.dtype.kind not in "iuf":
             raise ValueError(f"{name} must be a number, got {item!r}")
     try:
         arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
@@ -164,15 +165,16 @@ def noise_profile(terms: tuple[NoiseTerm, ...], frames: int, fps: float) -> np.n
     t_idx = np.arange(frames, dtype=np.float64)
     t_s = t_idx / fps
     out = np.zeros(frames)
-    for term in terms:
-        if isinstance(term, StepNoise):
-            out += np.where(t_s >= term.t0_s, term.gain, 0.0)
-        elif isinstance(term, LinearNoise):
-            out += term.total * t_idx / (frames - 1)
-        elif isinstance(term, SinusoidNoise):
-            out += term.amplitude * np.sin(2.0 * np.pi * term.freq_hz * t_s)
-        else:
-            raise TypeError(f"unknown noise term {term!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a profile that overflows fails its consumer's check
+        for term in terms:
+            if isinstance(term, StepNoise):
+                out += np.where(t_s >= term.t0_s, term.gain, 0.0)
+            elif isinstance(term, LinearNoise):
+                out += term.total * t_idx / (frames - 1)
+            elif isinstance(term, SinusoidNoise):
+                out += term.amplitude * np.sin(2.0 * np.pi * term.freq_hz * t_s)
+            else:
+                raise TypeError(f"unknown noise term {term!r}")
     return out
 
 

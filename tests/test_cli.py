@@ -410,7 +410,7 @@ class TestEvaluate:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_noisy_compare_is_deterministic_across_pool_sizes(self, tmp_path, monkeypatch):
-        # compare runs its clips one at a time; a clip's chunks and bands may still use both workers
+        # compare spreads its clips over the workers; each clip's chunks and bands run on its own thread
         manifest = tmp_path / "m"
         manifest.mkdir()
         noises = ["none", "linear:0.1", "sin:0.3:0.05", "linear:0.1+vs/sin:0.5:0.02"]

@@ -41,7 +41,9 @@ class TestFrameClip:
         with pytest.raises(ValueError, match="^clip data must not contain NaN or Inf$"):
             FrameClip(data, 30.0)
 
-    @pytest.mark.parametrize("fps", [0.0, -1.0, np.nan, np.inf, True, pytest.param(np.True_, id="numpy_True"), "30", b"30"])
+    @pytest.mark.parametrize(
+        "fps", [0.0, -1.0, np.nan, np.inf, True, pytest.param(np.True_, id="numpy_True"), "30", b"30", None]
+    )
     def test_rejects_bad_fps(self, fps):
         with pytest.raises(ValueError):
             make_clip(fps=fps)

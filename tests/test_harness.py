@@ -16,6 +16,7 @@ from pulse_tn import (
     SamplingRateError,
     SceneSpec,
     clipio,
+    core,
     harness,
     hr,
     render_ideal,
@@ -183,7 +184,8 @@ class TestOneWalk:
         for block in doc["extractors"].values():
             assert [row["hr_label"] for row in block["per_video"]] == [60.0, 72.0, 84.0]
 
-    def test_compare_runs_its_clips_one_at_a_time_and_evaluate_spreads_them(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("walk", [compare_manifest, lambda path, kinds: evaluate_manifest(path, kinds[0])])
+    def test_both_walks_spread_their_clips_over_2_threads(self, tmp_path, monkeypatch, walk):
         for i in range(4):
             write_manifest_clip(tmp_path / f"v{i}.rpgc", hr=72.0, seed=i)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -195,18 +197,32 @@ class TestOneWalk:
             threads.append(threading.get_ident())
             if threads[-1] != here:
                 pool_started.set()
-            elif path.stem == "v0" and wait:
+            elif path.stem == "v0":
                 pool_started.wait(timeout=30)  # so that the pool thread takes an item before this one claims all
             return clip_rows(path, *args)
 
         monkeypatch.setattr(harness, "_clip_rows", recorded)
-        wait = False
-        compare_manifest(tmp_path, ALL_KINDS)
-        assert threads == [here] * 4
-        threads.clear()
-        wait = True
-        evaluate_manifest(tmp_path, ExtractorKind.TN_POOLED)
+        walk(tmp_path, ALL_KINDS)
         assert len(threads) == 4 and len(set(threads)) == 2
+
+    @pytest.mark.parametrize("threads, pools", [("1", 0), ("2", 1)])
+    def test_a_compare_walk_starts_one_pool_at_most(self, tmp_path, monkeypatch, threads, pools):
+        # each clip's payload is read in 5 chunks, yet the reads inside a clip's task run inline
+        for i in range(4):
+            write_manifest_clip(tmp_path / f"v{i}.rpgc", hr=72.0, seed=i)
+        monkeypatch.setattr(clipio, "_CHUNK_BYTES", 600 * 8 * 8 * 3 * 4 // 5)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("PULSE_TN_THREADS", threads)
+        started = []
+
+        class CountedPool(core.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", CountedPool)
+        compare_manifest(tmp_path, ALL_KINDS)
+        assert len(started) == pools
 
     @pytest.mark.parametrize("walk", [compare_manifest, lambda path, kinds: evaluate_manifest(path, kinds[0])])
     def test_a_bad_thread_cap_fails_a_walk_of_unreadable_clips(self, tmp_path, monkeypatch, walk):
@@ -602,6 +618,15 @@ class TestNoiseRatioSchedule:
         message = r"^the noise ratio's sums of squares overflow float64: the scene's samples are too large$"
         with pytest.raises(ValueError, match=message):
             noise_feature_ratios(SceneSpec(illumination=1e-200), pulse, noise, 3, 4)
+
+    def test_noise_terms_whose_sum_overflows_fail_the_render_check(self):
+        # each gain is finite, but their sum is not, so both the renders and the ratios fail
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 30)
+        noise = parse_noise_string("step:0:1e308+step:0:1e308")
+        assert np.all(np.isinf(noise_profile(noise.delta_illumination, 30, 30.0)))
+        for call in (noise_feature_ratios, render_noisy):
+            with pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
+                call(SceneSpec(), pulse, noise, 2, 2)
 
     @pytest.mark.parametrize("noise", [NoiseSpec(delta_illumination=(LinearNoise(0.1),)), NO_NOISE])
     def test_peak_memory_does_not_grow_with_the_clip(self, noise):

@@ -55,6 +55,13 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
             PulseSpec(hr_bpm=60, **{field: value})
 
+    @pytest.mark.parametrize("field", ["amplitude", "harmonic_ratio"])
+    def test_rejects_none(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got None$"):
+            PulseSpec(hr_bpm=60, **{field: None})
+        with pytest.raises(ValueError, match=r"^hr_bpm must lie in \[30, 180\], got None$"):
+            PulseSpec(hr_bpm=None)
+
 
 class TestSceneSpec:
     @pytest.mark.parametrize("jitter", [np.nan, np.inf])
@@ -76,6 +83,12 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match=f"^pixel_jitter must be a number, got {re.escape(repr(value))}$"):
             SceneSpec(pixel_jitter=value)
 
+    @pytest.mark.parametrize("field", ["pixel_jitter", "illumination", "specular", "diffuse"])
+    def test_rejects_none(self, field):
+        # numpy would cast None to NaN
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got None$"):
+            SceneSpec(**{field: None})
+
     @pytest.mark.parametrize("field", ["illumination", "specular", "diffuse"])
     @pytest.mark.parametrize(
         "value, item",
@@ -87,8 +100,10 @@ class TestSceneSpec:
             (["1"] * 3, "1"),
             ([True] * 3, True),
             ((1.0, np.True_, 1.0), np.True_),
+            (np.array([True] * 3), np.array([True] * 3)),
+            (np.array(["1"] * 3), np.array(["1"] * 3)),
         ],
-        ids=["str", "bytes", "bool", "np_bool", "str_list", "bool_list", "np_bool_in_tuple"],
+        ids=["str", "bytes", "bool", "np_bool", "str_list", "bool_list", "np_bool_in_tuple", "bool_array", "str_array"],
     )
     def test_rejects_a_channel_value_that_is_a_boolean_or_a_string(self, field, value, item):
         # numpy would cast each to 1.0
@@ -152,6 +167,12 @@ class TestSynthPulse:
     def test_needs_two_frames(self):
         with pytest.raises(ValueError, match="^need at least 2 frames, got 1$"):
             synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 1)
+
+    def test_rejects_a_frame_rate_of_none(self):
+        with pytest.raises(ValueError, match="^fps must be finite and > 0, got None$"):
+            synth_pulse(PulseSpec(hr_bpm=72.0), None, 30)
+        with pytest.raises(ValueError, match="^fps must be finite and > 0, got None$"):
+            Waveform(np.zeros(30), None)
 
     def test_noise_profile_rejects_an_unknown_term(self):
         with pytest.raises(TypeError, match="^unknown noise term 'step'$"):

@@ -260,6 +260,8 @@ class TestTnClip:
             0.0, -1e-8, float("nan"), float("inf"), pytest.param(10**400, id="int_beyond_float"),
             # float() takes each of these, but none is a guard
             True, np.True_, "1e-8", b"1e-8",
+            # and float() takes neither of these
+            None, [1e-8],
         ],
     )
     def test_trace_stack_rejects_bad_epsilon(self, eps):
@@ -277,7 +279,7 @@ class TestTnClip:
             with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
                 call()
         # a config's number fields are checked for their type first
-        numeric = not isinstance(eps, (bool, np.bool_, str, bytes))
+        numeric = isinstance(eps, (int, float)) and not isinstance(eps, bool)
         message = "epsilon must be finite and > 0" if numeric else "epsilon must be a number"
         with pytest.raises(ValueError, match=message):
             PipelineConfig(epsilon=eps)
