@@ -2,12 +2,12 @@
 
 Traces are the columns of a (T, n) float32 or float64 array, which is the
 layout a clip already has once its pixel/channel axes are flattened, so no
-transpose or contiguous copy is needed. The kernel computes in float64: the
-first step, the shift by frame 0, widens float32 input exactly as it
-subtracts, so a float32 input gives the bytes of its float64 widening. The
-output is a new (T, n) float64 array and the only full-size allocation: the
-slope removal and the sum of squares run together over blocks of rows small
-enough to stay in cache.
+transpose or contiguous copy is needed. The kernel computes in float64: it
+first widens the input exactly, with one astype into the array it returns,
+and shifts that by frame 0 in place, so a float32 input gives the bytes of
+its float64 widening. That (T, n) float64 array is the only full-size
+allocation: the slope removal and the sum of squares run together over
+blocks of rows small enough to stay in cache.
 
 The kernel calls no BLAS routine, so concurrent callers (the clip worker
 pool of `evaluate` and `compare`) never contend for BLAS threads.
@@ -31,7 +31,8 @@ def tn_traces(data: np.ndarray, epsilon: float) -> np.ndarray:
     # The axis-0 mean accumulates row by row; shifting each column by its
     # frame-0 value first keeps that sum small on large DC offsets, and makes
     # exactly representable offsets cancel exactly.
-    resid = np.subtract(data, data[0], dtype=np.float64)
+    resid = data.astype(np.float64)
+    resid -= data[0].astype(np.float64)
     resid -= resid.mean(axis=0)
     # einsum, not @: OpenBLAS runs a dgemv this size on its own threads, which take
     # the second CPU from the clip worker pool (two workers ran compare ×1.03 faster than one)

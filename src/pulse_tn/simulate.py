@@ -209,9 +209,10 @@ def render_noisy(
     # numpy run its inner loop over whole image rows instead of 3 samples.
     # Addition and multiplication commute, so the in-place forms are bit-identical.
     shape = (len(pulse), 1, width, 3)
-    data = scene.diffuse_field(height, width) * (1.0 + pulse.samples[:, None, None, None])
-    data += np.ascontiguousarray(np.broadcast_to(scene.specular + gs, shape))
-    data *= np.ascontiguousarray(np.broadcast_to(scene.illumination + gi * scene.illumination, shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # a render that overflows fails the clip's check
+        data = scene.diffuse_field(height, width) * (1.0 + pulse.samples[:, None, None, None])
+        data += np.ascontiguousarray(np.broadcast_to(scene.specular + gs, shape))
+        data *= np.ascontiguousarray(np.broadcast_to(scene.illumination + gi * scene.illumination, shape))
     return FrameClip(data, pulse.fps)
 
 
@@ -231,10 +232,11 @@ def _trace_model(scene: SceneSpec, pulse: Waveform, noise: NoiseSpec, vd: np.nda
     gi = noise_profile(noise.delta_illumination, len(pulse), pulse.fps)
     gs = noise_profile(noise.delta_specular, len(pulse), pulse.fps)
     p = pulse.samples
-    extremes = np.stack([vd.min(axis=(0, 1)), vd.max(axis=(0, 1))]) * (1.0 + p[:, None, None])
-    for g_i, g_s in ((0.0, 0.0), (gi[:, None, None], gs[:, None, None])):  # render_ideal, then render_noisy
-        lit = (extremes + (scene.specular + g_s)) * (scene.illumination + g_i * scene.illumination)
-        _require_finite(lit, "clip data")
+    with np.errstate(over="ignore", invalid="ignore"):  # a render that overflows fails its check
+        extremes = np.stack([vd.min(axis=(0, 1)), vd.max(axis=(0, 1))]) * (1.0 + p[:, None, None])
+        for g_i, g_s in ((0.0, 0.0), (gi[:, None, None], gs[:, None, None])):  # render_ideal, then render_noisy
+            lit = (extremes + (scene.specular + g_s)) * (scene.illumination + g_i * scene.illumination)
+            _require_finite(lit, "clip data")
     zero = np.zeros_like(vd)
     ideal = np.stack([scene.illumination * vd, zero, zero, zero])
     residual = scene.illumination * np.stack([zero, vd + scene.specular, vd, np.ones_like(vd)])

@@ -19,6 +19,7 @@ from pulse_tn import (
     tn,
     render_noisy,
 )
+from pulse_tn import diff as diff_module
 from pulse_tn.diff import DIFF_DENOM_GUARD
 
 
@@ -119,11 +120,11 @@ class TestDiffNormalized:
         a, b = data[1:], data[:-1]
         assert np.array_equal(diff_normalized(FrameClip(data, 30.0)).data, (a - b) / (a + b + DIFF_DENOM_GUARD))
 
-    def test_peak_is_two_output_sized_arrays(self):
-        # a 300x2x32 output is 153 kB, below numpy's 256 KiB temporary-elision
-        # threshold, so no temporary of an expression is reused in place
-        clip = FrameClip(np.random.default_rng(7).random((300, 2, 32, 1)), 30.0)
-        out_bytes = clip.data[1:].nbytes
+    def test_peak_is_the_widened_clip_plus_one_scratch_block(self):
+        # the output is a view of the clip widened once; its finiteness mask, one
+        # byte a sample and smaller than the block, is taken once the block is freed
+        clip = FrameClip(np.random.default_rng(7).random((600, 4, 32, 1)), 30.0)
+        assert clip.data[1:].size < diff_module._BLOCK_BYTES
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
@@ -131,7 +132,57 @@ class TestDiffNormalized:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - held < 2.5 * out_bytes
+        assert peak - held < clip.data.nbytes + diff_module._BLOCK_BYTES + 4096
+
+
+def guarded_ratio(data):
+    """The quotient diff_normalized computes, in one expression of float64 arrays."""
+    a, b = data[1:].astype(np.float64), data[:-1].astype(np.float64)
+    return (a - b) / (a + b + DIFF_DENOM_GUARD)
+
+
+def assert_same_bits(out, expected):
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+class TestBlockwiseDiff:
+    """diff_normalized's scratch blocks, shrunk so that T spans many blocks and a ragged last one."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # 8 samples per block: no frame below is a whole number of blocks, and every
+        # clip's (T - 1) x frame output samples end in a ragged block
+        monkeypatch.setattr(diff_module, "_BLOCK_BYTES", 8 * 8)
+
+    def test_a_strided_float32_band(self):
+        # the green channel of an f32 payload, cut into image-row bands as _banded_pool cuts it
+        data = np.random.default_rng(8).random((50, 7, 5, 3)).astype(np.float32)
+        band = data[:, 3:6, :, 1:2]
+        assert not band.flags.c_contiguous
+        assert_same_bits(diff_normalized(FrameClip._checked(band, 30.0)).data, guarded_ratio(band))
+
+    def test_three_frames(self):
+        data = np.random.default_rng(9).random((3, 2, 5, 1))
+        assert_same_bits(diff_normalized(FrameClip(data, 30.0)).data, guarded_ratio(data))
+
+    def test_one_frame_blocks(self, monkeypatch):
+        data = np.random.default_rng(10).random((20, 3, 4, 3))
+        monkeypatch.setattr(diff_module, "_BLOCK_BYTES", 8 * 3 * 4 * 3)
+        assert_same_bits(diff_normalized(FrameClip(data, 30.0)).data, guarded_ratio(data))
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-300, "u8"])
+    def test_equals_the_guarded_ratio_bit_for_bit(self, scale):
+        data = np.random.default_rng(5).random((40, 3, 4, 3))
+        data = np.round(255 * data) / 255 if scale == "u8" else scale * data
+        assert_same_bits(diff_normalized(FrameClip(data, 30.0)).data, guarded_ratio(data))
+
+    def test_a_zero_denominator_in_the_last_block_is_rejected(self):
+        # the last output sample, 0/0, is in the ragged block of 54 = 6 x 8 + 6 samples
+        data = np.random.default_rng(11).random((10, 2, 3, 1))
+        data[-2:, -1, -1] = -DIFF_DENOM_GUARD / 2
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="clip data must not contain NaN or Inf"):
+            diff_normalized(FrameClip(data, 30.0))
 
 
 class TestDiffNoiseResidual:

@@ -27,6 +27,7 @@ from pulse_tn import (
     welch_psd,
 )
 from pulse_tn import core
+from pulse_tn import diff as diff_module
 from pulse_tn import extract as extract_module
 
 WELCH_BIN_BPM = 60.0 * 30.0 / 3300.0
@@ -275,6 +276,22 @@ class TestBands:
         finally:
             tracemalloc.stop()
         assert peak - held < 2 * 3 * band_bytes
+
+    def test_diff_widens_a_float32_band_once(self):
+        # the green channel of an f32 payload, in one band: its float64 widening, of which
+        # the differences are a view, and diff's scratch block, which is freed before the
+        # smaller finiteness mask of the differences; a second float64 band breaks the bound
+        data = np.random.default_rng(27).random((600, 16, 16, 1)).astype(np.float32)
+        assert data[1:].size < diff_module._BLOCK_BYTES
+        clip = FrameClip._checked(data, 30.0)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            extract_diff_pooled(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 2 * data.nbytes + diff_module._BLOCK_BYTES + 16384
 
 
 class TestRunExtractor:

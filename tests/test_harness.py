@@ -590,7 +590,7 @@ class TestNoiseRatioSchedule:
         # both clips are rendered before either is transformed
         scene = SceneSpec(illumination=1e308)
         pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 2)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
+        with pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
             noise_feature_ratios(scene, pulse, parse_noise_string("step:0:10"), 2, 2)
         with pytest.raises(ValueError, match=r"^temporal normalization needs at least 3 frames, got 2$"):
             noise_feature_ratios(scene, pulse, NO_NOISE, 2, 2)
@@ -607,7 +607,7 @@ class TestNoiseRatioSchedule:
         # only the ideal render overflows: the noisy one dims the scene to a tenth
         scene = SceneSpec(illumination=1.5e308, specular=0.5, diffuse=0.9)
         pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 2)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
+        with pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
             noise_feature_ratios(scene, pulse, parse_noise_string("step:0:-0.9"), 2, 2)
 
     def test_finite_renders_whose_series_overflow_name_the_overflow(self):
@@ -690,5 +690,5 @@ class TestNoiseRatioTallScenes:
         with pytest.raises(ValueError, match=r"^temporal normalization needs at least 3 frames, got 2$"):
             noise_feature_ratios(SceneSpec(**optics), pulse, noise, 7, 5)
         scene = SceneSpec(illumination=np.finfo(np.float64).max / top, **optics)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
+        with pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
             noise_feature_ratios(scene, pulse, noise, 7, 5)

@@ -263,6 +263,19 @@ class TestRenderNoisy:
         expected = (scene.illumination + gi * scene.illumination) * (scene.specular + gs + vd * (1.0 + vp))
         assert np.array_equal(render_noisy(scene, pulse, noise, height, width).data, expected)
 
+    @pytest.mark.parametrize(
+        "scene, text",
+        [
+            # the products overflow: pytest turns numpy's overflow warning into an error
+            (SceneSpec(), "linear:-1e308+vs/linear:1e308"),
+            (SceneSpec(illumination=1.5e308, specular=0.5, diffuse=0.9), "none"),
+        ],
+    )
+    def test_a_render_that_overflows_raises_the_clip_check(self, scene, text):
+        pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 30)
+        with pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
+            render_noisy(scene, pulse, parse_noise_string(text), 2, 2)
+
 
 NOISES = [
     NO_NOISE,
@@ -351,11 +364,13 @@ class TestAnalyticResidual:
             (SceneSpec(illumination=1.5e308, specular=0.5, diffuse=0.9, pixel_jitter=0.0), "vs/step:0:1e-3"),
             # both renders are near 1, but the series gs (1 + gi) is 1e400
             (SceneSpec(illumination=1e-200), "step:0:1e200+vs/step:0:1e200"),
+            # the noisy render's last frame overflows, since its factors are 1e308 and -1e308
+            (SceneSpec(), "linear:-1e308+vs/linear:1e308"),
         ],
     )
     def test_raises_where_a_render_or_the_series_overflow(self, scene, text):
         pulse = synth_pulse(PulseSpec(hr_bpm=72.0), 30.0, 30)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
+        with pytest.raises(ValueError, match=r"^clip data must not contain NaN or Inf$"):
             analytic_noise_residual(scene, pulse, parse_noise_string(text), 2, 2)
 
     @pytest.mark.parametrize("height, width", [(0, 3), (3, 0)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,3 +324,21 @@ def test_kernel_widens_float32_traces_exactly(f32_green):
     traces = clip.data.reshape(clip.frames, -1)
     widened = traces.astype(np.float64)
     assert _kernels_np.tn_traces(traces, EPSILON).tobytes() == _kernels_np.tn_traces(widened, EPSILON).tobytes()
+
+
+def test_kernel_allocates_its_output_and_one_block():
+    # a (T, n) float32 view, as tn hands the kernel a band of a decoded green channel:
+    # astype widens it into the output; beside it the kernel holds one block of the
+    # slope product, and numpy's ufunc buffers for that product's broadcast operands,
+    # which are smaller than a block; a second (T, n) array would break the bound
+    data = np.random.default_rng(31).random((900, 16, 16, 3)).astype(np.float32)
+    traces = data[:, :, :, 1:2].reshape(900, -1)
+    assert np.shares_memory(traces, data)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = _kernels_np.tn_traces(traces, EPSILON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < out.nbytes + 2 * _kernels_np._BLOCK_BYTES
