@@ -28,20 +28,22 @@ def tn_traces(data: np.ndarray, epsilon: float) -> np.ndarray:
         raise ValueError(f"temporal normalization needs at least 3 frames, got {t_len}")
     tc = np.arange(t_len, dtype=np.float64) - (t_len - 1) / 2.0
     denom = t_len * (float(t_len) * t_len - 1.0) / 12.0
-    # The axis-0 mean accumulates row by row; shifting each column by its
-    # frame-0 value first keeps that sum small on large DC offsets, and makes
-    # exactly representable offsets cancel exactly.
-    resid = data.astype(np.float64)
-    resid -= data[0].astype(np.float64)
-    resid -= resid.mean(axis=0)
-    # einsum, not @: OpenBLAS runs a dgemv this size on its own threads, which take
-    # the second CPU from the clip worker pool (two workers ran compare ×1.03 faster than one)
-    slope = np.einsum("t,tj->j", tc, resid) / denom
-    sumsq = np.zeros(n)
-    rows = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
-    for start in range(0, t_len, rows):
-        block = resid[start : start + rows]
-        block -= tc[start : start + rows, None] * slope
-        sumsq += np.einsum("tj,tj->j", block, block)
-    resid /= np.sqrt(sumsq / t_len + epsilon)
+    # samples near the float64 limit overflow; callers reject the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The axis-0 mean accumulates row by row; shifting each column by its
+        # frame-0 value first keeps that sum small on large DC offsets, and makes
+        # exactly representable offsets cancel exactly.
+        resid = data.astype(np.float64)
+        resid -= data[0].astype(np.float64)
+        resid -= resid.mean(axis=0)
+        # einsum, not @: OpenBLAS runs a dgemv this size on its own threads, which take
+        # the second CPU from the clip worker pool (two workers ran compare ×1.03 faster than one)
+        slope = np.einsum("t,tj->j", tc, resid) / denom
+        sumsq = np.zeros(n)
+        rows = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+        for start in range(0, t_len, rows):
+            block = resid[start : start + rows]
+            block -= tc[start : start + rows, None] * slope
+            sumsq += np.einsum("tj,tj->j", block, block)
+        resid /= np.sqrt(sumsq / t_len + epsilon)
     return resid

@@ -160,17 +160,18 @@ class FrameClip:
 
     Raw clips are expected in [0, 1] (u8 payloads are divided by 255 at
     ingestion); transformed feature clips are unbounded. The constructor
-    stores data as float64. A green channel that clipio decodes from an f32
-    payload keeps its float32 samples instead; every function of the package
-    that takes a clip widens them exactly inside its own float64 arithmetic,
-    so it gives the bytes it gives for the float64 widening of that clip.
+    keeps float32 samples as given and stores any other dtype as float64.
+    Every function of the package that takes a clip widens float32 exactly
+    inside its own float64 arithmetic, so a float32 clip gives the bytes of
+    its float64 widening.
     """
 
     data: np.ndarray
     fps: float
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         _require_clip_shape(data.shape)
         _require_finite(data, "clip data")
         object.__setattr__(self, "data", data)
@@ -178,9 +179,8 @@ class FrameClip:
 
     @classmethod
     def _checked(cls, data: np.ndarray, fps: float) -> FrameClip:
-        """A clip of float64 data, or of a decoded f32 payload's float32
-        samples, whose shape and samples the caller has already checked, so
-        they are not scanned again; fps still is."""
+        """A clip of float32 or float64 data whose shape and samples the
+        caller has already checked, so they are not scanned again; fps still is."""
         clip = object.__new__(cls)
         object.__setattr__(clip, "data", data)
         object.__setattr__(clip, "fps", _require_positive(fps, "fps"))
@@ -227,9 +227,12 @@ def pool_spatial(clip: FrameClip) -> Waveform:
     """Average a one-channel FrameClip over all pixels, frame by frame, in float64.
 
     Float32 data is widened in one copy, which the extractors keep band-sized.
+    A mean that overflows raises the Waveform's ValueError, not a warning.
     """
     if clip.channels != 1:
         raise ValueError(f"pool_spatial needs a one-channel clip, got {clip.channels} channels")
     # not mean(dtype=float64): that casts through 8192-sample buffers, which
     # would sum a frame of more pixels in another order
-    return Waveform(np.asarray(clip.data[:, :, :, 0], dtype=np.float64).mean(axis=(1, 2)), clip.fps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.asarray(clip.data[:, :, :, 0], dtype=np.float64).mean(axis=(1, 2))
+    return Waveform(means, clip.fps)

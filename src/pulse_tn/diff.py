@@ -22,8 +22,10 @@ def frame_diff(clip: FrameClip) -> FrameClip:
     x = wide.reshape(-1)
     frame = x.size // clip.frames
     # numpy gives overlapping operands the result of disjoint ones; it copies
-    # nothing here, as each sample is read before the one a frame back is written
-    np.subtract(x[frame:], x[:-frame], out=x[:-frame])
+    # nothing here, as each sample is read before the one a frame back is written.
+    # Samples near the float64 limit overflow; the output clip's check rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(x[frame:], x[:-frame], out=x[:-frame])
     return FrameClip(wide[:-1], clip.fps)
 
 
@@ -43,12 +45,13 @@ def diff_normalized(clip: FrameClip) -> FrameClip:
     frame = x.size // clip.frames
     n = x.size - frame
     scratch = np.empty(min(n, _BLOCK_BYTES // 8))
-    for start in range(0, n, scratch.size):
-        b = x[start : min(start + scratch.size, n)]
-        a = x[start + frame : start + frame + b.size]
-        d = np.subtract(a, b, out=scratch[: b.size])
-        np.add(a, b, out=b)
-        b += DIFF_DENOM_GUARD
-        np.divide(d, b, out=b)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in frame_diff
+        for start in range(0, n, scratch.size):
+            b = x[start : min(start + scratch.size, n)]
+            a = x[start + frame : start + frame + b.size]
+            d = np.subtract(a, b, out=scratch[: b.size])
+            np.add(a, b, out=b)
+            b += DIFF_DENOM_GUARD
+            np.divide(d, b, out=b)
     del d, scratch  # freed before the output's finiteness check allocates its mask
     return FrameClip(wide[:-1], clip.fps)

@@ -19,7 +19,7 @@ from . import clipio
 from .core import Waveform, _ordered_map, _require_number, _require_positive
 from .extract import ExtractorKind, run_extractor
 from .hr import PipelineConfig, SamplingRateError, _rate, compute_metrics, video_hr
-from .simulate import NoiseSpec, PulseSpec, SceneSpec, _trace_model, parse_noise_string, synth_pulse
+from .simulate import _CHANNEL_FIELDS, NoiseSpec, PulseSpec, SceneSpec, _trace_model, parse_noise_string, synth_pulse
 from .tn import EPSILON
 
 # A simulator sidecar's keys: the spec field names (the jitter seed as `seed`), fps, frames, size and noise.
@@ -137,7 +137,7 @@ def scene_from_sidecar(meta: dict) -> tuple[SceneSpec, Waveform, NoiseSpec, int,
     `width` an int; `illumination`, `specular` and `diffuse` may hold a list of such numbers."""
     for key in [k for k in SIDECAR_KEYS if k not in ("shape", "noise", "seed")]:
         value = meta.get(key, 0)  # a missing field raises its KeyError where it is read
-        items = value if key in _SCENE_KEYS[:3] and isinstance(value, list) else [value]
+        items = value if key in _CHANNEL_FIELDS and isinstance(value, list) else [value]
         for item in items:
             _require_number(item, key, integer=key in ("frames", "height", "width"))
     scene = SceneSpec(jitter_seed=meta["seed"], **{key: meta[key] for key in _SCENE_KEYS})

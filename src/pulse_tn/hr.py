@@ -139,11 +139,11 @@ def _bandpass_rows(x: np.ndarray, fps: float, cfg: PipelineConfig) -> np.ndarray
     block, zi = _cascade(fps, cfg.band_low_hz, cfg.band_high_hz, order)
     padlen = min(3 * order, n - 1)
     rows = x.reshape(-1, n)
-    ext = np.concatenate(
-        [2 * rows[:, :1] - rows[:, padlen:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -padlen - 2 : -1]], axis=1
-    )
     # samples near the float64 limit overflow; callers reject the non-finite result
     with np.errstate(over="ignore", invalid="ignore"):
+        ext = np.concatenate(
+            [2 * rows[:, :1] - rows[:, padlen:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -padlen - 2 : -1]], axis=1
+        )
         y = _run_cascade(ext, zi * ext[:, :1], block)
         y = _run_cascade(y[:, ::-1], zi * y[:, -1:], block)
     return y[:, ::-1][:, padlen:-padlen].reshape(x.shape)
@@ -269,11 +269,14 @@ def _welch_rows(x: np.ndarray, fps: float, cfg: PipelineConfig) -> tuple[np.ndar
     # the periodic Hann window
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_len + 1)[:-1])
     frames = np.lib.stride_tricks.sliding_window_view(x, window_len, axis=-1)[..., ::step, :]
-    spectra = np.fft.rfft(win * frames, n=nfft)
-    power = (np.conj(spectra) * spectra).real * (1.0 / (fps * (win * win).sum()))
-    # one-sided: every bin but DC, and Nyquist for an even nfft, also holds its mirror
-    power[..., 1 : (nfft + 1) // 2] *= 2
-    return np.fft.rfftfreq(nfft, 1 / fps), power.mean(axis=-2)
+    # samples near the float64 limit overflow; callers reject the non-finite power
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectra = np.fft.rfft(win * frames, n=nfft)
+        power = (np.conj(spectra) * spectra).real * (1.0 / (fps * (win * win).sum()))
+        # one-sided: every bin but DC, and Nyquist for an even nfft, also holds its mirror
+        power[..., 1 : (nfft + 1) // 2] *= 2
+        power = power.mean(axis=-2)
+    return np.fft.rfftfreq(nfft, 1 / fps), power
 
 
 def _in_band_peak(freqs: np.ndarray, power: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,8 @@ import numpy as np
 from .core import _NOT_NUMBERS, FrameClip, Waveform, _is_finite, _require_clip_shape, _require_finite, _require_positive
 
 PULSE_SHAPES = ("sinusoid", "harmonic")
+# The SceneSpec fields given per channel: a scalar, or one value for each of the three channels.
+_CHANNEL_FIELDS = ("illumination", "specular", "diffuse")
 
 
 def _as_channels(value, name: str) -> np.ndarray:
@@ -89,9 +91,7 @@ class SceneSpec:
     jitter_seed: int = 0
 
     def __post_init__(self):
-        ill = _as_channels(self.illumination, "illumination")
-        spec = _as_channels(self.specular, "specular")
-        diff = _as_channels(self.diffuse, "diffuse")
+        ill, spec, diff = (_as_channels(getattr(self, name), name) for name in _CHANNEL_FIELDS)
         if np.any(ill <= 0):
             raise ValueError("illumination must be > 0 per channel")
         if np.any(spec < 0) or np.any(diff < 0):
@@ -103,9 +103,8 @@ class SceneSpec:
         seed = self.jitter_seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"jitter_seed must be an integer >= 0, got {seed!r}")
-        object.__setattr__(self, "illumination", ill)
-        object.__setattr__(self, "specular", spec)
-        object.__setattr__(self, "diffuse", diff)
+        for name, value in zip(_CHANNEL_FIELDS, (ill, spec, diff)):
+            object.__setattr__(self, name, value)
 
     def diffuse_field(self, height: int, width: int) -> np.ndarray:
         """Per-pixel diffuse reflectance (H x W x C), jittered deterministically."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameClip, _require_positive
+from .core import FrameClip, _require_finite, _require_positive
 from . import _kernels_np
 
 # Kept as a constant: perfbench/run.py reports it in every run's environment block.
@@ -98,8 +98,17 @@ def tn_trace(values, epsilon: float = EPSILON) -> np.ndarray:
 
 # Trace-major (n, T) entry point of the public API; perfbench/spans.py also wraps it by name.
 def tn_traces(traces: np.ndarray, epsilon: float) -> np.ndarray:
-    """Apply the kernel to an (n, T) stack of traces, one trace per row."""
-    return _kernels_np.tn_traces(np.asarray(traces, dtype=np.float64).T, _require_positive(epsilon, "epsilon")).T
+    """Apply the kernel to an (n, T) stack of traces, one trace per row.
+
+    Epsilon is checked first, then the traces: a NaN or Inf in any of them
+    raises ValueError, and so does a result that overflows.
+    """
+    epsilon = _require_positive(epsilon, "epsilon")
+    data = np.asarray(traces).T
+    _require_finite(data, "traces")
+    out = _kernels_np.tn_traces(data, epsilon).T
+    _require_finite(out, "normalized traces")
+    return out
 
 
 def tn(clip: FrameClip, epsilon: float = EPSILON) -> FrameClip:

@@ -14,28 +14,47 @@ F32_GREEN_SHAPES = {"t3": (3, 4, 5), "1x1": (40, 1, 1), "1x9000": (4, 1, 9000), 
 
 
 @pytest.fixture(
-    params=[(name, channels) for name in F32_GREEN_SHAPES for channels in (1, 3)],
-    ids=lambda param: f"{param[0]}-c{param[1]}",
+    params=[
+        *[(name, channels, None) for name in F32_GREEN_SHAPES for channels in (1, 3)],
+        *[("bands", 3, workers) for workers in ("1", "2")],
+    ],
+    ids=lambda param: f"{param[0]}-c{param[1]}" + (f"-whole-w{param[2]}" if param[2] else ""),
 )
-def f32_green(request, tmp_path, monkeypatch):
-    """The green channel of an f32 clip file as read_clip(green_only=True)
-    returns it, float32, and the float64 FrameClip of the same samples.
+def f32_read(request, tmp_path, monkeypatch):
+    """An f32 clip file as read_clip returns it, float32, and the float64
+    FrameClip of the same samples.
+
+    Most params read the green channel alone, as estimate, evaluate and
+    compare do; the "whole" ones read all three channels of the multi-band
+    clip, as transform does, on one and on two workers.
 
     The samples spread over 40 binades, so that a float64 sum of them depends
     on its order, and a float32 step anywhere changes some result's bytes.
     Extract bands are 3 image rows, so a clip takes several bands and a
     ragged last one where it can.
     """
-    name, channels = request.param
+    name, channels, workers = request.param
     frames, height, width = F32_GREEN_SHAPES[name]
     shape = (frames, height, width, channels)
     rng = np.random.default_rng(sum(shape))
     path = tmp_path / "clip.rpgc"
     write_clip(FrameClip(rng.random(shape) * 2.0 ** rng.integers(-40, 1, shape), 30.0), path)
-    clip = read_clip(path, green_only=True)
+    if workers:
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("PULSE_TN_THREADS", workers)
+    clip = read_clip(path, green_only=not workers)
     assert clip.data.dtype == np.float32
     monkeypatch.setattr(extract_module, "_BAND_BYTES", 3 * 8 * frames * width)
     return clip, FrameClip(clip.data.astype(np.float64), clip.fps)
+
+
+@pytest.fixture
+def overflowing_clip():
+    """A one-channel float64 clip of 40 frames of 3 x 3 pixels, each frame all
+    +1.7e308 or all -1.7e308, in turn: the difference of two frames, and the
+    sum of two samples of one frame, overflow float64."""
+    signs = np.where(np.arange(40) % 2, -1.0, 1.0)
+    return FrameClip(1.7e308 * signs[:, None, None, None] * np.ones((40, 3, 3, 1)), 30.0)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,22 @@ class TestTransform:
         assert clip.data.shape == (300, 8, 8, 3)
         # normalized traces are zero-mean
         assert abs(clip.data.mean()) < 1e-6
+
+    @pytest.mark.parametrize("method", ["tn", "diff", "diffnorm"])
+    def test_peak_memory_of_an_f32_clip(self, tmp_path, method):
+        # the float32 clip (4 bytes a sample), the float64 output (8), its float32
+        # payload (4) and that payload's finiteness mask (1): a float64 copy of the
+        # clip would add 4 bytes a sample
+        shape = (300, 32, 32, 3)
+        src = tmp_path / "src.rpgc"
+        write_clip(FrameClip(np.random.default_rng(1).random(shape), 30.0), src)
+        tracemalloc.start()
+        try:
+            main(["transform", "--in", str(src), "--out", str(tmp_path / "out.rpgc"), "--method", method])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * np.prod(shape)
 
     @pytest.mark.parametrize("method", ["diff", "diffnorm"])
     def test_diff_variants_emit_one_less_frame(self, tmp_path, method):

@@ -201,11 +201,11 @@ class TestStreamingRead:
         green = 1 if channels == 3 else 0
         expected = read_clip(path).data[..., green : green + 1]
         clip = read_clip(path, green_only=True)
-        # an f32 payload's green channel keeps the file's float32 samples, which widen to the full read's
-        assert clip.data.dtype == (np.float32 if dtype == "f32" else np.float64)
+        # f32 decodes to float32 and u8 to float64, whichever channels are kept
+        assert clip.data.dtype == expected.dtype == (np.float32 if dtype == "f32" else np.float64)
         assert clip.data.shape == expected.shape
         assert clip.data.flags.c_contiguous
-        assert clip.data.astype(np.float64).tobytes() == expected.tobytes()
+        assert clip.data.tobytes() == expected.tobytes()
         assert clip.fps == 30.0
 
 
@@ -257,7 +257,7 @@ class TestParallelDecode:
             green = 1 if channels == 3 else 0
             expected = expected[..., green : green + 1]
         data = read_clip(path, green_only=green_only).data
-        assert data.dtype == (np.float32 if dtype == "f32" and green_only else np.float64)
+        assert data.dtype == (np.float32 if dtype == "f32" else np.float64)
         assert data.astype(np.float64).tobytes() == expected.tobytes()
 
     def test_a_file_cut_inside_a_middle_chunk(self, monkeypatch, tmp_path):
@@ -363,8 +363,8 @@ def test_f32_green_channel_is_never_widened_whole(monkeypatch, f32_clip_600x64x6
 
 
 @pytest.mark.parametrize("dtype", ["f32", "u8"])
-def test_write_clip_writes_a_float32_clip_as_its_float64_widening(tmp_path, f32_green, dtype):
-    clip, wide = f32_green
+def test_write_clip_writes_a_float32_clip_as_its_float64_widening(tmp_path, f32_read, dtype):
+    clip, wide = f32_read
     write_clip(clip, tmp_path / "narrow.rpgc", dtype=dtype)
     write_clip(wide, tmp_path / "wide.rpgc", dtype=dtype)
     assert (tmp_path / "narrow.rpgc").read_bytes() == (tmp_path / "wide.rpgc").read_bytes()
@@ -451,13 +451,13 @@ def test_read_clip_does_not_validate_its_clip_again(tmp_path, monkeypatch, dtype
     monkeypatch.setattr(FrameClip, "__post_init__", lambda self: calls.append(self) or check(self))
     clip = read_clip(path, green_only=green_only)
     assert calls == []
-    assert clip.data.dtype == (np.float32 if dtype == "f32" and green_only else np.float64)
+    assert clip.data.dtype == (np.float32 if dtype == "f32" else np.float64)
     assert clip.data.shape == (12, 3, 4, 1 if green_only else channels)
     assert clip.fps == 30.0
     if green_only:
         green = 1 if channels == 3 else 0
         expected = read_clip(path).data[..., green : green + 1]
-        assert clip.data.astype(np.float64).tobytes() == expected.tobytes()
+        assert clip.data.tobytes() == expected.tobytes()
 
 
 def test_green_only_rejects_a_directory(tmp_path):

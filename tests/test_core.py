@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pulse_tn import FrameClip, PipelineConfig, Waveform, core, pool_spatial, segment_waveform
+from pulse_tn.core import green_channel
 
 
 def make_clip(t=10, h=4, w=4, c=3, fill=0.5, fps=30.0):
@@ -19,6 +20,18 @@ class TestFrameClip:
         assert clip.frames == 10
         assert clip.channels == 3
         assert clip.data.dtype == np.float64
+
+    def test_keeps_float32_samples_without_a_copy(self):
+        # a strided view, as a channel of a decoded clip is
+        data = np.random.default_rng(4).random((5, 2, 3, 3)).astype(np.float32)[..., 1:2]
+        assert FrameClip(data, 30.0).data is data
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float16, ">f4", ">f8"])
+    def test_widens_any_other_dtype_to_float64(self, dtype):
+        data = np.arange(2 * 2 * 3 * 3).reshape(2, 2, 3, 3).astype(dtype)
+        clip = FrameClip(data, 30.0)
+        assert clip.data.dtype == np.dtype(np.float64)
+        assert np.array_equal(clip.data, data)
 
     @pytest.mark.parametrize(
         "shape", [(10, 4, 4), (1, 4, 4, 3), (10, 0, 4, 3), (10, 4, 4, 2), (10, 4, 4, 4)]
@@ -131,6 +144,11 @@ class TestPoolSpatial:
         rhs = a * pool_spatial(FrameClip(x, 30.0)).samples + b * pool_spatial(FrameClip(y, 30.0)).samples
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_an_overflowing_mean_raises_only_the_waveform_check(self, overflowing_clip):
+        # pytest turns numpy's overflow warning into an error
+        with pytest.raises(ValueError, match="^waveform samples must not contain NaN or Inf$"):
+            pool_spatial(overflowing_clip)
+
     def test_three_channel_clip_refused(self):
         with pytest.raises(ValueError, match="one-channel clip, got 3 channels"):
             pool_spatial(make_clip(c=3))
@@ -143,9 +161,12 @@ class TestPoolSpatial:
         data = rng.random((7, h, w, 1)) * 2.0 ** rng.integers(-40, 1, (7, h, w, 1))
         assert pool_spatial(FrameClip(data, 30.0)).samples.tobytes() == data[..., 0].mean(axis=(1, 2)).tobytes()
 
-    def test_float32_clip_pools_as_its_float64_widening(self, f32_green):
-        clip, wide = f32_green
-        assert pool_spatial(clip).samples.tobytes() == pool_spatial(wide).samples.tobytes()
+    def test_float32_clip_pools_as_its_float64_widening(self, f32_read):
+        clip, wide = f32_read
+        g = green_channel(clip.channels)  # a view of the green channel, as the extractors pool it
+        narrow, wide = (FrameClip(c.data[..., g : g + 1], c.fps) for c in (clip, wide))
+        assert narrow.data.dtype == np.float32
+        assert pool_spatial(narrow).samples.tobytes() == pool_spatial(wide).samples.tobytes()
 
 
 class TestOrderedMap:

@@ -46,6 +46,11 @@ class TestDiffContract:
         with pytest.raises(ValueError, match="clip needs at least 2 frames, got 1"):
             transform(FrameClip(np.full((2, 1, 1, 1), 0.5), 30.0))
 
+    def test_an_overflowing_clip_raises_only_the_clip_check(self, transform, overflowing_clip):
+        # pytest turns numpy's overflow warning into an error
+        with pytest.raises(ValueError, match="^clip data must not contain NaN or Inf$"):
+            transform(overflowing_clip)
+
 
 class TestFrameDiff:
     def test_constant_clip(self):
@@ -103,7 +108,7 @@ class TestDiffNormalized:
     def test_zero_denominator_is_rejected(self):
         # both frames at -guard/2: the guarded sum is exactly 0, so the ratio is 0/0
         data = np.full((3, 1, 1, 1), -DIFF_DENOM_GUARD / 2)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="clip data must not contain NaN or Inf"):
+        with pytest.raises(ValueError, match="clip data must not contain NaN or Inf"):
             diff_normalized(FrameClip(data, 30.0))
 
     def test_gain_invariance(self):
@@ -181,7 +186,7 @@ class TestBlockwiseDiff:
         # the last output sample, 0/0, is in the ragged block of 54 = 6 x 8 + 6 samples
         data = np.random.default_rng(11).random((10, 2, 3, 1))
         data[-2:, -1, -1] = -DIFF_DENOM_GUARD / 2
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="clip data must not contain NaN or Inf"):
+        with pytest.raises(ValueError, match="clip data must not contain NaN or Inf"):
             diff_normalized(FrameClip(data, 30.0))
 
 
@@ -229,8 +234,8 @@ class TestComparativeSuppression:
 
 
 @pytest.mark.parametrize("transform", [frame_diff, diff_normalized])
-def test_float32_clip_transforms_as_its_float64_widening(f32_green, transform):
-    clip, wide = f32_green
+def test_float32_clip_transforms_as_its_float64_widening(f32_read, transform):
+    clip, wide = f32_read
     out = transform(clip).data
     assert out.dtype == np.float64
     assert out.tobytes() == transform(wide).data.tobytes()

@@ -336,9 +336,23 @@ class TestRunExtractor:
         assert len(calls) == validated
 
 
+@pytest.mark.parametrize(
+    "extractor, message",
+    [
+        (extract_green, "waveform samples must not contain NaN or Inf"),
+        (extract_tn_pooled, "clip data must not contain NaN or Inf"),
+        (extract_diff_pooled, "clip data must not contain NaN or Inf"),
+    ],
+)
+def test_an_overflowing_clip_raises_only_its_check(overflowing_clip, extractor, message):
+    # pytest turns numpy's overflow warning into an error
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        extractor(overflowing_clip)
+
+
 @pytest.mark.parametrize("kind", list(ExtractorKind))
-def test_float32_green_channel_extracts_as_its_float64_widening(f32_green, kind):
-    clip, wide = f32_green
+def test_float32_green_channel_extracts_as_its_float64_widening(f32_read, kind):
+    clip, wide = f32_read
     assert run_extractor(kind, clip).samples.tobytes() == run_extractor(kind, wide).samples.tobytes()
 
 

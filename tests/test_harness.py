@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import json
 import threading
 import tracemalloc
@@ -20,6 +21,7 @@ from pulse_tn import (
     harness,
     hr,
     render_ideal,
+    simulate,
     synth_pulse,
     write_clip,
 )
@@ -326,6 +328,17 @@ def test_scene_from_sidecar_needs_every_declared_key(sidecar_manifest, key):
     del meta[key]
     with pytest.raises(KeyError, match=key):
         scene_from_sidecar(meta)
+
+
+def test_sidecar_list_fields_are_the_scene_fields_given_per_channel(monkeypatch):
+    # scene_from_sidecar lets a list through for the _CHANNEL_FIELDS keys: they must be
+    # the SceneSpec fields, in its order, that SceneSpec reads per channel
+    names = []
+    as_channels = simulate._as_channels
+    monkeypatch.setattr(simulate, "_as_channels", lambda value, name: names.append(name) or as_channels(value, name))
+    SceneSpec()
+    assert names == ["illumination", "specular", "diffuse"]
+    assert simulate._CHANNEL_FIELDS == tuple(f.name for f in dataclasses.fields(SceneSpec) if f.name in names)
 
 
 def compare_with_sidecar_value(sidecar_manifest, tmp_path, key, value):

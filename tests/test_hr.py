@@ -190,6 +190,21 @@ class TestHrFromPsd:
         assert hr_from_psd(PowerSpectrum(freqs, 13.7 * power)) == base
 
 
+@pytest.mark.parametrize(
+    "stage, message",
+    [
+        (bandpass, "waveform samples must not contain NaN or Inf"),
+        (welch_psd, "power must not contain NaN or Inf"),
+        (video_hr, "waveform samples must not contain NaN or Inf"),
+    ],
+)
+def test_an_overflowing_waveform_raises_only_its_check(stage, message):
+    # samples alternating between +-1.7e308; pytest turns numpy's overflow warning into an error
+    w = Waveform(np.tile([1.7e308, -1.7e308], 450), 30.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stage(w)
+
+
 class TestVideoHr:
     def test_clean_72_bpm(self):
         assert video_hr(sinusoid(1.2, 45.0)) == pytest.approx(72.0, abs=0.6)
@@ -308,7 +323,6 @@ class TestBatchedSegments:
         ],
         ids=["fps_too_low", "too_short_to_filter", "no_full_segment", "segment_overflow", "filter_overflow"],
     )
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_error_messages(self, samples, fps, segment_s, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             segment_heart_rates(Waveform(samples, fps), PipelineConfig(segment_s=segment_s))

@@ -256,6 +256,21 @@ class TestTnClip:
         with pytest.raises(ValueError, match="^temporal normalization needs at least 3 frames, got 2$"):
             tn_traces(np.zeros((4, 2)), 1e-8)
 
+    def test_an_overflowing_clip_raises_only_the_clip_check(self, overflowing_clip):
+        # pytest turns numpy's overflow warning into an error
+        with pytest.raises(ValueError, match="^clip data must not contain NaN or Inf$"):
+            tn(overflowing_clip)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_trace_stack_rejects_non_finite_traces(self, bad):
+        with pytest.raises(ValueError, match="^traces must not contain NaN or Inf$"):
+            tn_traces(np.array([[bad, 1.0, 2.0, 0.5]]), 1e-8)
+
+    def test_trace_stack_rejects_a_result_that_overflows(self, overflowing_clip):
+        traces = overflowing_clip.data.reshape(40, -1).T
+        with pytest.raises(ValueError, match="^normalized traces must not contain NaN or Inf$"):
+            tn_traces(traces, 1e-8)
+
     @pytest.mark.parametrize(
         "eps",
         [
@@ -311,19 +326,33 @@ class TestBlockwiseKernel:
         assert np.array_equal(tn(FrameClip(y + 1024.0, 30.0)).data, tn(FrameClip(y, 30.0)).data)
 
 
-def test_float32_clip_normalizes_as_its_float64_widening(f32_green):
-    clip, wide = f32_green
+def test_float32_clip_normalizes_as_its_float64_widening(f32_read):
+    clip, wide = f32_read
     out = tn(clip).data
     assert out.dtype == np.float64
     assert out.tobytes() == tn(wide).data.tobytes()
 
 
-def test_kernel_widens_float32_traces_exactly(f32_green):
-    # the (T, n) float32 view that tn hands the kernel for a decoded green channel
-    clip, _ = f32_green
+def test_kernel_widens_float32_traces_exactly(f32_read):
+    # the (T, n) float32 view that tn hands the kernel for a decoded f32 clip
+    clip, _ = f32_read
     traces = clip.data.reshape(clip.frames, -1)
     widened = traces.astype(np.float64)
     assert _kernels_np.tn_traces(traces, EPSILON).tobytes() == _kernels_np.tn_traces(widened, EPSILON).tobytes()
+
+
+def test_trace_stack_allocates_its_output_and_one_block():
+    # a float32 (n, T) stack goes to the kernel as its (T, n) view, unwidened, as in
+    # the kernel's own pin below
+    stack = np.random.default_rng(3).random((256, 900)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = tn_traces(stack, EPSILON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < out.nbytes + 2 * _kernels_np._BLOCK_BYTES
 
 
 def test_kernel_allocates_its_output_and_one_block():
