@@ -92,8 +92,8 @@ def cmd_estimate(args) -> int:
         ]
         Path(args.dump_waveform).write_text("\n".join(lines) + "\n")
     if args.dump_psd:
-        freqs, power = _spectra(waveform.samples, waveform.fps, cfg)
-        lines = ["freq_hz,power"] + [f"{float(f)!r},{float(p)!r}" for f, p in zip(freqs, power)]
+        freqs, power = next(_spectra(waveform.samples[np.newaxis], waveform.fps, cfg))
+        lines = ["freq_hz,power"] + [f"{float(f)!r},{float(p)!r}" for f, p in zip(freqs, power[0])]
         Path(args.dump_psd).write_text("\n".join(lines) + "\n")
     print(f"{hr:.3f}")
     return 0

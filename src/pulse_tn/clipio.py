@@ -39,7 +39,7 @@ DTYPE_U8 = 1
 DTYPE_CODES = {"f32": DTYPE_F32, "u8": DTYPE_U8}
 _HEADER = struct.Struct("<4sIIIIIIf")
 _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype("u1")}
-# Payload bytes read, or float64 bytes quantized, per chunk by read_clip and write_clip.
+# Payload bytes read per chunk by read_clip, and bytes of write_clip's cast or quantizing buffer.
 _CHUNK_BYTES = 1024 * 1024
 # Largest allowed |step - mean step| of a time-series label, relative to the mean step.
 _SPACING_TOLERANCE = 0.01
@@ -70,39 +70,53 @@ class TruncatedClipError(ClipFormatError):
 
 
 def write_clip(clip: FrameClip, path, dtype: str = "f32") -> None:
-    """Serialize a clip; dtype "f32" is lossless, "u8" quantizes [0,1] to 255 steps."""
+    """Serialize a clip; dtype "f32" is lossless, "u8" quantizes [0,1] to 255 steps.
+
+    Either payload is encoded _CHUNK_BYTES at a time, so no full-size copy of
+    the clip is made. An f32 payload is cast twice: once to check it, before
+    the file is opened, and once to write it.
+    """
     t, h, w, c = clip.data.shape
     if dtype not in DTYPE_CODES:
         raise ValueError(f"dtype must be {' or '.join(map(repr, DTYPE_CODES))}, got {dtype!r}")
-    if dtype == "f32":
-        # the C-ordered array itself is written, not a bytes copy of it
-        with np.errstate(over="ignore"):
-            payload = clip.data.astype("<f4", order="C")
-        # read_clip would reject the inf a sample beyond float32 casts to, so refuse before opening
-        if not np.all(np.isfinite(payload)):
-            raise ValueError("clip data must lie within the float32 range to be written as f32")
+    # read_clip would reject the inf a sample beyond float32 casts to, so refuse before opening
+    if dtype == "f32" and not all(np.isfinite(chunk).all() for chunk in _f32_chunks(clip.data)):
+        raise ValueError("clip data must lie within the float32 range to be written as f32")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, t, h, w, c, DTYPE_CODES[dtype], clip.fps))
-        if dtype == "f32":
-            fh.write(payload)
-        else:
-            _write_u8(fh, clip.data)
+        for chunk in _f32_chunks(clip.data) if dtype == "f32" else _u8_chunks(clip.data):
+            fh.write(chunk)
 
 
-def _write_u8(fh, data: np.ndarray) -> None:
-    """Write round(clip(data, 0, 1) * 255) as bytes in C order, quantizing as
-    many whole frames at a time as fit one reused float64 buffer of
-    _CHUNK_BYTES (at least one frame), so no full-size temporary is made."""
-    frame = data[0].size
-    step = max(1, _CHUNK_BYTES // (8 * frame))
-    scaled = np.empty(min(step, len(data)) * frame)
-    for start in range(0, len(data), step):
-        block = data[start : start + step]
-        f64 = scaled[: block.size]
-        np.clip(block, 0.0, 1.0, out=f64.reshape(block.shape))
+def _f32_chunks(data: np.ndarray):
+    """The samples of `data` in C order as little-endian float32, a block of
+    whole frames at a time in one reused buffer (see `_frame_blocks`)."""
+    for block, f32 in _frame_blocks(data, np.dtype("<f4")):
+        with np.errstate(over="ignore"):
+            np.copyto(f32, block)
+        yield f32
+
+
+def _u8_chunks(data: np.ndarray):
+    """round(clip(data, 0, 1) * 255) as bytes in C order, quantized a block of
+    whole frames at a time in one reused float64 buffer (see `_frame_blocks`)."""
+    for block, f64 in _frame_blocks(data, np.dtype(np.float64)):
+        np.clip(block, 0.0, 1.0, out=f64)
         f64 *= 255.0
         np.round(f64, out=f64)
-        fh.write(f64.astype("u1"))
+        yield f64.astype("u1")
+
+
+def _frame_blocks(data: np.ndarray, dtype: np.dtype):
+    """Consecutive blocks of whole frames of `data`, as many as fit _CHUNK_BYTES
+    of `dtype` (at least one frame), each with a view shaped like it of one
+    reused `dtype` buffer, so no full-size temporary is made."""
+    frame = data[0].size
+    step = max(1, _CHUNK_BYTES // (dtype.itemsize * frame))
+    buf = np.empty(min(step, len(data)) * frame, dtype)
+    for start in range(0, len(data), step):
+        block = data[start : start + step]
+        yield block, buf[: block.size].reshape(block.shape)
 
 
 def read_clip(path, green_only: bool = False) -> FrameClip:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
@@ -130,7 +131,13 @@ def _bandpass_rows(x: np.ndarray, fps: float, cfg: PipelineConfig) -> np.ndarray
     scipy.signal.sosfiltfilt filters it with `_butter_sos`: odd extension by
     `padlen` samples at each end, a forward and a backward pass each started
     from the settled state scaled by its first sample, and the extension cut
-    off again."""
+    off again.
+
+    Both passes run in place over one buffer: the extended rows with zeros
+    after them, for the forward pass, and as many before them, for the
+    backward pass, so that each pass covers whole blocks. The zeros follow
+    the data in each pass, so they change no output sample that is kept.
+    """
     n, order = x.shape[-1], cfg.band_order
     if fps <= 2.0 * cfg.band_high_hz:
         raise SamplingRateError(f"sampling rate {fps} Hz too low for a {cfg.band_high_hz} Hz passband edge")
@@ -139,14 +146,18 @@ def _bandpass_rows(x: np.ndarray, fps: float, cfg: PipelineConfig) -> np.ndarray
     block, zi = _cascade(fps, cfg.band_low_hz, cfg.band_high_hz, order)
     padlen = min(3 * order, n - 1)
     rows = x.reshape(-1, n)
+    n_ext = n + 2 * padlen
+    zeros = -n_ext % _BLOCK
+    buf = np.zeros((len(rows), zeros + n_ext + zeros))
+    ext = buf[:, zeros : zeros + n_ext]
+    ext[:, padlen : padlen + n] = rows
     # samples near the float64 limit overflow; callers reject the non-finite result
     with np.errstate(over="ignore", invalid="ignore"):
-        ext = np.concatenate(
-            [2 * rows[:, :1] - rows[:, padlen:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -padlen - 2 : -1]], axis=1
-        )
-        y = _run_cascade(ext, zi * ext[:, :1], block)
-        y = _run_cascade(y[:, ::-1], zi * y[:, -1:], block)
-    return y[:, ::-1][:, padlen:-padlen].reshape(x.shape)
+        ext[:, :padlen] = 2 * rows[:, :1] - rows[:, padlen:0:-1]
+        ext[:, padlen + n :] = 2 * rows[:, -1:] - rows[:, -2 : -padlen - 2 : -1]
+        _run_cascade(buf[:, zeros:], zi * ext[:, :1], block)
+        _run_cascade(buf[:, zeros + n_ext - 1 :: -1], zi * ext[:, -1:], block)
+    return ext[:, padlen : padlen + n].reshape(x.shape)
 
 
 @lru_cache
@@ -226,24 +237,14 @@ def _cascade(fps: float, low_hz: float, high_hz: float, order: int) -> tuple[np.
     return block, zi
 
 
-def _run_cascade(x: np.ndarray, state: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The cascade's output on the rows of x from `state`, one product per block.
-
-    The rows are zero-padded to whole blocks; the padding follows the data, so
-    it changes no output sample that is kept.
-    """
-    rows, n = x.shape
-    padded = np.zeros((rows, -(-n // _BLOCK) * _BLOCK))
-    padded[:, :n] = x
-    out = np.empty_like(padded)
-    for start in range(0, padded.shape[1], _BLOCK):
+def _run_cascade(x: np.ndarray, state: np.ndarray, block: np.ndarray) -> None:
+    """Overwrite the rows of x, a whole number of blocks wide, with the
+    cascade's output from `state`, one product per block."""
+    for start in range(0, x.shape[1], _BLOCK):
         # einsum, not @: a threaded BLAS product this small can stall for milliseconds
-        z = np.einsum(
-            "ri,ij->rj", np.concatenate([padded[:, start : start + _BLOCK], state], axis=1), block
-        )
-        out[:, start : start + _BLOCK] = z[:, :_BLOCK]
+        z = np.einsum("ri,ij->rj", np.concatenate([x[:, start : start + _BLOCK], state], axis=1), block)
+        x[:, start : start + _BLOCK] = z[:, :_BLOCK]
         state = z[:, _BLOCK:]
-    return out[:, :n]
 
 
 def welch_psd(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> PowerSpectrum:
@@ -259,15 +260,9 @@ def welch_psd(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> PowerSpect
 
 
 def _welch_rows(x: np.ndarray, fps: float, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """`welch_psd` along the last axis of `x`: the frequencies and one power row per row.
-
-    The frames start every window_len - int(window_len * overlap) samples and
-    are not detrended, as in scipy.signal.welch(detrend=False).
-    """
-    window_len, nfft = cfg.welch_lengths(x.shape[-1])
-    step = window_len - int(window_len * cfg.overlap)
-    # the periodic Hann window
-    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_len + 1)[:-1])
+    """`welch_psd` along the last axis of `x`: the frequencies and one power row per row."""
+    window_len, step, nfft = _welch_layout(x.shape[-1], cfg)
+    win = _hann(window_len)
     frames = np.lib.stride_tricks.sliding_window_view(x, window_len, axis=-1)[..., ::step, :]
     # samples near the float64 limit overflow; callers reject the non-finite power
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,32 +274,81 @@ def _welch_rows(x: np.ndarray, fps: float, cfg: PipelineConfig) -> tuple[np.ndar
     return np.fft.rfftfreq(nfft, 1 / fps), power
 
 
+def _welch_layout(n: int, cfg: PipelineConfig) -> tuple[int, int, int]:
+    """Window length, frame step and FFT length of the Welch spectrum of an
+    n-sample row.
+
+    The frames start every window_len - int(window_len * overlap) samples and
+    are not detrended, as in scipy.signal.welch(detrend=False).
+    """
+    window_len, nfft = cfg.welch_lengths(n)
+    return window_len, window_len - int(window_len * cfg.overlap), nfft
+
+
+@lru_cache
+def _hann(window_len: int) -> np.ndarray:
+    """The periodic Hann window of `window_len` samples, shared, so read-only."""
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_len + 1)[:-1])
+    win.setflags(write=False)
+    return win
+
+
 def _in_band_peak(freqs: np.ndarray, power: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency and power of the highest bin inside `cfg`'s band along the
-    last axis of `power`; ties break toward the lower frequency."""
+    """Frequency and power of the peak bin inside `cfg`'s band along the last axis of `power`.
+
+    The peak is the highest in-band bin that is a local maximum of the whole
+    spectrum: above its left neighbour and at least its right one, a bin past
+    either end of the spectrum counting as lower. So a tone just outside the
+    band, whose main lobe leaks across the edge, does not set the edge bin.
+    Where no in-band bin is a local maximum, the highest in-band bin is the
+    peak. Ties break toward the lower frequency.
+    """
     low_hz, high_hz = cfg.band_low_hz, cfg.band_high_hz
-    in_band = (freqs >= low_hz) & (freqs <= high_hz)
-    if not np.any(in_band):
+    in_band = np.flatnonzero((freqs >= low_hz) & (freqs <= high_hz))
+    if not in_band.size:
         raise ValueError(f"spectrum has no bins inside [{low_hz}, {high_hz}] Hz")
-    power = power[..., in_band]
-    return freqs[in_band][power.argmax(axis=-1)], power.max(axis=-1)
+    lo, hi = in_band[0], in_band[-1] + 1
+    # the band and the bin beside it on each side, where the spectrum has one
+    start = max(lo - 1, 0)
+    near = power[..., start : hi + 1]
+    local = np.ones(near.shape, dtype=bool)
+    local[..., 1:] = near[..., 1:] > near[..., :-1]
+    local[..., :-1] &= near[..., :-1] >= near[..., 1:]
+    local, band = local[..., lo - start : hi - start], power[..., lo:hi]
+    peak = np.where(local | ~local.any(axis=-1, keepdims=True), band, -np.inf).argmax(axis=-1)
+    return freqs[lo:hi][peak], np.take_along_axis(band, peak[..., np.newaxis], axis=-1)[..., 0]
 
 
 def hr_from_psd(spectrum: PowerSpectrum, cfg: PipelineConfig = PipelineConfig()) -> float:
     """Heart rate in BPM from the spectral peak inside `cfg`'s band.
 
-    Ties break toward the lower frequency.
+    The peak is an in-band local maximum of the spectrum where there is one
+    (see `_in_band_peak`); ties break toward the lower frequency.
     """
     return 60.0 * float(_in_band_peak(spectrum.freqs, spectrum.power, cfg)[0])
 
 
-def _spectra(x: np.ndarray, fps: float, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """`cfg`'s bandpass, then Welch spectrum, of each row of `x`: the frequencies and
-    one power row per row. A row shorter than the Welch window is one Welch segment."""
+# bytes of complex spectra that one block of `_spectra` may hold
+_SPECTRA_BYTES = 256 * 1024
+
+
+def _spectra(x: np.ndarray, fps: float, cfg: PipelineConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`cfg`'s bandpass, then Welch spectrum, of each row of the 2-D `x`.
+
+    All rows are filtered in one run. Their spectra follow in blocks of whole
+    rows, each block's complex spectra within _SPECTRA_BYTES (or one row): the
+    frequencies and one power row per row of the block. A row shorter than
+    the Welch window is one Welch segment.
+    """
     filtered = _bandpass_rows(x, fps, cfg)
     # samples near the float64 limit overflow in the filter; reject them as bandpass() does
     _require_finite(filtered, "waveform samples")
-    return _welch_rows(filtered, fps, cfg)
+    n = filtered.shape[1]
+    window_len, step, nfft = _welch_layout(n, cfg)
+    row_bytes = (1 + (n - window_len) // step) * (nfft // 2 + 1) * 16  # frames x bins x complex128
+    rows = max(1, _SPECTRA_BYTES // row_bytes)
+    for start in range(0, len(filtered), rows):
+        yield _welch_rows(filtered[start : start + rows], fps, cfg)
 
 
 def segment_waveform(w: Waveform, cfg: PipelineConfig = PipelineConfig()) -> list[Waveform]:
@@ -334,17 +378,19 @@ def segment_heart_rates(
 ) -> tuple[list[float], int]:
     """Per-segment heart rates plus the count of degenerate segments dropped.
 
-    The full segments are bandpassed and run through the Welch estimator
-    as one batch, each segment on its own. Segments whose in-band peak power
-    falls below DEGENERATE_POWER carry no usable pulse and are dropped.
+    The full segments are bandpassed in one run and their Welch spectra
+    taken a block of whole segments at a time, each segment on its own; each
+    block is reduced to its segments' peaks before the next is taken.
+    Segments whose in-band peak power falls below DEGENERATE_POWER carry no
+    usable pulse and are dropped.
     """
     segments = _segment_rows(w, cfg)
     if not len(segments):
         raise ValueError(
             f"waveform of {w.duration_s:.2f} s has no full {cfg.segment_s} s segment"
         )
-    freqs, power = _spectra(segments, w.fps, cfg)
-    peak_hz, peak_power = _in_band_peak(freqs, power, cfg)
+    peaks = [_in_band_peak(freqs, power, cfg) for freqs, power in _spectra(segments, w.fps, cfg)]
+    peak_hz, peak_power = (np.concatenate(column) for column in zip(*peaks))
     dead = peak_power < DEGENERATE_POWER
     return (60.0 * peak_hz[~dead]).tolist(), int(np.count_nonzero(dead))
 

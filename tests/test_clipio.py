@@ -490,6 +490,44 @@ def test_write_clip_u8_peak_memory(tmp_path, monkeypatch):
     assert peak <= 1.5 * payload_bytes
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_write_clip_f32_peak_memory(tmp_path, monkeypatch, dtype):
+    # cast and checked through one 64 KiB float32 buffer, then cast again and written
+    # through it; a whole-clip float32 copy with its finiteness mask took 1.25x the payload
+    monkeypatch.setattr(clipio, "_CHUNK_BYTES", 64 * 1024)
+    clip = FrameClip(np.random.default_rng(29).random((300, 32, 32, 3)).astype(dtype), 30.0)
+    tracemalloc.start()
+    try:
+        write_clip(clip, tmp_path / "clip.rpgc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 64 * 1024
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_write_clip_f32_bytes(tmp_path, monkeypatch, order, dtype):
+    # 100 float32 samples per chunk: four 24-sample frames, and a ragged last chunk
+    monkeypatch.setattr(clipio, "_CHUNK_BYTES", 100 * 4)
+    shape = (23, 2, 4, 3)
+    data = np.random.default_rng(30).normal(size=shape).astype(dtype)
+    path = tmp_path / "clip.rpgc"
+    write_clip(FrameClip(np.asarray(data, order=order), 30.0), path)
+    assert path.read_bytes() == clip_header(*shape) + data.astype("<f4").tobytes()
+
+
+def test_write_clip_refuses_a_sample_beyond_float32_in_the_last_chunk(tmp_path, monkeypatch):
+    # the whole clip is checked before the file is opened, so no file is left
+    monkeypatch.setattr(clipio, "_CHUNK_BYTES", 100 * 4)
+    data = np.random.default_rng(31).random((23, 2, 4, 3))
+    data[-1, -1, -1, -1] = 1e39
+    path = tmp_path / "clip.rpgc"
+    with pytest.raises(ValueError, match="^clip data must lie within the float32 range to be written as f32$"):
+        write_clip(FrameClip(data, 30.0), path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_write_clip_u8_bytes(tmp_path, monkeypatch, order):
     # 100 float64 samples per chunk: four 24-sample frames, and a ragged last chunk

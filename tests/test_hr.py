@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,45 @@ class TestHrFromPsd:
         ps = PowerSpectrum([1.0, 1.5, 2.0], [3.0, 1.0, 3.0])
         assert hr_from_psd(ps) == pytest.approx(60.0)
 
+    def test_leak_across_an_edge_is_not_the_peak(self):
+        # power falling from below the band into it: the edge bin is highest, not a local maximum
+        ps = PowerSpectrum([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5], [9.0, 8.0, 1.0, 2.0, 1.0, 7.0, 9.5])
+        assert hr_from_psd(ps) == pytest.approx(90.0)
+
+    def test_monotone_band_keeps_the_plain_maximum(self):
+        freqs = np.linspace(0.25, 3.25, 13)
+        assert hr_from_psd(PowerSpectrum(freqs, 13.0 - np.arange(13))) == pytest.approx(30.0)
+        assert hr_from_psd(PowerSpectrum(freqs, 1.0 + np.arange(13))) == pytest.approx(180.0)
+
+    def test_band_at_the_ends_of_the_spectrum(self):
+        # a bin past either end of the spectrum counts as lower
+        assert hr_from_psd(PowerSpectrum([0.5, 1.0, 1.5], [3.0, 1.0, 2.0])) == pytest.approx(30.0)
+        assert hr_from_psd(PowerSpectrum([0.5, 1.0, 1.5], [1.0, 2.0, 3.0])) == pytest.approx(90.0)
+
+    def test_plateau_peaks_at_its_lowest_bin(self):
+        ps = PowerSpectrum([0.5, 1.0, 1.5, 2.0, 2.5], [1.0, 4.0, 4.0, 4.0, 1.0])
+        assert hr_from_psd(ps) == pytest.approx(60.0)
+
+    def test_rows_match_a_loop_over_bins(self):
+        # small integer powers make ties, plateaus and edge maxima common
+        rng = np.random.default_rng(13)
+        freqs = np.linspace(0.0, 4.0, 17)
+        power = rng.integers(0, 4, size=(400, 17)).astype(float)
+        peak_hz, peak_power = hr._in_band_peak(freqs, power, PipelineConfig())
+        for row, hz, p in zip(power, peak_hz, peak_power):
+            band = [k for k in range(17) if 0.5 <= freqs[k] <= 3.0]
+            local = [k for k in band if row[k - 1] < row[k] >= row[k + 1]]
+            best = max(local or band, key=lambda k: (row[k], -k))
+            assert (hz, p) == (freqs[best], row[best])
+
+    def test_peak_power_is_the_chosen_bin(self):
+        # the leak at the edge is the in-band maximum; the segment's own peak is degenerate
+        freqs = np.linspace(0.25, 3.25, 13)
+        power = np.array([9.0, 1.0, 1e-13, 2e-13, 1e-13] + [0.0] * 8)
+        hz, p = hr._in_band_peak(freqs, power, PipelineConfig())
+        assert (hz, p) == (1.0, 2e-13)
+        assert p < hr.DEGENERATE_POWER
+
     def test_empty_band_rejected(self):
         ps = PowerSpectrum([5.0, 6.0], [1.0, 2.0])
         with pytest.raises(ValueError, match=r"^spectrum has no bins inside \[0\.5, 3\.0\] Hz$"):
@@ -250,8 +290,7 @@ def per_segment_oracle(w, cfg=PipelineConfig()):
         win = min(cfg.window_len, len(seg))
         welch_cfg = PipelineConfig(window_len=win, overlap=cfg.overlap, nfft=max(cfg.nfft, win))
         spectrum = welch_psd(bandpass(seg, cfg), welch_cfg)
-        in_band = (spectrum.freqs >= cfg.band_low_hz) & (spectrum.freqs <= cfg.band_high_hz)
-        if spectrum.power[in_band].max(initial=0.0) < hr.DEGENERATE_POWER:
+        if hr._in_band_peak(spectrum.freqs, spectrum.power, cfg)[1] < hr.DEGENERATE_POWER:
             dropped += 1
         else:
             rates.append(hr_from_psd(spectrum, cfg))
@@ -265,8 +304,9 @@ def noisy_pulse(seconds, fps=30.0, seed=0):
 
 
 class TestBatchedSegments:
-    """segment_heart_rates filters and Welch-averages all segments in one batch;
-    it must give exactly the per-segment result."""
+    """segment_heart_rates filters all segments in one run and takes their Welch
+    spectra a block of whole segments at a time; it must give exactly the
+    per-segment result."""
 
     def check(self, w, cfg=PipelineConfig()):
         rates, dropped = segment_heart_rates(w, cfg)
@@ -334,8 +374,73 @@ class TestBatchedSegments:
             segment_heart_rates(Waveform(noisy_pulse(16.0), 30.0), cfg)
 
 
-def scipy_segment_heart_rates(w, cfg=PipelineConfig()):
-    """Oracle: segment_heart_rates with the filter and spectrum from scipy.signal."""
+def spectrum_row_bytes(n, cfg=PipelineConfig()):
+    """Bytes of the complex Welch spectra of one n-sample segment."""
+    window_len, step, nfft = hr._welch_layout(n, cfg)
+    return (1 + (n - window_len) // step) * (nfft // 2 + 1) * 16
+
+
+class TestSpectrumBlocks:
+    """_spectra filters every row in one run, then yields the Welch spectra of
+    blocks of whole rows, each within _SPECTRA_BYTES of complex spectra."""
+
+    def block_rows(self, monkeypatch, w, rows_per_block):
+        """The row count of each block segment_heart_rates takes, with blocks
+        of `rows_per_block` segments of 15 s."""
+        monkeypatch.setattr(hr, "_SPECTRA_BYTES", rows_per_block * spectrum_row_bytes(int(15 * w.fps)))
+        seen, welch_rows = [], hr._welch_rows
+
+        def spy(x, fps, cfg):
+            seen.append(len(x))
+            return welch_rows(x, fps, cfg)
+
+        monkeypatch.setattr(hr, "_welch_rows", spy)
+        rates, blocks = segment_heart_rates(w), seen.copy()
+        assert rates == per_segment_oracle(w)
+        return blocks
+
+    @pytest.mark.parametrize(
+        "rows_per_block, blocks", [(0, [1] * 7), (1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]), (7, [7]), (8, [7])]
+    )
+    def test_rates_across_block_edges(self, monkeypatch, rows_per_block, blocks):
+        # a budget below one segment's spectra still takes one segment a block;
+        # degenerate segments 1, 2 and 5 sit on either side of the block edges
+        samples = noisy_pulse(7 * 15.0 + 4.0, seed=9)
+        for k in (1, 2, 5):
+            samples[450 * k : 450 * (k + 1)] = 0.75
+        w = Waveform(samples, 30.0)
+        assert self.block_rows(monkeypatch, w, rows_per_block) == blocks
+        assert segment_heart_rates(w)[1] == 3
+
+    def test_blocks_are_the_rows_of_one_welch_call(self, monkeypatch):
+        monkeypatch.setattr(hr, "_SPECTRA_BYTES", 2 * spectrum_row_bytes(450))
+        rows = noisy_pulse(75.0, seed=11).reshape(5, 450)
+        freqs, power = hr._welch_rows(hr._bandpass_rows(rows, 30.0, PipelineConfig()), 30.0, PipelineConfig())
+        blocks = list(hr._spectra(rows, 30.0, PipelineConfig()))
+        assert [len(p) for _, p in blocks] == [2, 2, 1]
+        assert all(np.array_equal(f, freqs) for f, _ in blocks)
+        assert np.array_equal(np.concatenate([p for _, p in blocks]), power)
+
+    @pytest.mark.parametrize("seconds", [600, 3600])
+    def test_long_waveform_memory(self, seconds):
+        # the filter buffer is about one waveform, the spectra a block of 256 KiB;
+        # the whole batch of spectra took 5.45 MB at 600 s and 32.7 MB at 3600 s
+        w = Waveform(noisy_pulse(seconds, seed=12), 30.0)
+        expected = per_segment_oracle(w)
+        segment_heart_rates(w)  # the filter design and Hann window are cached
+        tracemalloc.start()
+        try:
+            rates = segment_heart_rates(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rates == expected
+        assert peak <= 2 * w.samples.nbytes + 2**20
+
+
+def scipy_segment_heart_rates(w, cfg=PipelineConfig(), pick=hr._in_band_peak):
+    """Oracle: segment_heart_rates with the filter and spectrum from scipy.signal
+    and the peaks of each segment's spectrum from `pick`."""
     segments = hr._segment_rows(w, cfg)
     n = segments.shape[1]
     filtered = sps.sosfiltfilt(scipy_sos(w.fps, *band_of(cfg)), segments, padlen=min(3 * cfg.band_order, n - 1))
@@ -344,10 +449,73 @@ def scipy_segment_heart_rates(w, cfg=PipelineConfig()):
         filtered, fs=w.fps, window="hann", nperseg=window_len, noverlap=int(window_len * cfg.overlap),
         nfft=nfft, detrend=False, scaling="density",
     )
+    peak_hz, peak_power = pick(freqs, power, cfg)
+    dead = peak_power < hr.DEGENERATE_POWER
+    return (60.0 * peak_hz[~dead]).tolist(), int(dead.sum())
+
+
+def plain_in_band_max(freqs, power, cfg):
+    """The peak picker before the local-maximum rule: the highest in-band bin."""
     in_band = (freqs >= cfg.band_low_hz) & (freqs <= cfg.band_high_hz)
     freqs, power = freqs[in_band], power[:, in_band]
-    dead = power.max(axis=1, initial=0.0) < hr.DEGENERATE_POWER
-    return (60.0 * freqs[power[~dead].argmax(axis=1)]).tolist(), int(dead.sum())
+    return freqs[power.argmax(axis=1)], power.max(axis=1)
+
+
+# wobbles of the scene's illumination (plain) or specular term (vs/) beside the band edges
+LOW_WOBBLES_HZ = (0.30, 0.35, 0.40, 0.45, 0.48)
+HIGH_WOBBLES_HZ = (3.02, 3.05, 3.1, 3.2)
+# the wobbles whose main lobe leaks across an edge and set it under the plain maximum
+LEAKING_HZ = (0.40, 0.45, 0.48, 3.02, 3.05, 3.1)
+specular_or_not = pytest.mark.parametrize("specular", [False, True], ids=["plain", "vs"])
+
+
+def wobble_waveforms(bpm, hz=None, specular=False):
+    """Each extractor's waveform of an 8x8, 900-frame scene with a `bpm` pulse
+    and a wobble at `hz`, if any."""
+    noise = "none" if hz is None else f"vs/sin:{hz}:0.02" if specular else f"sin:{hz}:0.05"
+    pulse = synth_pulse(PulseSpec(hr_bpm=bpm), 30.0, 900)
+    clip = render_noisy(SceneSpec(jitter_seed=3), pulse, parse_noise_string(noise), 8, 8)
+    return [run_extractor(kind, clip) for kind in ExtractorKind]
+
+
+class TestEdgeLeakage:
+    """The in-band peak must be a local maximum of the whole spectrum, so a
+    wobble outside the band no longer sets an edge rate, 30 or 180 BPM."""
+
+    @specular_or_not
+    @pytest.mark.parametrize("hz", LOW_WOBBLES_HZ + HIGH_WOBBLES_HZ)
+    def test_out_of_band_wobble_leaves_the_pulse(self, hz, specular):
+        for w in wobble_waveforms(75.0, hz, specular):
+            assert video_hr(w) == pytest.approx(75.0, abs=0.6)
+
+    @specular_or_not
+    @pytest.mark.parametrize("hz", LEAKING_HZ)
+    def test_the_plain_maximum_read_the_edge(self, hz, specular):
+        # the failure the rule mends: some extractor's rate was the edge bin
+        waveforms = wobble_waveforms(75.0, hz, specular)
+        rates = [np.mean(scipy_segment_heart_rates(w, pick=plain_in_band_max)[0]) for w in waveforms]
+        assert (30.0 if hz < 1 else 180.0) in rates
+
+    @specular_or_not
+    @pytest.mark.parametrize("hz, edge", [(0.5, 30.0), (3.0, 180.0)])
+    def test_wobble_on_an_edge_sets_it(self, hz, edge, specular):
+        # inside the band, no rule of location tells it from an edge pulse
+        assert [video_hr(w) for w in wobble_waveforms(75.0, hz, specular)] == [edge] * 3
+
+    @pytest.mark.parametrize("bpm, rate", [(30.0, 30.0), (30.2, 30.0), (179.8, 180.0), (180.0, 180.0)])
+    def test_edge_pulse_keeps_its_rate(self, bpm, rate):
+        assert [video_hr(w) for w in wobble_waveforms(bpm)] == [rate] * 3
+
+    @specular_or_not
+    @pytest.mark.parametrize("hz", LOW_WOBBLES_HZ)
+    @pytest.mark.parametrize("bpm", [179.8, 180.0])
+    def test_edge_pulse_beside_a_wobble_at_the_other_edge(self, bpm, hz, specular):
+        assert [video_hr(w) for w in wobble_waveforms(bpm, hz, specular)] == [180.0] * 3
+
+    @pytest.mark.parametrize("hz, specular", [(0.3, False), (3.1, False), (3.05, True)])
+    def test_rates_equal_the_scipy_oracle(self, hz, specular):
+        for w in wobble_waveforms(75.0, hz, specular):
+            assert segment_heart_rates(w) == scipy_segment_heart_rates(w)
 
 
 ZI_GRID = [
@@ -424,7 +592,7 @@ class TestScipyOracle:
     def test_shared_filter_arrays_are_read_only(self):
         # the cached arrays are shared by every thread that filters at this rate
         block, zi = hr._cascade(30.0, *band_of())
-        for array in (hr._butter_sos(30.0, *band_of()), block, zi):
+        for array in (hr._butter_sos(30.0, *band_of()), block, zi, hr._hann(256)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
